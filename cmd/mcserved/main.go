@@ -1,11 +1,11 @@
 // Command mcserved serves magic counting queries over HTTP: a
 // long-lived database of L/E/R facts, a bounded solver worker pool,
-// a compiled query graph built once per database generation and
-// shared by every query against it, and a per-(source, strategy,
-// mode) result cache invalidated by fact appends. Small appends roll
-// the compiled graph forward with a delta patch instead of forcing a
-// rebuild (see -delta-max-frac), so append-heavy mixed traffic keeps
-// its amortized compile cost near zero.
+// a compiled query graph that is always current — appends roll it
+// forward, queries only read it — and a per-(source, strategy, mode)
+// result cache invalidated by fact appends. Small appends roll the
+// compiled graph forward with a delta patch instead of a rebuild (see
+// -delta-max-frac), so append-heavy mixed traffic keeps its amortized
+// compile cost near zero.
 //
 // Usage:
 //
@@ -14,7 +14,7 @@
 //	mcserved -data-dir ./data -fsync interval -snapshot-every 10000
 //	mcserved -addr :9000 -workers 8 -timeout 5s
 //	mcserved -delta-max-frac 0.5   # delta-compile appends up to half the database
-//	mcserved -shards 8             # region-sharded artifacts: route queries and scope appends per shard
+//	mcserved -shards 8             # eight region shards: route queries and scope appends per shard
 //	mcserved -debug-addr :6060     # also serve net/http/pprof there
 //	mcserved -quiet                # no per-request log lines
 //
@@ -160,10 +160,10 @@ func run(args []string, stdout io.Writer, ready chan<- net.Addr) error {
 	fsyncMode := fs.String("fsync", "always", "WAL fsync policy with -data-dir: always, interval, or never")
 	fsyncInterval := fs.Duration("fsync-interval", 100*time.Millisecond, "background sync period under -fsync interval")
 	snapshotEvery := fs.Int("snapshot-every", 50_000, "snapshot once this many facts have been appended since the last one (0 = only on shutdown)")
-	deltaMaxFrac := fs.Float64("delta-max-frac", 0.25, "delta-compile appends up to this fraction of the database; larger appends recompile lazily (negative disables delta compilation)")
+	deltaMaxFrac := fs.Float64("delta-max-frac", 0.25, "delta-compile appends up to this fraction of the shard they land in; larger appends rebuild that shard inside the append (negative: every append rebuilds)")
 	maxResident := fs.Int("max-resident-compiled", 8, "collapse the delta chain once it pins this many compiled generations (negative disables the cap)")
 	maxCompiledBytes := fs.Int64("max-compiled-bytes", 256<<20, "collapse the delta chain once its pinned-bytes estimate crosses this (negative disables the byte trigger)")
-	shards := fs.Int("shards", 1, "partition the compiled artifact into this many region shards: queries route to one shard, appends delta-compile only touched shards (<=1 = monolithic)")
+	shards := fs.Int("shards", 1, "number of region shards the compiled artifact is partitioned into: queries route to one shard, appends roll only touched shards (<=1 = one shard)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -115,7 +116,7 @@ func TestSoakCatchesCorruptAnswers(t *testing.T) {
 	}()
 	inner := server.NewHandler(svc)
 	mux := http.NewServeMux()
-	corrupted := 0
+	var corrupted atomic.Int64 // the soak's workers hit the handler concurrently
 	mux.HandleFunc("POST /v1/query", func(w http.ResponseWriter, r *http.Request) {
 		var req server.QueryRequest
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
@@ -133,8 +134,7 @@ func TestSoakCatchesCorruptAnswers(t *testing.T) {
 			return
 		}
 		// Tamper with every third answered query.
-		corrupted++
-		if corrupted%3 == 0 {
+		if corrupted.Add(1)%3 == 0 {
 			resp.Answers = append(resp.Answers, "zzz-tampered")
 		}
 		w.Header().Set("Content-Type", "application/json")

@@ -109,9 +109,8 @@ func (c *Compiled) Extend(dL, dE, dR []Pair) *Compiled {
 	// would over the concatenated relations (dL's symbols before dE's,
 	// dE's before dR's), so ids — and therefore every downstream
 	// structure — come out identical to a cold build. Deduplication
-	// against the parent is a row scan: the delta is small by the
-	// serving layer's threshold, and the scan avoids rebuilding the
-	// arc-set maps Compile uses.
+	// against the parent probes the touched rows only (see rowProbe),
+	// which avoids rebuilding the arc-set maps Compile uses.
 	lArcs := dedupeDelta(dL, &c.lOut, internL, internL, false)
 	eArcs := dedupeDelta(dE, &c.eOut, internL, internR, false)
 	// Descent arcs are stored reversed, like Compile: (b, c) lands in
@@ -187,23 +186,24 @@ func (c *Compiled) SetGeneration(gen uint64) {
 }
 
 // dedupeDelta interns a delta's endpoints and returns its arcs with
-// duplicates removed — against the parent graph (a row scan per arc)
-// and within the delta itself. rev swaps each pair's endpoints before
-// storing (the descent-graph convention). Interning runs on every
-// pair, duplicates included, mirroring Compile.
+// duplicates removed — against the parent graph and within the delta
+// itself. rev swaps each pair's endpoints before storing (the
+// descent-graph convention). Interning runs on every pair, duplicates
+// included, mirroring Compile.
 func dedupeDelta(delta []Pair, parent *csr, internFrom, internTo func(string) int32, rev bool) []iarc {
 	if len(delta) == 0 {
 		return nil
 	}
 	arcs := make([]iarc, 0, len(delta))
 	var seen map[iarc]bool
+	var probe rowProbe
 	for _, p := range delta {
 		u, v := internFrom(p.From), internTo(p.To)
 		if rev {
 			u, v = v, u
 		}
 		a := iarc{u, v}
-		if seen[a] || rowHas(parent.row(u), v) {
+		if seen[a] || probe.has(parent.row(u), v) {
 			continue
 		}
 		if seen == nil {
@@ -213,6 +213,45 @@ func dedupeDelta(delta []Pair, parent *csr, internFrom, internTo func(string) in
 		arcs = append(arcs, a)
 	}
 	return arcs
+}
+
+// rowProbe answers "does this row hold v" for one run of probes in
+// O(probes + touched rows): a long row is scanned the first few times
+// it is asked about and indexed once after that, so m delta arcs aimed
+// at a hub of out-degree d cost O(m + d) where a scan per arc costs
+// m·d. Rows are keyed by their first element: compiled rows are
+// immutable and never overlap.
+type rowProbe struct {
+	scans map[*int32]int
+	sets  map[*int32]map[int32]struct{}
+}
+
+const (
+	probeShortRow = 16 // rows up to this length are always scanned
+	probeScans    = 4  // scans of a longer row before it is indexed
+)
+
+func (rp *rowProbe) has(row []int32, v int32) bool {
+	if len(row) <= probeShortRow {
+		return rowHas(row, v)
+	}
+	key := &row[0]
+	set := rp.sets[key]
+	if set == nil {
+		if rp.scans == nil {
+			rp.scans, rp.sets = make(map[*int32]int), make(map[*int32]map[int32]struct{})
+		}
+		if rp.scans[key]++; rp.scans[key] <= probeScans {
+			return rowHas(row, v)
+		}
+		set = make(map[int32]struct{}, len(row))
+		for _, w := range row {
+			set[w] = struct{}{}
+		}
+		rp.sets[key] = set
+	}
+	_, ok := set[v]
+	return ok
 }
 
 // rowHas reports whether row contains v.

@@ -13,6 +13,7 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+	"time"
 
 	"magiccounting/internal/core"
 	"magiccounting/internal/workload"
@@ -144,6 +145,37 @@ func TestExtendEdgeCases(t *testing.T) {
 			t.Fatalf("touched L relation kept the parent tag %d", l)
 		}
 	})
+}
+
+// TestExtendOntoHub bounds the dedupe probe: m delta arcs aimed at one
+// node of out-degree d must cost O(m + d), not the m·d (1.6·10¹⁰ compares
+// here) of a row scan per arc. The same probe answers the append-side
+// membership test, so Novel is held to the same bound.
+func TestExtendOntoHub(t *testing.T) {
+	const d, m = 400_000, 40_000
+	L := make([]core.Pair, d)
+	for i := range L {
+		L[i] = core.Pair{From: "hub", To: fmt.Sprintf("x%d", i)}
+	}
+	delta := make([]core.Pair, m)
+	for i := range delta {
+		delta[i] = core.Pair{From: "hub", To: fmt.Sprintf("y%d", i/2)} // every arc sent twice
+	}
+	parent := core.Compile(L, nil, nil)
+	start := time.Now()
+	ext := parent.Extend(delta, nil, nil)
+	novel, _, _ := core.SingleShard(ext, append(L, delta...), nil, nil).Novel(append(delta, L[:m]...), nil, nil)
+	took := time.Since(start)
+	t.Logf("Extend and Novel took %v", took)
+	if took > 2*time.Second {
+		t.Fatalf("Extend and Novel of %d arcs onto a %d-arc hub took %v", m, d, took)
+	}
+	if l, _, _ := ext.Arcs(); l != d+m/2 {
+		t.Fatalf("extended hub has %d arcs, want %d", l, d+m/2)
+	}
+	if len(novel) != 0 {
+		t.Fatalf("Novel reports %d held arcs as new", len(novel))
+	}
 }
 
 // TestExtendChain extends the same artifact many times in sequence —

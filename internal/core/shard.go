@@ -40,15 +40,20 @@ func (fr factRope) flat() []Pair {
 	if len(fr) == 1 {
 		return fr[0]
 	}
-	n := 0
-	for _, c := range fr {
-		n += len(c)
-	}
-	out := make([]Pair, 0, n)
+	out := make([]Pair, 0, fr.count())
 	for _, c := range fr {
 		out = append(out, c...)
 	}
 	return out
+}
+
+// count is the rope's fact count.
+func (fr factRope) count() int {
+	n := 0
+	for _, c := range fr {
+		n += len(c)
+	}
+	return n
 }
 
 // appendChunk returns a rope covering base plus chunk without growing
@@ -77,14 +82,18 @@ type shard struct {
 	comp    *Compiled
 }
 
-func (sh *shard) facts() int { return sh.nfacts }
+// flatShard is the shard of single-chunk ropes over exactly the facts c
+// compiles.
+func flatShard(c *Compiled, L, E, R []Pair) *shard {
+	return &shard{l: factRope{L}, e: factRope{E}, r: factRope{R}, nfacts: len(L) + len(E) + len(R), comp: c}
+}
 
 // ShardedCompiled is a database compiled as K independent region
 // shards behind a symbol->shard router. Like Compiled it is immutable
 // once published and safe for any number of concurrent queries;
 // Extend returns a new artifact sharing everything the delta does not
 // touch. Generation follows the Compiled convention: zero from
-// CompileSharded, stamped by the caller via SetGeneration (the
+// CompileSharded, copied by Extend, stamped by the caller (the
 // per-shard artifacts keep their own internal tags and are not
 // restamped — routing and staleness are decided at this level).
 type ShardedCompiled struct {
@@ -124,24 +133,27 @@ const routeFoldDepth = 64
 // slots were touched (ascending, deduplicated), how many of those
 // were rolled with a delta Extend versus cold-rebuilt in place, and
 // how many shard merges a bridging delta forced (a merge of n shards
-// counts n-1).
+// counts n-1). Fallbacks counts the rebuilt shards that held facts and
+// would have been delta-extended had the delta fit under maxFrac.
 type ShardExtendStats struct {
 	Touched       []int
 	DeltaExtended int
 	Rebuilt       int
 	Merges        int
+	Fallbacks     int
 }
 
 // CompileSharded interns the database's symbol graph, decomposes it
 // into weakly connected components, packs the components onto K
 // shards (largest fact-count first onto the emptiest shard, ties to
 // the lowest slot — deterministic in the input order), and compiles
-// each shard independently. With K=1 it degenerates to a single shard
-// holding the whole database.
+// each shard independently. With K=1 there is nothing to partition or
+// route: the one shard is a plain Compile over the input slices, which
+// the artifact keeps (callers must not modify them afterwards).
 func CompileSharded(L, E, R []Pair, opts ShardOpts) *ShardedCompiled {
 	k := opts.Shards
-	if k < 1 {
-		k = 1
+	if k <= 1 {
+		return SingleShard(Compile(L, E, R), L, E, R)
 	}
 	// Intern the two symbol domains, in the same relation order a cold
 	// Compile uses so component numbering is deterministic.
@@ -255,32 +267,98 @@ func CompileSharded(L, E, R []Pair, opts ShardOpts) *ShardedCompiled {
 		rs[slot] = append(rs[slot], p)
 	}
 	for i := range sc.shards {
-		sc.shards[i] = &shard{
-			l:      factRope{ls[i]},
-			e:      factRope{es[i]},
-			r:      factRope{rs[i]},
-			nfacts: len(ls[i]) + len(es[i]) + len(rs[i]),
-			comp:   Compile(ls[i], es[i], rs[i]),
-		}
+		sc.shards[i] = flatShard(Compile(ls[i], es[i], rs[i]), ls[i], es[i], rs[i])
 		sc.redirect[i] = int32(i)
 	}
 	return sc
 }
 
-// SetGeneration stamps the artifact's generation. The per-shard
-// artifacts are not restamped: staleness is decided at this level,
-// and their internal tags only order their own Extend chains.
-func (sc *ShardedCompiled) SetGeneration(gen uint64) { sc.Generation = gen }
+// SingleShard wraps c, which must compile exactly L, E and R, as a
+// one-slot artifact without recompiling: how a decoded snapshot
+// artifact re-enters service.
+func SingleShard(c *Compiled, L, E, R []Pair) *ShardedCompiled {
+	return &ShardedCompiled{shards: []*shard{flatShard(c, L, E, R)}, redirect: []int32{0}}
+}
 
 // ShardOf returns the live slot that answers queries from source. A
 // source absent from every relation routes to slot 0: it binds as a
 // virtual isolated node, and an isolated node's answers and stats are
-// identical on every shard.
+// identical on every shard. A one-slot artifact has no router, so
+// everything routes to slot 0.
 func (sc *ShardedCompiled) ShardOf(source string) int {
-	if slot, ok := lookupSym(sc.routeL, sc.lOv, source); ok {
+	return sc.slotOf(sc.routeL, sc.lOv, source)
+}
+
+// slotOf routes one symbol of either domain.
+func (sc *ShardedCompiled) slotOf(route map[string]int32, ov *symOv, name string) int {
+	if slot, ok := lookupSym(route, ov, name); ok {
 		return int(sc.redirect[slot])
 	}
 	return 0
+}
+
+// Novel returns the part of a delta the artifact does not hold yet, in
+// delta order and with repeats inside the delta dropped: the append
+// side's membership test, answered from the compiled rows. It interns
+// nothing — a pair naming a symbol its shard has never seen is novel.
+func (sc *ShardedCompiled) Novel(dL, dE, dR []Pair) (nL, nE, nR []Pair) {
+	type symFn func(*Compiled, string) (int32, bool)
+	lsym := func(c *Compiled, s string) (int32, bool) { return lookupSym(c.lid, c.lidOv, s) }
+	rsym := func(c *Compiled, s string) (int32, bool) { return lookupSym(c.rid, c.ridOv, s) }
+	var probe rowProbe
+	// The arguments mirror dedupeDelta's; route and ov pick the shard.
+	novel := func(delta []Pair, route map[string]int32, ov *symOv, graph func(*Compiled) *csr, from, to symFn, rev bool) []Pair {
+		out := make([]Pair, 0, len(delta))
+		seen := make(map[Pair]struct{}, len(delta))
+		for _, p := range delta {
+			c := sc.shards[sc.slotOf(route, ov, p.From)].comp
+			u, okU := from(c, p.From)
+			v, okV := to(c, p.To)
+			if rev {
+				u, v = v, u
+			}
+			if okU && okV && probe.has(graph(c).row(u), v) {
+				continue // held: the common case of a re-POST, decided without hashing the pair
+			}
+			if _, dup := seen[p]; dup {
+				continue
+			}
+			seen[p] = struct{}{}
+			out = append(out, p)
+		}
+		return out
+	}
+	nL = novel(dL, sc.routeL, sc.lOv, func(c *Compiled) *csr { return &c.lOut }, lsym, lsym, false)
+	nE = novel(dE, sc.routeL, sc.lOv, func(c *Compiled) *csr { return &c.eOut }, lsym, rsym, false)
+	nR = novel(dR, sc.routeR, sc.rOv, func(c *Compiled) *csr { return &c.rOut }, rsym, rsym, true)
+	return nL, nE, nR
+}
+
+// Facts returns the database the artifact compiles: the live shards'
+// facts in slot order, commit order inside a shard. The slices may
+// alias the artifact's own storage and must not be modified.
+func (sc *ShardedCompiled) Facts() (l, e, r []Pair) {
+	rl, re, rr := sc.ropes(sc.LiveSlots())
+	return rl.flat(), re.flat(), rr.flat()
+}
+
+// ropes concatenates the given slots' fact ropes, in slot order.
+func (sc *ShardedCompiled) ropes(slots []int) (l, e, r factRope) {
+	for _, i := range slots {
+		sh := sc.shards[i]
+		l, e, r = append(l, sh.l...), append(e, sh.e...), append(r, sh.r...)
+	}
+	return l, e, r
+}
+
+// FactCounts reports the per-relation sizes of Facts without
+// materializing them.
+func (sc *ShardedCompiled) FactCounts() (l, e, r int) {
+	for _, i := range sc.LiveSlots() {
+		sh := sc.shards[i]
+		l, e, r = l+sh.l.count(), e+sh.e.count(), r+sh.r.count()
+	}
+	return l, e, r
 }
 
 // Solve answers ?- P(source, Y) on the source's shard. Answers and
@@ -334,9 +412,6 @@ func (sc *ShardedCompiled) SetShardArtifact(i int, c *Compiled) {
 	sc.shards[i] = &sh
 }
 
-// ShardFacts reports slot i's fact count.
-func (sc *ShardedCompiled) ShardFacts(i int) int { return sc.shards[i].facts() }
-
 // MaxDeltaDepth reports the deepest per-shard Extend chain.
 func (sc *ShardedCompiled) MaxDeltaDepth() int {
 	depth := 0
@@ -357,7 +432,7 @@ func (sc *ShardedCompiled) ResidentBytes() int64 {
 	for _, i := range sc.LiveSlots() {
 		sh := sc.shards[i]
 		b += sh.comp.ResidentBytes()
-		b += int64(sh.facts()) * 2 * stringHeaderBytes
+		b += int64(sh.nfacts) * 2 * stringHeaderBytes
 		b += int64(len(sh.l)+len(sh.e)+len(sh.r)) * sliceHeaderBytes
 	}
 	b += int64(len(sc.routeL)+len(sc.routeR)) * mapEntryBytes
@@ -387,7 +462,7 @@ func (sc *ShardedCompiled) ShardInfos() []ShardInfo {
 		sh := sc.shards[i]
 		out = append(out, ShardInfo{
 			Slot:          i,
-			Facts:         sh.facts(),
+			Facts:         sh.nfacts,
 			LNodes:        sh.comp.NumL(),
 			RNodes:        sh.comp.NumR(),
 			DeltaDepth:    sh.comp.DeltaDepth(),
@@ -416,7 +491,9 @@ func (sc *ShardedCompiled) ShardInfos() []ShardInfo {
 //     slot order, the union compiles cold, and the vacated slots
 //     redirect to the survivor;
 //   - no live shard touched (an entirely fresh region): the group
-//     joins the live shard currently holding the fewest facts.
+//     joins the live shard currently holding the fewest facts, and
+//     all the regions one delta places on a slot are rolled together
+//     (a bulk load rolls each slot once, not once per region).
 //
 // maxFrac <= 0 disables the delta path (touched shards always rebuild
 // cold, still scoped to the shard). Generation follows the Compiled
@@ -434,6 +511,12 @@ func (sc *ShardedCompiled) Extend(dL, dE, dR []Pair, maxFrac float64) (*ShardedC
 	}
 	var stats ShardExtendStats
 	if len(dL)+len(dE)+len(dR) == 0 {
+		return child, stats
+	}
+	if len(child.shards) == 1 {
+		// One slot: no grouping, no routing, the delta goes straight in.
+		child.extendShard(0, dL, dE, dR, maxFrac, &stats)
+		stats.Touched = []int{0}
 		return child, stats
 	}
 
@@ -531,6 +614,8 @@ func (sc *ShardedCompiled) Extend(dL, dE, dR []Pair, maxFrac float64) (*ShardedC
 	}
 
 	touched := make(map[int]bool)
+	fresh := make(map[int]*group) // the fresh regions placed on each slot
+	placed := make(map[int]int)   // and how many facts they hold
 	for _, root := range groupOrder {
 		gp := groups[root]
 		live := members[root]
@@ -540,39 +625,26 @@ func (sc *ShardedCompiled) Extend(dL, dE, dR []Pair, maxFrac float64) (*ShardedC
 			// An entirely fresh region: join the lightest live shard.
 			target = -1
 			for _, i := range child.LiveSlots() {
-				if target < 0 || child.shards[i].facts() < child.shards[target].facts() {
+				if target < 0 || child.shards[i].nfacts+placed[i] < child.shards[target].nfacts+placed[target] {
 					target = i
 				}
 			}
-			child.extendShard(target, gp.dl, gp.de, gp.dr, maxFrac, &stats)
+			f := fresh[target]
+			if f == nil {
+				f = &group{}
+				fresh[target] = f
+			}
+			f.dl, f.de, f.dr = append(f.dl, gp.dl...), append(f.de, gp.de...), append(f.dr, gp.dr...)
+			placed[target] += len(gp.dl) + len(gp.de) + len(gp.dr)
 		case len(live) == 1:
 			target = live[0]
 			child.extendShard(target, gp.dl, gp.de, gp.dr, maxFrac, &stats)
 		default:
 			// Bridging delta: merge every member into the lowest slot.
 			target = live[0]
-			merged := &shard{}
-			for _, m := range live {
-				sh := child.shards[m]
-				merged.l = append(merged.l, sh.l...)
-				merged.e = append(merged.e, sh.e...)
-				merged.r = append(merged.r, sh.r...)
-				merged.nfacts += sh.nfacts
-			}
-			if len(gp.dl) > 0 {
-				merged.l = append(merged.l, gp.dl)
-			}
-			if len(gp.de) > 0 {
-				merged.e = append(merged.e, gp.de)
-			}
-			if len(gp.dr) > 0 {
-				merged.r = append(merged.r, gp.dr)
-			}
-			merged.nfacts += len(gp.dl) + len(gp.de) + len(gp.dr)
-			fl, fe, fr := merged.l.flat(), merged.e.flat(), merged.r.flat()
-			merged.comp = Compile(fl, fe, fr)
-			merged.l, merged.e, merged.r = factRope{fl}, factRope{fe}, factRope{fr}
-			child.shards[target] = merged
+			ml, me, mr := child.ropes(live)
+			fl, fe, fr := append(ml, gp.dl).flat(), append(me, gp.de).flat(), append(mr, gp.dr).flat()
+			child.shards[target] = flatShard(Compile(fl, fe, fr), fl, fe, fr)
 			for _, m := range live[1:] {
 				child.shards[m] = &shard{comp: Compile(nil, nil, nil)}
 				// Re-point every slot that resolved to m (m itself plus
@@ -586,8 +658,15 @@ func (sc *ShardedCompiled) Extend(dL, dE, dR []Pair, maxFrac float64) (*ShardedC
 			stats.Merges += len(live) - 1
 			stats.Rebuilt++
 		}
-		touched[target] = true
+		if len(live) > 0 {
+			touched[target] = true
+		}
 		child.routeFresh(gp.freshL, gp.freshR, int32(target))
+	}
+	for slot, f := range fresh {
+		slot = int(child.redirect[slot]) // a merge above may have absorbed it
+		child.extendShard(slot, f.dl, f.de, f.dr, maxFrac, &stats)
+		touched[slot] = true
 	}
 
 	for i := range touched {
@@ -615,9 +694,11 @@ func (sc *ShardedCompiled) extendShard(slot int, dl, de, dr []Pair, maxFrac floa
 		stats.DeltaExtended++
 	} else {
 		fl, fe, fr := next.l.flat(), next.e.flat(), next.r.flat()
-		next.comp = Compile(fl, fe, fr)
-		next.l, next.e, next.r = factRope{fl}, factRope{fe}, factRope{fr}
+		next = flatShard(Compile(fl, fe, fr), fl, fe, fr)
 		stats.Rebuilt++
+		if maxFrac > 0 && old.nfacts > 0 {
+			stats.Fallbacks++
+		}
 	}
 	if len(next.l)+len(next.e)+len(next.r) > shardChunkFold {
 		next.l = factRope{next.l.flat()}
@@ -676,4 +757,3 @@ func (sc *ShardedCompiled) maybeFoldRoutes() {
 	sc.lOv, sc.rOv = nil, nil
 	sc.ovDepth = 0
 }
-

@@ -125,12 +125,18 @@ func TestCompileShardedMultiRegion(t *testing.T) {
 		for _, shards := range []int{1, 3, 4, 16} {
 			sc := core.CompileSharded(whole.L, whole.E, whole.R, core.ShardOpts{Shards: shards})
 			label := fmt.Sprintf("seed=%d/k=%d", seed, shards)
-			total := 0
-			for _, slot := range sc.LiveSlots() {
-				total += sc.ShardFacts(slot)
+			if nl, ne, nr := sc.FactCounts(); nl != len(whole.L) || ne != len(whole.E) || nr != len(whole.R) {
+				t.Fatalf("%s: shards hold %d/%d/%d facts, database has %d/%d/%d",
+					label, nl, ne, nr, len(whole.L), len(whole.E), len(whole.R))
 			}
-			if want := len(whole.L) + len(whole.E) + len(whole.R); total != want {
-				t.Fatalf("%s: shards hold %d facts, database has %d", label, total, want)
+			// Facts is the same database: it compiles to the same artifact.
+			fl, fe, fr := sc.Facts()
+			checkShardedSame(t, label+"/facts", core.Compile(fl, fe, fr), sc, sources)
+			// Everything held is old news; a fresh pair is novel once.
+			fresh := core.Pair{From: sources[0], To: "never-seen"}
+			nl, ne, nr := sc.Novel(append(append([]core.Pair{fresh}, whole.L...), fresh), whole.E, whole.R)
+			if !reflect.DeepEqual(nl, []core.Pair{fresh}) || len(ne)+len(nr) != 0 {
+				t.Fatalf("%s: Novel over the held database = %v / %v / %v, want only %v", label, nl, ne, nr, fresh)
 			}
 			for _, p := range whole.L {
 				if sc.ShardOf(p.From) != sc.ShardOf(p.To) {
@@ -150,7 +156,7 @@ func TestCompileShardedMultiRegion(t *testing.T) {
 func TestShardedExtendEquivalence(t *testing.T) {
 	whole, sources := multiRegion(7, 4, 2)
 	rng := rand.New(rand.NewSource(7))
-	for _, shards := range []int{2, 4} {
+	for _, shards := range []int{1, 2, 4} {
 		for _, maxFrac := range []float64{0.25, 0} {
 			label := fmt.Sprintf("k=%d/frac=%.2f", shards, maxFrac)
 			base, rest := splitQuery(whole, 0.5, 0.5, 0.5)
@@ -169,7 +175,7 @@ func TestShardedExtendEquivalence(t *testing.T) {
 				}
 				dL, dE, dR := lo(rest.L), lo(rest.E), lo(rest.R)
 				next, stats := sc.Extend(dL, dE, dR, maxFrac)
-				next.SetGeneration(sc.Generation + 1)
+				next.Generation = sc.Generation + 1
 				if len(dL)+len(dE)+len(dR) > 0 && len(stats.Touched) == 0 {
 					t.Fatalf("%s step %d: non-empty delta touched no shard", label, i)
 				}
@@ -185,6 +191,9 @@ func TestShardedExtendEquivalence(t *testing.T) {
 					srcs = append(srcs, dL[len(dL)-1].To)
 				}
 				checkShardedSame(t, fmt.Sprintf("%s step %d", label, i), mono, next, srcs)
+				if nl, ne, nr := next.Novel(dL, dE, dR); len(nl)+len(ne)+len(nr) != 0 {
+					t.Fatalf("%s step %d: the delta just extended is still novel: %v / %v / %v", label, i, nl, ne, nr)
+				}
 				// The parent must stay usable (in-flight queries hold it).
 				if _, err := sc.Solve(sources[rng.Intn(len(sources))], core.Basic, core.Integrated, core.Options{}); err != nil {
 					t.Fatalf("%s step %d: parent broken after Extend: %v", label, i, err)
@@ -264,17 +273,14 @@ func TestShardedRetentionSwap(t *testing.T) {
 }
 
 // TestShardedGeneration pins the stamping contract: CompileSharded
-// returns generation zero and SetGeneration stamps only the top level.
+// returns generation zero and Extend carries the caller's stamp over.
 func TestShardedGeneration(t *testing.T) {
 	q := workload.RandomRegime(workload.KindRegular, 3, 2)
 	sc := core.CompileSharded(q.L, q.E, q.R, core.ShardOpts{Shards: 2})
 	if sc.Generation != 0 {
 		t.Fatalf("fresh sharded artifact has generation %d", sc.Generation)
 	}
-	sc.SetGeneration(17)
-	if sc.Generation != 17 {
-		t.Fatalf("SetGeneration left %d", sc.Generation)
-	}
+	sc.Generation = 17
 	next, _ := sc.Extend(nil, nil, nil, 0.25)
 	if next.Generation != 17 {
 		t.Fatalf("Extend dropped the parent generation: %d", next.Generation)

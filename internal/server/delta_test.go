@@ -22,177 +22,72 @@ func chainFacts(prefix string, i int) FactsRequest {
 	}
 }
 
-// TestDeltaCompileOnAppend is the happy path: once a query has
-// compiled the artifact, a small append rolls it forward instead of
-// dropping it — the next query pays no compile, the artifact's chain
-// depth grows, and the stats block reports the delta build.
+// bulkChain is n links of one chain in a single request.
+func bulkChain(prefix string, n int) FactsRequest {
+	var req FactsRequest
+	for i := 0; i < n; i++ {
+		req = mergeFacts(req, chainFacts(prefix, i))
+	}
+	return req
+}
+
+// TestDeltaCompileOnAppend is the happy path: a small append rolls the
+// artifact forward instead of rebuilding it — the chain depth grows,
+// the stats block reports the delta builds, queries never compile, and
+// the rolled artifact is structurally the cold compile of its facts.
 func TestDeltaCompileOnAppend(t *testing.T) {
 	svc := New(Config{Workers: 2})
 	defer svc.Close(context.Background())
-	for i := 0; i < 20; i++ {
-		if _, err := svc.AppendFacts(chainFacts("base", i)); err != nil {
-			t.Fatalf("seed append %d: %v", i, err)
-		}
-	}
-	// First query compiles cold and publishes the artifact.
-	if _, err := svc.Query(context.Background(), QueryRequest{Source: "base_n0"}); err != nil {
-		t.Fatalf("first query: %v", err)
-	}
-	if got := svc.fullCompiles.Load(); got != 1 {
-		t.Fatalf("full compiles after first query = %d, want 1", got)
-	}
-
+	mustAppend(t, svc, bulkChain("base", 20)) // into the empty artifact: one cold build
 	for i := 0; i < 5; i++ {
-		if _, err := svc.AppendFacts(chainFacts("delta", i)); err != nil {
-			t.Fatalf("delta append %d: %v", i, err)
-		}
+		mustAppend(t, svc, chainFacts("delta", i))
+	}
+	if _, err := svc.Query(context.Background(), QueryRequest{Source: "delta_n0"}); err != nil {
+		t.Fatalf("query: %v", err)
 	}
 	st := svc.Stats()
-	if st.DeltaCompile.DeltaCompiles != 5 {
-		t.Fatalf("delta compiles = %d, want 5", st.DeltaCompile.DeltaCompiles)
+	if dc := st.DeltaCompile; dc.DeltaCompiles != 5 || dc.FullCompiles != 1 || dc.Fallbacks != 0 || dc.ChainDepth != 5 || st.Compiles != 6 {
+		t.Fatalf("after 1 bulk + 5 small appends and a query: compiles %d, %+v", st.Compiles, dc)
 	}
-	if st.DeltaCompile.ChainDepth != 5 {
-		t.Fatalf("chain depth = %d, want 5", st.DeltaCompile.ChainDepth)
-	}
-	if st.Compiles != 6 {
-		t.Fatalf("total compiles = %d, want 6 (1 full + 5 delta)", st.Compiles)
-	}
-	if st.DeltaCompile.LastAppend == nil || st.DeltaCompile.LastAppend.Find("delta-compile") == nil {
+	if st.DeltaCompile.LastAppend.Find("delta-compile") == nil {
 		t.Fatalf("last-append span missing its delta-compile child: %+v", st.DeltaCompile.LastAppend)
 	}
-
-	svc.mu.RLock()
-	comp, gen := svc.compiled, svc.generation
-	l, e, r := svc.l, svc.e, svc.r
-	svc.mu.RUnlock()
-	if comp == nil || comp.Generation != gen {
-		t.Fatalf("extended artifact not published for generation %d: %+v", gen, comp)
-	}
-	if err := comp.StructuralEqual(core.Compile(l, e, r)); err != nil {
+	art := svc.current()
+	if err := art.ShardArtifact(0).StructuralEqual(core.Compile(art.Facts())); err != nil {
 		t.Fatalf("rolled artifact diverges from cold compile: %v", err)
 	}
-
-	// The next query must hit the rolled artifact, not recompile.
-	resp, err := svc.Query(context.Background(), QueryRequest{Source: "delta_n0"})
-	if err != nil {
-		t.Fatalf("post-delta query: %v", err)
-	}
-	if resp.Generation != gen {
-		t.Fatalf("query generation %d, want %d", resp.Generation, gen)
-	}
-	if got := svc.fullCompiles.Load(); got != 1 {
-		t.Fatalf("full compiles after rolled-artifact query = %d, want 1", got)
-	}
 }
 
-// TestDeltaFallback pins the two skip conditions: a delta above
-// DeltaMaxFrac drops the artifact (lazy recompile, fallback counted),
-// and a negative DeltaMaxFrac disables the path entirely (PR-5
-// behavior, no fallback counted).
+// TestDeltaFallback pins the two ways past the delta path: a delta
+// above DeltaMaxFrac rebuilds its shard cold inside the append
+// (fallback counted), and a negative DeltaMaxFrac makes every append
+// do so (no fallback counted — there was no delta path to leave).
+// Either way the published artifact is current.
 func TestDeltaFallback(t *testing.T) {
-	t.Run("threshold", func(t *testing.T) {
-		svc := New(Config{Workers: 2, DeltaMaxFrac: 0.05})
-		defer svc.Close(context.Background())
-		for i := 0; i < 10; i++ {
-			if _, err := svc.AppendFacts(chainFacts("base", i)); err != nil {
-				t.Fatalf("seed append: %v", err)
+	for _, tc := range []struct {
+		name          string
+		frac          float64
+		next          FactsRequest
+		fallbacks     int64
+		wantFullBuild int64
+	}{
+		{"threshold", 0.05, bulkChain("bulk", 10), 1, 2}, // 30 facts onto 30: far above 5%
+		{"disabled", -1, chainFacts("delta", 0), 0, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			svc := New(Config{Workers: 2, DeltaMaxFrac: tc.frac})
+			defer svc.Close(context.Background())
+			mustAppend(t, svc, bulkChain("base", 10))
+			mustAppend(t, svc, tc.next)
+			st := svc.Stats()
+			if dc := st.DeltaCompile; dc.Fallbacks != tc.fallbacks || dc.DeltaCompiles != 0 || dc.FullCompiles != tc.wantFullBuild || dc.ChainDepth != 0 {
+				t.Fatalf("delta-compile stats %+v; want %d fallbacks, 0 delta, %d full, depth 0", dc, tc.fallbacks, tc.wantFullBuild)
 			}
-		}
-		if _, err := svc.Query(context.Background(), QueryRequest{Source: "base_n0"}); err != nil {
-			t.Fatalf("query: %v", err)
-		}
-		// 30 facts into a 30-fact database: far above 5%.
-		var req FactsRequest
-		for i := 0; i < 10; i++ {
-			f := chainFacts("bulk", i)
-			req.L = append(req.L, f.L...)
-			req.E = append(req.E, f.E...)
-			req.R = append(req.R, f.R...)
-		}
-		if _, err := svc.AppendFacts(req); err != nil {
-			t.Fatalf("bulk append: %v", err)
-		}
-		st := svc.Stats()
-		if st.DeltaCompile.Fallbacks != 1 || st.DeltaCompile.DeltaCompiles != 0 {
-			t.Fatalf("fallbacks = %d, delta compiles = %d; want 1, 0", st.DeltaCompile.Fallbacks, st.DeltaCompile.DeltaCompiles)
-		}
-		svc.mu.RLock()
-		comp := svc.compiled
-		svc.mu.RUnlock()
-		if comp != nil {
-			t.Fatalf("artifact should have been dropped on fallback, got generation %d", comp.Generation)
-		}
-	})
-	t.Run("disabled", func(t *testing.T) {
-		svc := New(Config{Workers: 2, DeltaMaxFrac: -1})
-		defer svc.Close(context.Background())
-		for i := 0; i < 10; i++ {
-			if _, err := svc.AppendFacts(chainFacts("base", i)); err != nil {
-				t.Fatalf("seed append: %v", err)
+			resp, err := svc.Query(context.Background(), QueryRequest{Source: tc.next.L[0].From})
+			if err != nil || resp.Generation != 2 || len(resp.Answers) == 0 {
+				t.Fatalf("query on the rebuilt artifact: %+v, %v", resp, err)
 			}
-		}
-		if _, err := svc.Query(context.Background(), QueryRequest{Source: "base_n0"}); err != nil {
-			t.Fatalf("query: %v", err)
-		}
-		if _, err := svc.AppendFacts(chainFacts("delta", 0)); err != nil {
-			t.Fatalf("delta append: %v", err)
-		}
-		st := svc.Stats()
-		if st.DeltaCompile.DeltaCompiles != 0 || st.DeltaCompile.Fallbacks != 0 {
-			t.Fatalf("disabled path ran: delta=%d fallbacks=%d", st.DeltaCompile.DeltaCompiles, st.DeltaCompile.Fallbacks)
-		}
-		svc.mu.RLock()
-		comp := svc.compiled
-		svc.mu.RUnlock()
-		if comp != nil {
-			t.Fatalf("artifact should stay dropped with delta disabled")
-		}
-	})
-}
-
-// TestFirstAppendAfterRecovery covers the recovered-sets path: after
-// Open the membership sets are rebuilt off the append lock (warmed in
-// the background), and the first appends still dedupe exactly — a
-// re-POST of recovered facts is a generation-preserving no-op.
-func TestFirstAppendAfterRecovery(t *testing.T) {
-	dir := t.TempDir()
-	svc := New(Config{Workers: 2, Fsync: durable.FsyncNever})
-	if _, err := svc.Open(dir); err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	for i := 0; i < 25; i++ {
-		if _, err := svc.AppendFacts(chainFacts("base", i)); err != nil {
-			t.Fatalf("append: %v", err)
-		}
-	}
-	if err := svc.Close(context.Background()); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-
-	svc = New(Config{Workers: 2, Fsync: durable.FsyncNever})
-	if _, err := svc.Open(dir); err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	defer svc.Close(context.Background())
-	gen := svc.Stats().Generation
-
-	// Re-POST a recovered fact: must dedupe against the rebuilt sets
-	// and leave the generation alone.
-	resp, err := svc.AppendFacts(chainFacts("base", 3))
-	if err != nil {
-		t.Fatalf("idempotent re-append: %v", err)
-	}
-	if resp.Generation != gen || resp.AddedL+resp.AddedE+resp.AddedR != 0 {
-		t.Fatalf("re-append changed state: gen %d->%d, added %d/%d/%d",
-			gen, resp.Generation, resp.AddedL, resp.AddedE, resp.AddedR)
-	}
-	// A genuinely new fact still commits.
-	resp, err = svc.AppendFacts(chainFacts("fresh", 0))
-	if err != nil {
-		t.Fatalf("fresh append: %v", err)
-	}
-	if resp.Generation != gen+1 || resp.AddedL != 1 {
-		t.Fatalf("fresh append: gen %d (want %d), addedL %d", resp.Generation, gen+1, resp.AddedL)
+		})
 	}
 }
 
@@ -214,15 +109,7 @@ func TestConcurrentAppendExtendQueryCheckpoint(t *testing.T) {
 		t.Fatalf("Open: %v", err)
 	}
 
-	// Seed and compile so the appenders extend from the start.
-	for i := 0; i < 10; i++ {
-		if _, err := svc.AppendFacts(chainFacts("seed", i)); err != nil {
-			t.Fatalf("seed: %v", err)
-		}
-	}
-	if _, err := svc.Query(context.Background(), QueryRequest{Source: "seed_n0"}); err != nil {
-		t.Fatalf("seed query: %v", err)
-	}
+	mustAppend(t, svc, bulkChain("seed", 10))
 
 	const (
 		appenders  = 2
@@ -273,18 +160,13 @@ func TestConcurrentAppendExtendQueryCheckpoint(t *testing.T) {
 	default:
 	}
 
-	svc.mu.RLock()
-	comp, gen := svc.compiled, svc.generation
-	l, e, r := svc.l, svc.e, svc.r
-	svc.mu.RUnlock()
-	cold := core.Compile(l, e, r)
-	if comp != nil {
-		if comp.Generation != gen {
-			t.Fatalf("published artifact generation %d != %d", comp.Generation, gen)
-		}
-		if err := comp.StructuralEqual(cold); err != nil {
-			t.Fatalf("final artifact diverges from cold compile: %v", err)
-		}
+	art := svc.current()
+	if want := uint64(1 + appenders*batchesPer); art.Generation != want {
+		t.Fatalf("published artifact generation %d != %d", art.Generation, want)
+	}
+	cold := core.Compile(art.Facts())
+	if err := art.ShardArtifact(0).StructuralEqual(cold); err != nil {
+		t.Fatalf("final artifact diverges from cold compile: %v", err)
 	}
 	want, err := cold.Solve("a0_n0", core.Multiple, core.Integrated, core.Options{})
 	if err != nil {

@@ -5,17 +5,20 @@ import (
 	"fmt"
 	"time"
 
+	"magiccounting/internal/core"
 	"magiccounting/internal/durable"
 	"magiccounting/internal/obs"
 )
 
 // Open attaches a durable store at dir to an empty Service: the newest
-// valid snapshot is loaded, the WAL tail replayed, and every
-// subsequent AppendFacts is write-ahead logged per the configured
-// fsync policy. Must run before the service takes traffic (the hot
-// path reads s.dur without a lock on that basis). The whole recovery
-// runs under a "recover" span (see RecoverySpan) whose
-// "load-snapshot" and "replay" children carry sizes and durations.
+// valid snapshot is loaded, the WAL tail replayed, the artifact built
+// over the recovered facts, and every subsequent AppendFacts is
+// write-ahead logged per the configured fsync policy. Must run before
+// the service takes traffic (the hot path reads s.dur without a lock on
+// that basis), so the first query finds the artifact ready. The whole
+// recovery runs under a "recover" span (see RecoverySpan) whose
+// "load-snapshot", "replay" and "compile" children carry sizes and
+// durations.
 //
 // A directory written by an incompatible format version fails with
 // durable.ErrIncompatibleVersion rather than misparsing.
@@ -23,10 +26,7 @@ func (s *Service) Open(dir string) (*durable.RecoveryInfo, error) {
 	if s.dur != nil {
 		return nil, errors.New("server: durable store already open")
 	}
-	s.mu.RLock()
-	empty := s.generation == 0 && len(s.l)+len(s.e)+len(s.r) == 0
-	s.mu.RUnlock()
-	if !empty {
+	if s.current().Generation != 0 {
 		return nil, errors.New("server: Open requires an empty service (facts already appended)")
 	}
 	opts := durable.Options{
@@ -40,30 +40,32 @@ func (s *Service) Open(dir string) (*durable.RecoveryInfo, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The snapshot's artifact is current only when no tail was replayed
+	// past it (durable.Open already nils it otherwise), and it is one
+	// Compiled over the whole database — the one-shard form. Adopted, it
+	// makes recovery skip the compile entirely; otherwise the artifact
+	// is compiled here, once, from the recovered facts. An empty
+	// directory recovers nothing, and New's empty artifact stands.
+	art := s.current()
+	if info.Generation > 0 {
+		if info.Compiled != nil && s.cfg.Shards <= 1 {
+			art = core.SingleShard(info.Compiled, info.L, info.E, info.R)
+		} else {
+			cs := tr.Start("compile", 0)
+			art = core.CompileSharded(info.L, info.E, info.R, core.ShardOpts{Shards: s.cfg.Shards})
+			cs.Set("shards", int64(art.NumShards()))
+			tr.End(cs, 0)
+			s.compiles.Add(1)
+			s.fullCompiles.Add(1)
+		}
+		art.Generation = info.Generation
+	}
 	s.mu.Lock()
 	s.dur = st
-	s.l, s.e, s.r = info.L, info.E, info.R
-	s.generation = info.Generation
-	// The snapshot's artifact is current only when no tail was
-	// replayed past it (durable.Open already nils it otherwise); with
-	// it in place the first query skips the compile entirely. A
-	// sharded service never adopts the snapshot's monolithic artifact
-	// — its first query compiles the sharded form from the recovered
-	// facts instead.
-	if !s.shardMode() {
-		s.compiled = info.Compiled
-	}
-	// Drop the empty sets New built: they must be rebuilt from the
-	// recovered slices (see ensureSets).
-	s.lSet, s.eSet, s.rSet = nil, nil, nil
+	s.art = art
 	s.mu.Unlock()
 	s.recoveryReplayed.Store(int64(info.ReplayedRecords))
 	s.recoverSpan = tr.Finish(0)
-	// Warm the membership sets off the request path: a large recovered
-	// database pays the O(n) build here, in the background, instead of
-	// inside the first append (ensureSets serializes the two, so an
-	// append landing mid-build simply waits for this one).
-	go s.ensureSets()
 	return info, nil
 }
 
@@ -90,10 +92,7 @@ func (s *Service) Checkpoint() error {
 	s.ckptMu.Lock()
 	defer s.ckptMu.Unlock()
 
-	s.mu.RLock()
-	gen := s.generation
-	s.mu.RUnlock()
-	if last, ok := s.dur.LastSnapshotGeneration(); ok && last == gen {
+	if last, ok := s.dur.LastSnapshotGeneration(); ok && last == s.current().Generation {
 		return nil // nothing committed since the last snapshot
 	}
 
@@ -101,24 +100,18 @@ func (s *Service) Checkpoint() error {
 	if err != nil {
 		return err
 	}
-	s.mu.RLock()
-	l, e, r := s.l, s.e, s.r
-	gen = s.generation
-	comp := s.compiled
-	s.mu.RUnlock()
-	// Snapshot the compiled artifact too (building it if no query has
-	// yet): recovery then starts warm, and the build is shared with
-	// the serving path via the usual publish. A sharded service
-	// snapshots facts only (nil artifact — the snapshot format is
-	// monolithic) and recompiles its shards on the first query after
-	// recovery.
-	if s.shardMode() {
-		comp = nil
-	} else {
-		comp = s.compiledFor(comp, gen, l, e, r, nil)
+	art := s.current()
+	l, e, r := art.Facts()
+	// The snapshot format carries one Compiled over the whole database:
+	// a one-shard artifact is exactly that and is snapshotted too, so
+	// recovery starts warm; several shards snapshot their facts only
+	// and recompile them at recovery.
+	var comp *core.Compiled
+	if art.NumShards() == 1 {
+		comp = art.ShardArtifact(0)
 	}
 	start := time.Now()
-	err = s.dur.WriteSnapshot(durable.Snapshot{Gen: gen, L: l, E: e, R: r, Compiled: comp}, floor)
+	err = s.dur.WriteSnapshot(durable.Snapshot{Gen: art.Generation, L: l, E: e, R: r, Compiled: comp}, floor)
 	s.snapHist.observe(time.Since(start).Seconds())
 	if err != nil {
 		return fmt.Errorf("server: snapshot: %w", err)

@@ -3,11 +3,13 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -302,4 +304,49 @@ func FuzzServiceQuery(f *testing.F) {
 		}
 		check("cached", cached)
 	})
+}
+
+// TestConcurrentResponsesKeepTheirBodies drives the pooled response
+// encoder from several connections at once with bodies of different
+// lengths, one of them over maxPooledResponse: a buffer handed to two
+// responses, or not reset between two, shows as a body that fails to
+// decode or holds another source's answers.
+func TestConcurrentResponsesKeepTheirBodies(t *testing.T) {
+	s := New(Config{Workers: 4})
+	sizes := []int{1, 40, 400, 4000} // the last is ~100 KB of indented JSON
+	var req FactsRequest
+	for i, n := range sizes {
+		for j := 0; j < n; j++ {
+			req.E = append(req.E, core.Pair{From: fmt.Sprintf("s%d", i), To: fmt.Sprintf("answer-%d-%05d", i, j)})
+		}
+	}
+	if _, err := s.AppendFacts(req); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(NewHandler(s))
+	defer ts.Close()
+
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for n := 0; n < 50; n++ {
+				resp, err := ts.Client().Post(ts.URL+"/v1/query", "application/json",
+					strings.NewReader(fmt.Sprintf(`{"source": "s%d"}`, i)))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				var q QueryResponse
+				err = json.NewDecoder(resp.Body).Decode(&q)
+				resp.Body.Close()
+				if err != nil || len(q.Answers) != sizes[i] || !strings.HasPrefix(q.Answers[0], fmt.Sprintf("answer-%d-", i)) {
+					t.Errorf("s%d: err %v, %d answers, want %d of its own", i, err, len(q.Answers), sizes[i])
+					return
+				}
+			}
+		}(w % len(sizes))
+	}
+	wg.Wait()
 }

@@ -228,10 +228,10 @@ func (s *Service) WriteMetrics(w io.Writer) error {
 	}{
 		{"mc_queries_total", "Queries received (batch items counted individually).", st.Queries},
 		{"mc_batch_requests_total", "Batch query requests received.", st.BatchRequests},
-		{"mc_compiles_total", "Compiled query-graph builds, full or delta (once per generation on the happy path).", st.Compiles},
-		{"mc_full_compiles_total", "Cold Compile builds over the whole database.", st.DeltaCompile.FullCompiles},
+		{"mc_compiles_total", "Compiled query-graph builds, full or delta (never on the query path).", st.Compiles},
+		{"mc_full_compiles_total", "Cold builds of a shard (with one shard, of the whole database), by appends and start-up.", st.DeltaCompile.FullCompiles},
 		{"mc_delta_compiles_total", "Delta Extend builds rolling the artifact across an append.", st.DeltaCompile.DeltaCompiles},
-		{"mc_delta_fallbacks_total", "Appends that skipped the delta path on the fraction threshold.", st.DeltaCompile.Fallbacks},
+		{"mc_delta_fallbacks_total", "Appends that rebuilt a shard cold because the delta exceeded the fraction threshold.", st.DeltaCompile.Fallbacks},
 		{"mc_chain_collapses_total", "Extend chains flattened at append time (retention cap, byte budget, or depth bound).", st.Memory.ChainCollapses},
 		{"mc_queries_rejected_total", "Queries fast-failed with ErrClosed during shutdown (excluded from errors and latency).", st.QueriesRejected},
 		{"mc_bad_requests_total", "Queries rejected by validation (excluded from errors and latency).", st.BadRequests},

@@ -82,6 +82,9 @@ func TestQueryTraceShape(t *testing.T) {
 	if cs := root.Find("cache"); cs == nil || cs.Attrs["hit"] != 0 {
 		t.Errorf("cache span should record a miss: %+v", cs)
 	}
+	if root.Find("compile") != nil {
+		t.Errorf("a query compiled: the artifact is built by appends and Open only")
+	}
 
 	// Traced hit: same query again, spans but zero retrievals.
 	hit, err := s.Query(context.Background(), QueryRequest{Source: "p0_0", Trace: true})

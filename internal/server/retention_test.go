@@ -197,7 +197,7 @@ func TestClockHandClampAfterPurge(t *testing.T) {
 	// generation nothing matches: the rebuilt ring is empty, and the
 	// old hand position is far out of range.
 	svc.hand = 7
-	svc.invalidateGenerationLocked(svc.generation + 1)
+	svc.invalidateGenerationLocked(svc.art.Generation + 1)
 	if len(svc.clock) != 0 || len(svc.cache) != 0 {
 		svc.mu.Unlock()
 		t.Fatalf("purge left %d ring slots, %d entries", len(svc.clock), len(svc.cache))
@@ -216,7 +216,7 @@ func TestClockHandClampAfterPurge(t *testing.T) {
 		}
 	}
 	svc.mu.Lock()
-	gen := svc.generation
+	gen := svc.art.Generation
 	stale := 0
 	for _, e := range svc.cache {
 		if stale == 6 {

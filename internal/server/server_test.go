@@ -188,9 +188,11 @@ func TestQueryTimeoutCancelsMidFixpoint(t *testing.T) {
 	if elapsed > 2*time.Second {
 		t.Fatalf("cancellation took %v", elapsed)
 	}
-	if st := s.Stats(); st.QueryTimeouts != 1 {
-		t.Fatalf("timeouts = %d, want 1", st.QueryTimeouts)
+	if st := s.Stats(); st.QueryTimeouts != 1 || st.QueryErrors != 1 || st.CacheMisses != 0 {
+		t.Fatalf("timeouts = %d, errors = %d, misses = %d; want 1, 1, 0 (a failed solve is an error, not also a miss)",
+			st.QueryTimeouts, st.QueryErrors, st.CacheMisses)
 	}
+	checkAccounting(t, s)
 
 	// The HTTP layer maps the overrun to 504.
 	ts := httptest.NewServer(NewHandler(s))

@@ -1,14 +1,16 @@
 // Package server is the serving layer over the core magic counting
-// solvers: a long-lived Service owning the database relations L, E,
-// and R, a bounded worker pool, a build-once compiled query graph
-// (core.Compiled) shared read-only by every query of one database
-// generation, and a per-(source, strategy, mode) result cache with
+// solvers: a long-lived Service owning one always-current compiled
+// artifact (core.ShardedCompiled, one shard by default) that is the
+// database — it holds the relations L, E, and R, answers every query
+// of its generation read-only, tells an append which of its facts are
+// new, and is rolled forward by every append — plus a bounded worker
+// pool and a per-(source, strategy, mode) result cache with
 // generation-based invalidation and CLOCK (second-chance) eviction,
 // so repeated bound queries against a slowly-changing database
 // amortize interning, Step 1, and Step 2 instead of recomputing
 // them — the workload the paper (and the magic-sets literature after
 // it) is about. QueryBatch answers many bound constants against one
-// snapshot with a single compile.
+// snapshot of the artifact.
 //
 // cmd/mcserved wraps the Service in a JSON HTTP API.
 package server
@@ -61,11 +63,11 @@ type Config struct {
 	// automatic snapshots (Close still writes a final one).
 	SnapshotEvery int
 	// DeltaMaxFrac bounds delta compilation: an append whose
-	// deduplicated delta is at most this fraction of the resulting
-	// database extends the current compiled artifact in place of the
-	// next query's full rebuild. Larger appends (bulk loads) fall back
-	// to dropping the artifact, recompiled lazily on the next miss.
-	// Zero selects 0.25; negative disables delta compilation entirely.
+	// deduplicated delta is at most this fraction of the shard it lands
+	// in (the whole database, with one shard) extends that shard's
+	// artifact; a larger one (a bulk load) rebuilds the shard cold
+	// inside the append. Zero selects 0.25; negative disables delta
+	// compilation, so every append rebuilds the shards it touches.
 	DeltaMaxFrac float64
 	// MaxResidentCompiled caps how many artifact generations the live
 	// Extend chain may keep resident: each Extend aliases its parent,
@@ -80,14 +82,14 @@ type Config struct {
 	// estimate crosses this many bytes, whatever its depth — deep
 	// chains of small deltas and short chains of huge ones hit the
 	// same wall. Zero selects 256 MiB; negative disables the byte
-	// trigger. In sharded mode both this and MaxResidentCompiled are
-	// enforced per shard.
+	// trigger. Both this and MaxResidentCompiled are enforced per
+	// shard.
 	MaxCompiledBytes int64
-	// Shards partitions the compiled artifact by graph region into
-	// this many shards (core.CompileSharded): queries route to exactly
-	// one shard, appends delta-compile only the shards they touch, and
-	// chain collapse runs per shard. Values <= 1 serve the monolithic
-	// artifact.
+	// Shards is the number of region shards the compiled artifact is
+	// partitioned into (core.CompileSharded): queries route to exactly
+	// one shard, appends roll only the shards they touch, and chain
+	// collapse runs per shard. Values <= 1 select one shard holding the
+	// whole database.
 	Shards int
 }
 
@@ -122,10 +124,7 @@ func (c Config) withDefaults() Config {
 // unbounded chain would pin each generation's re-laid rows (and
 // overlay maps) for the life of the newest artifact. At this depth
 // the appender collapses the chain with core.Flatten and keeps delta
-// compilation going — dropping the artifact here instead used to
-// latch the server into fallback-forever under sustained appends,
-// because the cold compile that would reset the depth only runs on a
-// query miss and its publish loses every race with the next append.
+// compilation going.
 const maxDeltaChain = 256
 
 // cacheKey identifies one cached evaluation. Auto-selected queries
@@ -165,30 +164,15 @@ type Service struct {
 	// matches the commit order. Queries never touch it.
 	appendMu sync.Mutex
 
-	mu      sync.RWMutex // guards the fact slices, generation, cache
-	l, e, r []core.Pair
-	// Membership sets mirror the slices so appends dedupe in O(1):
-	// relations are sets, and re-POSTing facts already present must
-	// not invalidate the result cache. They belong to the appender
-	// (guarded by appendMu, not mu — queries never read them), and are
-	// nil after Open until materialized — by the background warm Open
-	// launches, or by the first append, whichever runs first. setsMu
-	// guards materialization only: once the maps are non-nil they are
-	// never rebuilt, and only appendMu holders mutate them (ensureSets
-	// runs before appendMu is taken, so the build never blocks a
-	// committed append and never holds appendMu for O(database)).
-	setsMu           sync.Mutex
-	lSet, eSet, rSet map[core.Pair]bool
-	generation       uint64
-	cache            map[cacheKey]*cacheEntry
-	// compiled is the build-once CSR artifact for the current
-	// generation, shared read-only by every query of that generation;
-	// AppendFacts drops it on a bump and the next miss recompiles.
-	// In sharded mode (cfg.Shards > 1) it stays nil and sharded plays
-	// the same role: one region-partitioned artifact per generation,
-	// rolled forward shard by shard across appends.
-	compiled *core.Compiled
-	sharded  *core.ShardedCompiled
+	mu sync.RWMutex // guards art and the cache
+	// art is the database: the compiled artifact of the current
+	// generation (art.Generation), never nil, immutable once published
+	// and shared read-only by every query that snapshots it. It holds
+	// the facts themselves, so appends ask it what is new, checkpoints
+	// and stats read the relations from it, and only AppendFacts (under
+	// appendMu) and Open ever replace it.
+	art   *core.ShardedCompiled
+	cache map[cacheKey]*cacheEntry
 	// clock and hand are the CLOCK eviction state: the ring of resident
 	// cache keys and the sweep position. Both are guarded by mu.
 	clock []cacheKey
@@ -233,23 +217,21 @@ type Service struct {
 	closed atomic.Bool
 
 	// deltaCompiles + fullCompiles partition compiles; deltaFallbacks
-	// counts appends that qualified for a delta but exceeded the
-	// fraction threshold or the chain-depth bound and dropped the
-	// artifact instead. lastAppendSpan is the most recent append's
-	// finished span tree, surfaced in /v1/stats.
+	// counts appends that rebuilt a shard cold because their delta
+	// exceeded the fraction threshold. lastAppendSpan is the most recent
+	// append's finished span tree, surfaced in /v1/stats.
 	deltaCompiles  atomic.Int64
 	fullCompiles   atomic.Int64
 	deltaFallbacks atomic.Int64
 	// chainCollapses counts delta appends whose extended artifact was
 	// flattened before publish (retention cap, byte budget, or the
-	// maxDeltaChain hard bound); in sharded mode, one per collapsed
-	// shard chain.
+	// maxDeltaChain hard bound), one per collapsed shard chain.
 	chainCollapses atomic.Int64
 	deltaHist      *histogram
 	lastAppendSpan atomic.Pointer[obs.Span]
 	// shardMerges counts shards absorbed by bridging appends (a merge
 	// of n shards counts n-1); byShard counts successful solves per
-	// shard slot. Both are zero-valued/nil on a monolithic service.
+	// shard slot, nil with a single shard.
 	shardMerges atomic.Int64
 	byShard     *labeledCounters
 
@@ -289,14 +271,12 @@ func New(cfg Config) *Service {
 		byShard = newLabeledCounters(keys...)
 	}
 	return &Service{
-		byShard: byShard,
-		cfg:     cfg,
-		sem:     make(chan struct{}, cfg.Workers),
-		lSet:    make(map[core.Pair]bool),
-		eSet:    make(map[core.Pair]bool),
-		rSet:    make(map[core.Pair]bool),
-		cache:   make(map[cacheKey]*cacheEntry),
-		start:   time.Now(),
+		byShard:   byShard,
+		cfg:       cfg,
+		sem:       make(chan struct{}, cfg.Workers),
+		art:       core.CompileSharded(nil, nil, nil, core.ShardOpts{Shards: cfg.Shards}),
+		cache:     make(map[cacheKey]*cacheEntry),
+		start:     time.Now(),
 		lat:       newLatencyRing(cfg.LatencyWindow),
 		blat:      newLatencyRing(cfg.LatencyWindow),
 		latHist:   newHistogram(latencyBuckets...),
@@ -313,18 +293,6 @@ func New(cfg Config) *Service {
 		),
 		byRegime: newLabeledCounters("regular", "acyclic", "cyclic"),
 	}
-}
-
-// shardMode reports whether the service serves region-sharded
-// artifacts (Config.Shards > 1) instead of one monolithic Compiled.
-func (s *Service) shardMode() bool { return s.cfg.Shards > 1 }
-
-// artifact is the query surface shared by the monolithic and sharded
-// compiled forms; the solve paths dispatch through it so the two
-// serving modes cannot drift.
-type artifact interface {
-	ChooseMethod(source string) core.Selection
-	Solve(source string, strategy core.Strategy, mode core.Mode, opts core.Options) (*core.Result, error)
 }
 
 // QueryRequest asks for the answers to ?- P(Source, Y). Strategy and
@@ -525,17 +493,14 @@ func (s *Service) query(ctx context.Context, req QueryRequest) (*QueryResponse, 
 
 	key := cacheKey{source: req.Source, strategy: strategy, mode: mode, auto: auto}
 
-	// Snapshot the database under the read lock. The slices are
-	// copy-on-write (AppendFacts replaces them wholesale) and the
-	// compiled artifact is immutable, so the solve below runs
-	// lock-free on an immutable generation.
+	// Snapshot the database under the read lock: the artifact is
+	// immutable, so the solve below runs lock-free on one generation.
 	cs := tr.Start("cache", 0)
 	s.mu.RLock()
-	l, e, r, gen := s.l, s.e, s.r, s.generation
-	comp := s.compiled
-	shc := s.sharded
+	art := s.art
 	entry := s.cache[key]
 	s.mu.RUnlock()
+	gen := art.Generation
 
 	if entry != nil && entry.generation == gen {
 		entry.ref.Store(true)
@@ -556,22 +521,9 @@ func (s *Service) query(ctx context.Context, req QueryRequest) (*QueryResponse, 
 			Trace:         tr.Finish(0),
 		}, nil
 	}
-	s.cacheMisses.Add(1)
 	cs.Set("hit", 0)
 	tr.End(cs, 0)
 
-	// Resolve the artifact for this generation: the routed shard view
-	// in sharded mode, the monolithic Compiled otherwise. Either way
-	// the solve below runs against one immutable artifact.
-	var art artifact
-	shard := -1
-	if s.shardMode() {
-		sc := s.shardedFor(shc, gen, l, e, r, tr)
-		shard = sc.ShardOf(req.Source)
-		art = sc
-	} else {
-		art = s.compiledFor(comp, gen, l, e, r, tr)
-	}
 	opts := core.Options{Ctx: ctx, Trace: tr}
 	regime, reason := "", ""
 	if auto {
@@ -586,18 +538,19 @@ func (s *Service) query(ctx context.Context, req QueryRequest) (*QueryResponse, 
 		regime, reason = sel.Regime.String(), sel.Reason
 	}
 	ss := tr.Start("solve", 0)
-	if ss != nil && shard >= 0 {
-		ss.Set("shard", int64(shard))
+	if ss != nil && s.byShard != nil {
+		ss.Set("shard", int64(art.ShardOf(req.Source)))
 	}
 	res, err := art.Solve(req.Source, strategy, mode, opts)
 	if err != nil {
 		return nil, err
 	}
 	tr.End(ss, res.Stats.Retrievals)
+	// A miss is a solve that ran to completion, as on the batch path:
+	// a failed one is the caller's query error and nothing else.
+	s.cacheMisses.Add(1)
 	s.retrievals.Add(res.Stats.Retrievals)
-	if shard >= 0 {
-		s.byShard.inc(strconv.Itoa(shard))
-	}
+	s.countShard(art, req.Source)
 
 	s.mu.Lock()
 	s.storeResultLocked(key, gen, &cacheEntry{
@@ -641,10 +594,9 @@ func nonNilAnswers(a []string) []string {
 const maxBatchSources = 1024
 
 // BatchRequest asks for the answers to ?- P(a, Y) for many bound
-// constants a at once against one database snapshot: the compiled
-// query graph is built (or fetched) once and shared by every item,
-// which is the whole point of the endpoint — per-query work shrinks to
-// bind-and-solve. Strategy and Mode apply to every item; empty
+// constants a at once against one database snapshot: every item
+// shares one compiled artifact and one generation, so per-query work
+// shrinks to bind-and-solve. Strategy and Mode apply to every item; empty
 // Strategy selects per-item automatically. TimeoutM bounds the whole
 // batch.
 type BatchRequest struct {
@@ -680,18 +632,14 @@ type BatchResponse struct {
 }
 
 // QueryBatch answers every source of req against one snapshot of the
-// database: one read-lock pass snapshots the generation, the compiled
-// artifact, and the cache entries; at most one compile runs for the
-// whole batch; and the misses fan out across the worker pool, each
-// item acquiring a slot like a singleton query would. Per-item
-// failures are reported in the item, not as a batch error.
+// database: one read-lock pass snapshots the artifact and the cache
+// entries, and the misses fan out across the worker pool — and so
+// across the shards, each item routing to its source's — each item
+// acquiring a slot like a singleton query would. Per-item failures are
+// reported in the item, not as a batch error.
 func (s *Service) QueryBatch(ctx context.Context, req BatchRequest) (*BatchResponse, error) {
 	started := time.Now()
 	s.batches.Add(1)
-	if s.closed.Load() {
-		s.rejected.Add(1)
-		return nil, ErrClosed
-	}
 	if len(req.Sources) == 0 {
 		return nil, fmt.Errorf("%w: empty sources", ErrBadRequest)
 	}
@@ -703,6 +651,12 @@ func (s *Service) QueryBatch(ctx context.Context, req BatchRequest) (*BatchRespo
 		return nil, err
 	}
 	s.queries.Add(int64(len(req.Sources)))
+	if s.closed.Load() {
+		// Every item is a rejected query, counted after queries so the
+		// accounting identity holds across a shutdown.
+		s.rejected.Add(int64(len(req.Sources)))
+		return nil, ErrClosed
+	}
 
 	timeout := s.cfg.DefaultTimeout
 	if req.TimeoutM > 0 {
@@ -714,9 +668,7 @@ func (s *Service) QueryBatch(ctx context.Context, req BatchRequest) (*BatchRespo
 	// One snapshot serves the whole batch: every item evaluates the
 	// same immutable generation, however many appends land mid-flight.
 	s.mu.RLock()
-	l, e, r, gen := s.l, s.e, s.r, s.generation
-	comp := s.compiled
-	shc := s.sharded
+	art := s.art
 	entries := make(map[string]*cacheEntry, len(req.Sources))
 	for _, src := range req.Sources {
 		if _, seen := entries[src]; !seen {
@@ -724,6 +676,7 @@ func (s *Service) QueryBatch(ctx context.Context, req BatchRequest) (*BatchRespo
 		}
 	}
 	s.mu.RUnlock()
+	gen := art.Generation
 
 	items := make([]BatchItem, len(req.Sources))
 	store := make([]*cacheEntry, len(req.Sources))
@@ -766,20 +719,6 @@ func (s *Service) QueryBatch(ctx context.Context, req BatchRequest) (*BatchRespo
 		missing = append(missing, i)
 	}
 
-	// One artifact serves every miss. In sharded mode the items fan
-	// out across the shards in parallel below — each goroutine routes
-	// to its source's shard, so a batch spanning K regions keeps K
-	// independent artifacts busy with no cross-shard contention.
-	var art artifact
-	var sc *core.ShardedCompiled
-	if len(missing) > 0 {
-		if s.shardMode() {
-			sc = s.shardedFor(shc, gen, l, e, r, nil)
-			art = sc
-		} else {
-			art = s.compiledFor(comp, gen, l, e, r, nil)
-		}
-	}
 	var wg sync.WaitGroup
 	for _, i := range missing {
 		wg.Add(1)
@@ -828,9 +767,7 @@ func (s *Service) QueryBatch(ctx context.Context, req BatchRequest) (*BatchRespo
 			s.cacheMisses.Add(1)
 			s.retrievals.Add(res.Stats.Retrievals)
 			s.retHist.observe(float64(res.Stats.Retrievals))
-			if sc != nil {
-				s.byShard.inc(strconv.Itoa(sc.ShardOf(src)))
-			}
+			s.countShard(art, src)
 			s.byMethod.inc(methodKey(st.String(), md.String()))
 			if auto {
 				s.byRegime.inc(regime)
@@ -900,59 +837,19 @@ func (s *Service) QueryBatch(ctx context.Context, req BatchRequest) (*BatchRespo
 	}, nil
 }
 
-// compiledFor returns the compiled CSR artifact for the snapshot taken
-// at gen, building one when the cached artifact is stale. The build
-// runs outside the lock on the immutable copy-on-write slices, under a
-// "compile" span when tracing; concurrent misses on a fresh generation
-// may compile redundantly, but only a still-current artifact is
-// published, and losers just solve on their local copy.
-func (s *Service) compiledFor(comp *core.Compiled, gen uint64, l, e, r []core.Pair, tr *obs.Trace) *core.Compiled {
-	if comp != nil && comp.Generation == gen {
-		return comp
-	}
-	bs := tr.Start("compile", 0)
-	c := core.Compile(l, e, r)
-	c.Generation = gen
-	if bs != nil {
-		bs.Set("l_nodes", int64(c.NumL()))
-		bs.Set("r_nodes", int64(c.NumR()))
-	}
-	tr.End(bs, 0)
-	s.compiles.Add(1)
-	s.fullCompiles.Add(1)
-	s.mu.Lock()
-	if s.generation == gen && (s.compiled == nil || s.compiled.Generation != gen) {
-		s.compiled = c
-	}
-	s.mu.Unlock()
-	return c
+// current snapshots the published artifact.
+func (s *Service) current() *core.ShardedCompiled {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.art
 }
 
-// shardedFor is compiledFor's region-sharded analog: it returns the
-// sharded artifact for the snapshot taken at gen, building one with
-// CompileSharded when the cached artifact is stale. The build counts
-// as one (full) compile however many shards it produces — the
-// compiles metric tracks whole-database builds, and the per-shard
-// breakdown lives in the shards stats block.
-func (s *Service) shardedFor(shc *core.ShardedCompiled, gen uint64, l, e, r []core.Pair, tr *obs.Trace) *core.ShardedCompiled {
-	if shc != nil && shc.Generation == gen {
-		return shc
+// countShard counts one solver run against the shard that served it;
+// with a single shard there is no such family.
+func (s *Service) countShard(art *core.ShardedCompiled, source string) {
+	if s.byShard != nil {
+		s.byShard.inc(strconv.Itoa(art.ShardOf(source)))
 	}
-	bs := tr.Start("compile", 0)
-	c := core.CompileSharded(l, e, r, core.ShardOpts{Shards: s.cfg.Shards})
-	c.SetGeneration(gen)
-	if bs != nil {
-		bs.Set("shards", int64(len(c.LiveSlots())))
-	}
-	tr.End(bs, 0)
-	s.compiles.Add(1)
-	s.fullCompiles.Add(1)
-	s.mu.Lock()
-	if s.generation == gen && (s.sharded == nil || s.sharded.Generation != gen) {
-		s.sharded = c
-	}
-	s.mu.Unlock()
-	return c
 }
 
 // storeResultLocked caches entry under key if the snapshot generation
@@ -961,7 +858,7 @@ func (s *Service) shardedFor(shc *core.ShardedCompiled, gen uint64, l, e, r []co
 // queries. First-time keys join the CLOCK ring, evicting a victim
 // when the cache is at capacity.
 func (s *Service) storeResultLocked(key cacheKey, gen uint64, entry *cacheEntry) {
-	if s.generation != gen {
+	if s.art.Generation != gen {
 		return
 	}
 	if _, exists := s.cache[key]; !exists {
@@ -1032,30 +929,20 @@ type FactsResponse struct {
 // was added: relations are sets, so re-POSTing known facts (a retried
 // load, an idempotent producer) is a no-op that leaves every cached
 // result valid. Added counts report actually-added pairs, after
-// deduplication against the database and within the request. The fact
-// slices are replaced copy-on-write, so queries already holding the
-// previous snapshot keep evaluating an immutable database.
+// deduplication against the database and within the request.
 //
-// The commit is staged so queries stall as little as possible: the
-// dedupe (the O(request) part) runs against the appender-owned
-// membership sets with no query-visible lock held; on a durable
-// service the deduplicated delta is then logged — and, under
-// FsyncAlways, fsynced — before anything becomes visible (the
-// write-ahead contract: an acknowledged append survives a crash, and
-// a logged-but-unacknowledged one is at worst replayed as the exact
-// committed delta); only the final publish of the new slices and
-// generation takes the write lock, for a few pointer swaps and the
-// cache purge.
-//
-// When the current generation's compiled artifact exists and the
-// delta is small (Config.DeltaMaxFrac), the appender rolls it forward
-// with core.Extend — still outside every query-visible lock — and
-// publishes the extended artifact with the new generation, so the
-// queries that follow never pay a compile: amortized compile cost
-// per append drops to the delta's size. Bulk loads (delta above the
-// threshold), over-long extend chains, and a missing or stale
-// artifact fall back to the lazy path: drop the artifact and let the
-// next miss compile cold.
+// The commit runs in four steps under appendMu, none of them under a
+// query-visible lock except the final pointer swap. The current
+// artifact is asked which pairs are new (Novel: it is the database,
+// so there is no second copy to consult). On a durable
+// service that novel delta is then logged — and, under FsyncAlways,
+// fsynced — before anything becomes visible (the write-ahead contract:
+// an acknowledged append survives a crash, and a logged-but-
+// unacknowledged one is at worst replayed as the exact committed
+// delta). The artifact is rolled forward by the delta (roll). Only the
+// publish of the new artifact takes the write lock, for one pointer
+// swap and the cache purge; queries already holding the previous
+// artifact keep evaluating an immutable database.
 func (s *Service) AppendFacts(req FactsRequest) (*FactsResponse, error) {
 	for _, set := range [][]core.Pair{req.L, req.E, req.R, req.Parent} {
 		for _, p := range set {
@@ -1067,87 +954,49 @@ func (s *Service) AppendFacts(req FactsRequest) (*FactsResponse, error) {
 	if s.closed.Load() {
 		return nil, ErrClosed
 	}
-	addL := append([]core.Pair(nil), req.L...)
-	addE := append([]core.Pair(nil), req.E...)
-	addR := append([]core.Pair(nil), req.R...)
-	for _, p := range req.Parent {
-		addL = append(addL, p)
-		addR = append(addR, p)
-		addE = append(addE, core.Pair{From: p.From, To: p.From}, core.Pair{From: p.To, To: p.To})
+	addL, addE, addR := req.L, req.E, req.R
+	if len(req.Parent) > 0 {
+		// Clamped, so the appends never write into the caller's arrays.
+		addL = append(addL[:len(addL):len(addL)], req.Parent...)
+		addR = append(addR[:len(addR):len(addR)], req.Parent...)
+		addE = addE[:len(addE):len(addE)]
+		for _, p := range req.Parent {
+			addE = append(addE, core.Pair{From: p.From, To: p.From}, core.Pair{From: p.To, To: p.To})
+		}
 	}
 	s.factAppends.Add(1)
 
-	// Materialize the membership sets before taking appendMu: after a
-	// recovery of a large database the build is O(n), and under the
-	// lock it would stall this append and every one queued behind it.
-	s.ensureSets()
-
 	s.appendMu.Lock()
 	defer s.appendMu.Unlock()
-	addL = dedupePending(s.lSet, addL)
-	addE = dedupePending(s.eSet, addE)
-	addR = dedupePending(s.rSet, addR)
+	art := s.current()
+	// Novel returns fresh slices, which the next artifact keeps.
+	addL, addE, addR = art.Novel(addL, addE, addR)
 	added := len(addL) + len(addE) + len(addR)
-	s.mu.RLock()
-	gen := s.generation
-	comp := s.compiled
-	shc := s.sharded
-	facts := len(s.l) + len(s.e) + len(s.r)
-	s.mu.RUnlock()
 	if added == 0 {
-		return &FactsResponse{Generation: gen}, nil
+		return &FactsResponse{Generation: art.Generation}, nil
 	}
 
-	// Write-ahead: appendMu guarantees gen is still current, so the
+	// Write-ahead: appendMu guarantees art is still current, so the
 	// record carries the generation this commit will produce, and the
-	// delta is duplicate-free by the dedupe above — replay concatenates
-	// records without re-deduplication.
+	// delta is duplicate-free — replay concatenates records without
+	// re-deduplication.
 	if s.dur != nil {
-		if err := s.dur.Append(durable.Record{Gen: gen + 1, L: addL, E: addE, R: addR}); err != nil {
+		if err := s.dur.Append(durable.Record{Gen: art.Generation + 1, L: addL, E: addE, R: addR}); err != nil {
 			return nil, fmt.Errorf("server: wal append: %w", err)
 		}
 		s.walAppends.Add(1)
 	}
 
-	for _, p := range addL {
-		s.lSet[p] = true
-	}
-	for _, p := range addE {
-		s.eSet[p] = true
-	}
-	for _, p := range addR {
-		s.rSet[p] = true
-	}
-
-	// Roll the compiled artifact to the next generation while no
-	// query-visible lock is held; appendMu alone serializes the
-	// generation bump, so comp/shc (if current) stay current until the
-	// publish below. nil means "drop and recompile lazily".
-	var next *core.Compiled
-	var nextSh *core.ShardedCompiled
-	if s.shardMode() {
-		nextSh = s.rollSharded(shc, gen, added, addL, addE, addR)
-	} else {
-		next = s.rollArtifact(comp, gen, facts, added, addL, addE, addR)
-	}
+	next := s.roll(art, added, addL, addE, addR)
 
 	s.mu.Lock()
-	s.l = appendCOW(s.l, addL)
-	s.e = appendCOW(s.e, addE)
-	s.r = appendCOW(s.r, addR)
-	s.generation++
-	gen = s.generation
-	// Either the delta-extended artifact for the new generation, or
-	// nil — the old artifact describes the old generation, so the next
-	// miss rebuilds from the new slices.
-	s.compiled = next
-	s.sharded = nextSh
-	s.invalidateGenerationLocked(gen)
+	s.art = next
+	s.invalidateGenerationLocked(next.Generation)
 	s.mu.Unlock()
 
 	s.maybeSnapshot(added)
 	return &FactsResponse{
-		Generation: gen,
+		Generation: next.Generation,
 		AddedL:     len(addL),
 		AddedE:     len(addE),
 		AddedR:     len(addR),
@@ -1182,78 +1031,77 @@ func (s *Service) invalidateGenerationLocked(gen uint64) {
 	}
 }
 
-// rollArtifact produces the compiled artifact to publish for the
-// generation this commit creates: the current artifact extended by
-// the deduplicated delta when delta compilation applies, nil (lazy
-// recompile on the next query miss) otherwise. Caller holds appendMu
-// — and only appendMu — so the extend runs with no query-visible
-// lock held; comp and facts were snapshotted under the same appendMu
-// hold, so a non-nil comp at the current generation cannot go stale
-// before the publish.
+// roll produces the artifact to publish for the generation this commit
+// creates, by extending only the shards the delta touches: a delta
+// within DeltaMaxFrac of its shard rolls that shard's artifact forward
+// with core.Extend, a larger one (a bulk load, or any delta when delta
+// compilation is disabled) cold-rebuilds that shard alone, and a
+// bridging delta merges just the shards it connects. The caller holds
+// appendMu — and only appendMu — so none of this blocks a query, and
+// art cannot go stale before the publish.
 //
-// Delta compilation is skipped when: it is disabled (DeltaMaxFrac <
-// 0); there is no artifact at the current generation to extend (a
-// pure append stream stays lazy until a query compiles); or the delta
-// exceeds DeltaMaxFrac of the resulting database (a bulk load — the
-// aliasing win vanishes and the eager work would stall the append).
-// Only the threshold skip counts as a fallback; the artifact's
-// absence does not.
+// A touched shard is then collapsed with core.Flatten whenever its
+// chain would pin more than MaxResidentCompiled generations, its
+// ResidentBytes estimate exceeds MaxCompiledBytes, or its depth
+// reaches the maxDeltaChain hard bound; the published shard is depth
+// 0, so the next append extends it, and every aliased ancestor is
+// freed.
 //
-// The extended artifact is then collapsed with core.Flatten — still
-// with no query-visible lock held — whenever the chain would pin more
-// than MaxResidentCompiled generations, its ResidentBytes estimate
-// exceeds MaxCompiledBytes, or its depth reaches the maxDeltaChain
-// hard bound. The collapse keeps the delta path live (the published
-// artifact is depth 0, so the next append extends it) while freeing
-// every aliased ancestor; before this, hitting maxDeltaChain dropped
-// the artifact and latched the server into invalidation on every
-// subsequent append under sustained load.
-func (s *Service) rollArtifact(comp *core.Compiled, gen uint64, facts, added int, addL, addE, addR []core.Pair) *core.Compiled {
-	if s.cfg.DeltaMaxFrac < 0 || comp == nil || comp.Generation != gen {
-		return nil
-	}
-	if frac := float64(added) / float64(facts+added); frac > s.cfg.DeltaMaxFrac {
-		s.deltaFallbacks.Add(1)
-		return nil
-	}
+// Accounting: each delta-extended shard is one delta compile, each
+// cold-rebuilt shard one full compile (compiles == full + delta
+// holds), each absorbed shard one merge, and an append that rebuilt a
+// shard because of the threshold one fallback. Collapses only ever
+// fire on a shard this append delta-extended (a rebuilt shard
+// publishes at depth 0), preserving collapses <= delta compiles.
+func (s *Service) roll(art *core.ShardedCompiled, added int, addL, addE, addR []core.Pair) *core.ShardedCompiled {
 	tr := obs.New("append", 0)
 	sp := tr.Start("delta-compile", 0)
 	started := time.Now()
-	next := comp.Extend(addL, addE, addR)
-	next.SetGeneration(gen + 1)
-	s.deltaHist.observe(time.Since(started).Seconds())
-	if sp != nil {
-		sp.Set("added", int64(added))
-		sp.Set("depth", int64(next.DeltaDepth()))
-		sp.Set("l_nodes", int64(next.NumL()))
-		sp.Set("r_nodes", int64(next.NumR()))
+	next, st := art.Extend(addL, addE, addR, s.cfg.DeltaMaxFrac)
+	next.Generation = art.Generation + 1
+	if st.DeltaExtended > 0 {
+		s.deltaHist.observe(time.Since(started).Seconds())
+	} else {
+		sp.Name = "compile" // every touched shard was built cold
 	}
+	sp.Set("added", int64(added))
+	sp.Set("shards_touched", int64(len(st.Touched)))
+	sp.Set("merges", int64(st.Merges))
+	sp.Set("depth", int64(next.MaxDeltaDepth()))
 	tr.End(sp, 0)
-	s.compiles.Add(1)
-	s.deltaCompiles.Add(1)
-	if s.shouldCollapse(next) {
+	s.compiles.Add(int64(st.DeltaExtended + st.Rebuilt))
+	s.deltaCompiles.Add(int64(st.DeltaExtended))
+	s.fullCompiles.Add(int64(st.Rebuilt))
+	s.shardMerges.Add(int64(st.Merges))
+	if st.Fallbacks > 0 {
+		s.deltaFallbacks.Add(1)
+	}
+	for _, slot := range st.Touched {
+		comp := next.ShardArtifact(slot)
+		if comp.DeltaDepth() == 0 || !s.shouldCollapse(comp) {
+			continue
+		}
 		csp := tr.Start("collapse", 0)
 		cstart := time.Now()
-		flat := next.Flatten()
-		if csp != nil {
-			csp.Set("depth", int64(next.DeltaDepth()))
-			csp.Set("bytes_before", next.ResidentBytes())
-			csp.Set("bytes_after", flat.ResidentBytes())
-			csp.Set("elapsed_us", time.Since(cstart).Microseconds())
-		}
+		flat := comp.Flatten()
+		csp.Set("shard", int64(slot))
+		csp.Set("depth", int64(comp.DeltaDepth()))
+		csp.Set("bytes_before", comp.ResidentBytes())
+		csp.Set("bytes_after", flat.ResidentBytes())
+		csp.Set("elapsed_us", time.Since(cstart).Microseconds())
 		tr.End(csp, 0)
-		next = flat
+		next.SetShardArtifact(slot, flat)
 		s.chainCollapses.Add(1)
 	}
 	s.lastAppendSpan.Store(tr.Finish(0))
 	return next
 }
 
-// shouldCollapse decides whether the freshly extended artifact must be
-// flattened before publish. A chain of depth d keeps d+1 generations
-// resident, so the retention cap fires at depth >= MaxResidentCompiled;
-// the byte budget fires on the ResidentBytes estimate; maxDeltaChain
-// fires regardless of configuration.
+// shouldCollapse decides whether a freshly extended shard artifact
+// must be flattened before publish. A chain of depth d keeps d+1
+// generations resident, so the retention cap fires at depth >=
+// MaxResidentCompiled; the byte budget fires on the ResidentBytes
+// estimate; maxDeltaChain fires regardless of configuration.
 func (s *Service) shouldCollapse(next *core.Compiled) bool {
 	depth := next.DeltaDepth()
 	if depth >= maxDeltaChain {
@@ -1263,125 +1111,6 @@ func (s *Service) shouldCollapse(next *core.Compiled) bool {
 		return true
 	}
 	return s.cfg.MaxCompiledBytes > 0 && next.ResidentBytes() > s.cfg.MaxCompiledBytes
-}
-
-// rollSharded is rollArtifact's region-sharded analog: it rolls the
-// sharded artifact to the next generation by extending only the
-// shards the delta touches. There is no whole-database fallback — a
-// delta too large for one shard's Extend cold-rebuilds that shard
-// alone, and a bridging delta merges just the shards it connects — so
-// the artifact is never dropped once it exists, and amortized append
-// cost tracks shard size, not database size. Chain collapse runs per
-// touched shard: only a shard whose own chain trips the retention cap
-// pays a Flatten, scoped to its facts.
-//
-// Accounting: each delta-extended shard is one delta compile, each
-// cold-rebuilt shard one full compile (compiles == full + delta
-// holds), each absorbed shard one merge. Collapses only ever fire on
-// a shard this append delta-extended (a rebuilt shard publishes at
-// depth 0), preserving collapses <= delta compiles. Fallbacks stay
-// monolithic-only: nothing is ever dropped here.
-func (s *Service) rollSharded(shc *core.ShardedCompiled, gen uint64, added int, addL, addE, addR []core.Pair) *core.ShardedCompiled {
-	if s.cfg.DeltaMaxFrac < 0 || shc == nil || shc.Generation != gen {
-		return nil
-	}
-	tr := obs.New("append", 0)
-	sp := tr.Start("delta-compile", 0)
-	started := time.Now()
-	next, st := shc.Extend(addL, addE, addR, s.cfg.DeltaMaxFrac)
-	next.SetGeneration(gen + 1)
-	s.deltaHist.observe(time.Since(started).Seconds())
-	if sp != nil {
-		sp.Set("added", int64(added))
-		sp.Set("shards_touched", int64(len(st.Touched)))
-		sp.Set("merges", int64(st.Merges))
-		sp.Set("depth", int64(next.MaxDeltaDepth()))
-	}
-	tr.End(sp, 0)
-	s.compiles.Add(int64(st.DeltaExtended + st.Rebuilt))
-	s.deltaCompiles.Add(int64(st.DeltaExtended))
-	s.fullCompiles.Add(int64(st.Rebuilt))
-	s.shardMerges.Add(int64(st.Merges))
-	for _, slot := range st.Touched {
-		comp := next.ShardArtifact(slot)
-		if comp.DeltaDepth() == 0 || !s.shouldCollapse(comp) {
-			continue
-		}
-		csp := tr.Start("collapse", 0)
-		cstart := time.Now()
-		flat := comp.Flatten()
-		if csp != nil {
-			csp.Set("shard", int64(slot))
-			csp.Set("depth", int64(comp.DeltaDepth()))
-			csp.Set("bytes_before", comp.ResidentBytes())
-			csp.Set("bytes_after", flat.ResidentBytes())
-			csp.Set("elapsed_us", time.Since(cstart).Microseconds())
-		}
-		tr.End(csp, 0)
-		next.SetShardArtifact(slot, flat)
-		s.chainCollapses.Add(1)
-	}
-	s.lastAppendSpan.Store(tr.Finish(0))
-	return next
-}
-
-// ensureSets materializes the membership sets from the fact slices if
-// they are still nil after a recovery. setsMu guards the build; once
-// the maps are non-nil they are never rebuilt, and from then on only
-// appendMu holders touch them. Appenders call this before taking
-// appendMu (so a large recovered database never stalls a committed
-// append for the O(n) build) and Open warms it in the background.
-func (s *Service) ensureSets() {
-	s.setsMu.Lock()
-	defer s.setsMu.Unlock()
-	if s.lSet != nil {
-		return
-	}
-	s.mu.RLock()
-	l, e, r := s.l, s.e, s.r
-	s.mu.RUnlock()
-	sets := make([]map[core.Pair]bool, 3)
-	for i, rel := range [][]core.Pair{l, e, r} {
-		set := make(map[core.Pair]bool, len(rel))
-		for _, p := range rel {
-			set[p] = true
-		}
-		sets[i] = set
-	}
-	s.lSet, s.eSet, s.rSet = sets[0], sets[1], sets[2]
-}
-
-// dedupePending filters add down to the pairs not in present, also
-// dropping duplicates within add itself. present is read, never
-// written: a request that turns out to be a full no-op must leave the
-// membership sets untouched. add is filtered in place (it is always a
-// request-local copy).
-func dedupePending(present map[core.Pair]bool, add []core.Pair) []core.Pair {
-	if len(add) == 0 {
-		return nil
-	}
-	out := add[:0]
-	seen := make(map[core.Pair]bool, len(add))
-	for _, p := range add {
-		if present[p] || seen[p] {
-			continue
-		}
-		seen[p] = true
-		out = append(out, p)
-	}
-	return out
-}
-
-// appendCOW appends add to base without ever growing base's backing
-// array in place, so slice headers handed out under a previous read
-// lock stay valid snapshots.
-func appendCOW(base, add []core.Pair) []core.Pair {
-	if len(add) == 0 {
-		return base
-	}
-	out := make([]core.Pair, 0, len(base)+len(add))
-	out = append(out, base...)
-	return append(out, add...)
 }
 
 // Stats is a point-in-time snapshot of the service counters.
@@ -1420,15 +1149,15 @@ type Stats struct {
 	SnapshotFailures        int64 `json:"snapshot_failures"`
 	RecoveryReplayedRecords int64 `json:"recovery_replayed_records"`
 	// DeltaCompile reports the incremental-compilation state (see
-	// AppendFacts and rollArtifact).
+	// AppendFacts and roll).
 	DeltaCompile DeltaCompileStats `json:"delta_compile"`
 	// Memory reports the bounded-memory state: resident artifact
 	// generations, the pinned-bytes estimate, collapse activity, and
-	// the process heap watermark (see rollArtifact and the
+	// the process heap watermark (see roll and the
 	// MaxResidentCompiled/MaxCompiledBytes knobs).
 	Memory MemoryStats `json:"memory"`
-	// Shards reports the region-sharded artifact state; nil on a
-	// monolithic service (Config.Shards <= 1).
+	// Shards reports the per-shard artifact state; nil with a single
+	// shard (Config.Shards <= 1).
 	Shards *ShardsStats `json:"shards,omitempty"`
 }
 
@@ -1442,7 +1171,8 @@ type ShardsStats struct {
 	// appends since startup.
 	Merges int64 `json:"merges"`
 	// MaxDeltaDepth is the deepest per-shard Extend chain in the live
-	// artifact (Memory.ResidentCompiled mirrors it as depth+1).
+	// artifact (DeltaCompile.ChainDepth, and Memory.ResidentCompiled
+	// less one).
 	MaxDeltaDepth int `json:"max_delta_depth"`
 	// Shards lists the live slots of the current artifact.
 	Shards []core.ShardInfo `json:"shards"`
@@ -1451,28 +1181,27 @@ type ShardsStats struct {
 // DeltaCompileStats is the delta-compilation block of Stats.
 type DeltaCompileStats struct {
 	// DeltaCompiles and FullCompiles partition Compiles; Fallbacks
-	// counts appends that skipped the delta path on the fraction
-	// threshold (chain depth no longer falls back — it collapses; see
-	// MemoryStats.ChainCollapses).
+	// counts appends that rebuilt a shard cold in place of a delta
+	// extend because of the fraction threshold (chain depth never falls
+	// back — it collapses; see MemoryStats.ChainCollapses).
 	DeltaCompiles int64   `json:"delta_compiles"`
 	FullCompiles  int64   `json:"full_compiles"`
 	Fallbacks     int64   `json:"fallbacks"`
 	MaxFraction   float64 `json:"max_fraction"`
-	// ChainDepth is the current artifact's Extend depth since its last
-	// full compile (0 when cold-compiled, absent, decoded, or just
-	// collapsed).
+	// ChainDepth is the deepest shard's Extend depth since its last
+	// full compile (0 when cold-compiled, decoded, or just collapsed).
 	ChainDepth int `json:"chain_depth"`
-	// LastAppend is the most recent delta-compiling append's span tree.
+	// LastAppend is the most recent committed append's span tree.
 	LastAppend *obs.Span `json:"last_append,omitempty"`
 }
 
 // MemoryStats is the bounded-memory block of Stats.
 type MemoryStats struct {
-	// ResidentCompiled counts the artifact generations the live Extend
-	// chain keeps resident: DeltaDepth+1 for a published artifact, 0
-	// when none is resident.
+	// ResidentCompiled counts the artifact generations the deepest
+	// live Extend chain keeps resident: its depth plus one.
 	ResidentCompiled int `json:"resident_compiled"`
-	// CompiledBytes is the live artifact's ResidentBytes estimate.
+	// CompiledBytes is the live artifact's ResidentBytes estimate, fact
+	// ropes included.
 	CompiledBytes int64 `json:"compiled_bytes"`
 	// ChainCollapses counts appends whose extended artifact was
 	// flattened before publish.
@@ -1535,42 +1264,28 @@ func (s *Service) drain(ctx context.Context) error {
 // Stats snapshots the counters.
 func (s *Service) Stats() Stats {
 	s.mu.RLock()
-	gen := s.generation
-	fl, fe, fr := len(s.l), len(s.e), len(s.r)
+	art := s.art
 	entries := len(s.cache)
-	comp := s.compiled
-	shc := s.sharded
 	s.mu.RUnlock()
-	depth, resident, compiledBytes := 0, 0, int64(0)
+	// Everything below walks the artifact, so it runs on the snapshot
+	// outside the lock; the artifact is immutable once published.
+	fl, fe, fr := art.FactCounts()
+	depth := art.MaxDeltaDepth()
 	var shards *ShardsStats
-	if s.shardMode() {
+	if s.cfg.Shards > 1 {
 		shards = &ShardsStats{
-			Configured: s.cfg.Shards,
-			Merges:     s.shardMerges.Load(),
+			Configured:    s.cfg.Shards,
+			Live:          len(art.LiveSlots()),
+			Merges:        s.shardMerges.Load(),
+			MaxDeltaDepth: depth,
+			Shards:        art.ShardInfos(),
 		}
-		if shc != nil {
-			// ResidentBytes and ShardInfos walk the artifact, so they
-			// run on the snapshot outside the lock; the artifact is
-			// immutable once published.
-			depth = shc.MaxDeltaDepth()
-			resident = depth + 1
-			compiledBytes = shc.ResidentBytes()
-			shards.Live = len(shc.LiveSlots())
-			shards.MaxDeltaDepth = depth
-			shards.Shards = shc.ShardInfos()
-		}
-	} else if comp != nil {
-		// ResidentBytes walks the artifact, so it runs on the snapshot
-		// outside the lock; the artifact is immutable once published.
-		depth = comp.DeltaDepth()
-		resident = depth + 1
-		compiledBytes = comp.ResidentBytes()
 	}
 	p50, p99 := s.lat.percentile(0.50), s.lat.percentile(0.99)
 	bp50, bp99 := s.blat.percentile(0.50), s.blat.percentile(0.99)
 	return Stats{
 		UptimeSeconds:   time.Since(s.start).Seconds(),
-		Generation:      gen,
+		Generation:      art.Generation,
 		FactsL:          fl,
 		FactsE:          fe,
 		FactsR:          fr,
@@ -1611,8 +1326,8 @@ func (s *Service) Stats() Stats {
 		},
 
 		Memory: MemoryStats{
-			ResidentCompiled:    resident,
-			CompiledBytes:       compiledBytes,
+			ResidentCompiled:    depth + 1,
+			CompiledBytes:       art.ResidentBytes(),
 			ChainCollapses:      s.chainCollapses.Load(),
 			HeapInuseBytes:      heapInuseBytes(),
 			MaxResidentCompiled: s.cfg.MaxResidentCompiled,

@@ -228,11 +228,21 @@ func TestBatchAccountingCloses(t *testing.T) {
 	if st.Queries != 4 {
 		t.Fatalf("Queries = %d, want 4", st.Queries)
 	}
-	if sum := st.CacheHits + st.CacheMisses + st.QueryErrors + st.QueriesRejected + st.BadRequests; sum != st.Queries {
-		t.Fatalf("accounting does not close: hits=%d misses=%d errors=%d rejected=%d bad=%d != queries=%d",
-			st.CacheHits, st.CacheMisses, st.QueryErrors, st.QueriesRejected, st.BadRequests, st.Queries)
-	}
+	checkAccounting(t, s)
 	if st.BadRequests != 1 {
 		t.Fatalf("BadRequests = %d, want 1 (empty batch item)", st.BadRequests)
 	}
+
+	// A batch refused by a closed service is len(Sources) rejected
+	// queries: the old path counted one rejection and no queries.
+	if err := s.Close(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.QueryBatch(context.Background(), BatchRequest{Sources: []string{"a", "b", "c"}}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("batch on a closed service: %v, want ErrClosed", err)
+	}
+	if st := s.Stats(); st.Queries != 7 || st.QueriesRejected != 3 {
+		t.Fatalf("after a rejected 3-item batch: queries=%d rejected=%d, want 7 and 3", st.Queries, st.QueriesRejected)
+	}
+	checkAccounting(t, s)
 }
