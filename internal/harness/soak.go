@@ -137,13 +137,14 @@ func ParseMetrics(r io.Reader) (map[string]float64, error) {
 	return out, nil
 }
 
-// invariant is one metric-consistency rule: check receives a lookup
-// that records any metric it needs as required, so a scrape missing
-// one of them reports "metric missing" instead of silently passing on
-// zeros.
+// invariant is one metric-consistency rule: check receives two lookups
+// — get reads one series by its exact name, sum adds up a labeled family
+// by its bare name — that record any metric they do not find as
+// required, so a scrape missing one of them reports "metric missing"
+// instead of silently passing on zeros.
 type invariant struct {
 	name  string
-	check func(get func(string) float64) (ok bool, detail string)
+	check func(get, sum func(string) float64) (ok bool, detail string)
 }
 
 // invariants are the consistency rules every idle (no requests in
@@ -152,42 +153,54 @@ type invariant struct {
 // checks that originally flushed out the InFlight, bad-request, and
 // batch-latency accounting bugs.
 var invariants = []invariant{
-	{"compiles == full + delta", func(get func(string) float64) (bool, string) {
+	{"compiles == full + delta", func(get, _ func(string) float64) (bool, string) {
 		c, f, d := get("mc_compiles_total"), get("mc_full_compiles_total"), get("mc_delta_compiles_total")
 		return c == f+d, fmt.Sprintf("compiles=%g full=%g delta=%g", c, f, d)
 	}},
-	{"queries == hits + misses + errors + rejected + bad", func(get func(string) float64) (bool, string) {
+	{"queries == hits + misses + errors + rejected + bad", func(get, _ func(string) float64) (bool, string) {
 		q := get("mc_queries_total")
 		h, m := get("mc_cache_hits_total"), get("mc_cache_misses_total")
 		e, rej, bad := get("mc_query_errors_total"), get("mc_queries_rejected_total"), get("mc_bad_requests_total")
 		return q == h+m+e+rej+bad,
 			fmt.Sprintf("queries=%g hits=%g misses=%g errors=%g rejected=%g bad=%g", q, h, m, e, rej, bad)
 	}},
-	{"timeouts <= errors", func(get func(string) float64) (bool, string) {
+	{"queries by method == hits + misses", func(get, sum func(string) float64) (bool, string) {
+		m, h, mi := sum("mc_queries_by_method_total"), get("mc_cache_hits_total"), get("mc_cache_misses_total")
+		return m == h+mi, fmt.Sprintf("by_method=%g hits=%g misses=%g", m, h, mi)
+	}},
+	{"queries by regime <= hits + misses", func(get, sum func(string) float64) (bool, string) {
+		r, h, mi := sum("mc_queries_by_regime_total"), get("mc_cache_hits_total"), get("mc_cache_misses_total")
+		return r <= h+mi, fmt.Sprintf("by_regime=%g hits=%g misses=%g", r, h, mi)
+	}},
+	{"retrieval samples == hits + misses", func(get, _ func(string) float64) (bool, string) {
+		n, h, mi := get("mc_query_retrievals_count"), get("mc_cache_hits_total"), get("mc_cache_misses_total")
+		return n == h+mi, fmt.Sprintf("samples=%g hits=%g misses=%g", n, h, mi)
+	}},
+	{"timeouts <= errors", func(get, _ func(string) float64) (bool, string) {
 		to, e := get("mc_query_timeouts_total"), get("mc_query_errors_total")
 		return to <= e, fmt.Sprintf("timeouts=%g errors=%g", to, e)
 	}},
-	{"query latency samples <= queries", func(get func(string) float64) (bool, string) {
+	{"query latency samples <= queries", func(get, _ func(string) float64) (bool, string) {
 		n, q := get("mc_query_duration_seconds_count"), get("mc_queries_total")
 		return n <= q, fmt.Sprintf("samples=%g queries=%g", n, q)
 	}},
-	{"batch latency samples <= batch requests", func(get func(string) float64) (bool, string) {
+	{"batch latency samples <= batch requests", func(get, _ func(string) float64) (bool, string) {
 		n, b := get("mc_batch_duration_seconds_count"), get("mc_batch_requests_total")
 		return n <= b, fmt.Sprintf("samples=%g batches=%g", n, b)
 	}},
-	{"no queries in flight", func(get func(string) float64) (bool, string) {
+	{"no queries in flight", func(get, _ func(string) float64) (bool, string) {
 		n := get("mc_inflight_queries")
 		return n == 0, fmt.Sprintf("inflight=%g", n)
 	}},
-	{"no snapshot failures", func(get func(string) float64) (bool, string) {
+	{"no snapshot failures", func(get, _ func(string) float64) (bool, string) {
 		n := get("mc_snapshot_failures_total")
 		return n == 0, fmt.Sprintf("failures=%g", n)
 	}},
-	{"chain collapses <= delta compiles", func(get func(string) float64) (bool, string) {
+	{"chain collapses <= delta compiles", func(get, _ func(string) float64) (bool, string) {
 		c, d := get("mc_chain_collapses_total"), get("mc_delta_compiles_total")
 		return c <= d, fmt.Sprintf("collapses=%g delta=%g", c, d)
 	}},
-	{"resident compiled within configured cap", func(get func(string) float64) (bool, string) {
+	{"resident compiled within configured cap", func(get, _ func(string) float64) (bool, string) {
 		// mc_resident_compiled is DeltaDepth+1, and the collapse fires
 		// when a fresh extend reaches the cap — so depth stays < cap and
 		// resident stays <= cap. A cap of 0 in the scrape means the
@@ -215,7 +228,19 @@ func CheckInvariants(metrics map[string]float64) []string {
 			}
 			return v
 		}
-		ok, detail := inv.check(get)
+		sum := func(family string) (total float64) {
+			found := false
+			for series, v := range metrics {
+				if strings.HasPrefix(series, family+"{") {
+					total, found = total+v, true
+				}
+			}
+			if !found {
+				missing = append(missing, family+"{...}")
+			}
+			return total
+		}
+		ok, detail := inv.check(get, sum)
 		if len(missing) > 0 {
 			violations = append(violations, fmt.Sprintf("%s: metric missing: %s", inv.name, strings.Join(missing, ", ")))
 			continue

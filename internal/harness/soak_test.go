@@ -78,6 +78,10 @@ func consistentMetrics() map[string]float64 {
 		"mc_chain_collapses_total":        2,
 		"mc_resident_compiled":            3,
 		"mc_max_resident_compiled":        8,
+		"mc_query_retrievals_count":       90,
+		`mc_queries_by_method_total{strategy="basic",mode="integrated"}`:     50,
+		`mc_queries_by_method_total{strategy="recurring",mode="integrated"}`: 40,
+		`mc_queries_by_regime_total{regime="acyclic"}`:                       70,
 	}
 }
 
@@ -94,6 +98,11 @@ func TestCheckInvariantsCatchSkew(t *testing.T) {
 	}{
 		{"compile partition", func(m map[string]float64) { m["mc_delta_compiles_total"]++ }},
 		{"query accounting", func(m map[string]float64) { m["mc_bad_requests_total"]-- }},
+		{"a hit missing from the method family", func(m map[string]float64) {
+			m[`mc_queries_by_method_total{strategy="basic",mode="integrated"}`]--
+		}},
+		{"regime family above answered", func(m map[string]float64) { m[`mc_queries_by_regime_total{regime="acyclic"}`] = 91 }},
+		{"a hit missing from the retrievals histogram", func(m map[string]float64) { m["mc_query_retrievals_count"]-- }},
 		{"timeouts above errors", func(m map[string]float64) { m["mc_query_timeouts_total"] = 4 }},
 		{"latency samples above queries", func(m map[string]float64) { m["mc_query_duration_seconds_count"] = 101 }},
 		{"batch samples above batches", func(m map[string]float64) { m["mc_batch_duration_seconds_count"] = 6 }},
@@ -117,6 +126,13 @@ func TestCheckInvariantsReportMissingMetric(t *testing.T) {
 	v := CheckInvariants(m)
 	if len(v) != 1 || !strings.Contains(v[0], "metric missing") || !strings.Contains(v[0], "mc_compiles_total") {
 		t.Fatalf("missing metric not reported as such: %v", v)
+	}
+	// A labeled family with no series at all is missing too, not zero.
+	m = consistentMetrics()
+	delete(m, `mc_queries_by_regime_total{regime="acyclic"}`)
+	v = CheckInvariants(m)
+	if len(v) != 1 || !strings.Contains(v[0], "metric missing") || !strings.Contains(v[0], "mc_queries_by_regime_total") {
+		t.Fatalf("missing family not reported as such: %v", v)
 	}
 }
 

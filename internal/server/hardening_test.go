@@ -8,10 +8,10 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"magiccounting/internal/core"
 	"magiccounting/internal/oracle"
@@ -171,43 +171,6 @@ func TestTrailingJSONRejected(t *testing.T) {
 	}
 }
 
-// TestLatencyRingEdgeCases covers the percentile window states the
-// basic test skips: single sample, exactly full, and wrapped-around.
-func TestLatencyRingEdgeCases(t *testing.T) {
-	// Single sample: every percentile reads it.
-	r := newLatencyRing(4)
-	r.record(7)
-	for _, p := range []float64{0.0, 0.5, 0.99, 1.0} {
-		if got := r.percentile(p); got != 7 {
-			t.Errorf("single sample p%.2f = %v, want 7", p, got)
-		}
-	}
-
-	// Exactly full window, no wrap: all samples visible.
-	r = newLatencyRing(4)
-	for _, d := range []time.Duration{40, 10, 30, 20} {
-		r.record(d)
-	}
-	if got := r.percentile(1.0); got != 40 {
-		t.Errorf("full window p100 = %v, want 40", got)
-	}
-	if got := r.percentile(0.5); got != 20 {
-		t.Errorf("full window p50 = %v, want 20 (nearest rank of 10,20,30,40)", got)
-	}
-
-	// Wrap-around: the overwritten oldest sample must not resurface.
-	r = newLatencyRing(2)
-	for _, d := range []time.Duration{100, 1, 2} { // 100 ages out
-		r.record(d)
-	}
-	if got := r.percentile(1.0); got != 2 {
-		t.Errorf("wrapped p100 = %v, want 2 (100 aged out)", got)
-	}
-	if got := r.percentile(0.0); got != 1 {
-		t.Errorf("wrapped p0 = %v, want 1", got)
-	}
-}
-
 // TestWriteErrorStatusMapping pins the error-to-status table,
 // including the 499 client-disconnect convention.
 func TestWriteErrorStatusMapping(t *testing.T) {
@@ -233,8 +196,9 @@ func TestWriteErrorStatusMapping(t *testing.T) {
 }
 
 // FuzzServiceQuery drives the whole serving path — append, solve
-// every method, cache — against the oracle on generator-derived
-// instances, and asserts the idempotent-re-POST invariant on each.
+// every method through both doors, cache — against the oracle on
+// generator-derived instances, and asserts the idempotent-re-POST and
+// accounting invariants on each.
 func FuzzServiceQuery(f *testing.F) {
 	f.Add(uint8(0), int64(1), uint8(1))
 	f.Add(uint8(1), int64(2), uint8(1))
@@ -259,31 +223,39 @@ func FuzzServiceQuery(f *testing.F) {
 			t.Fatalf("append: %v", err)
 		}
 
-		check := func(label string, resp *QueryResponse) {
-			if resp.Answers == nil {
-				t.Fatalf("%s: nil Answers", label)
+		// Through the batch door first: the batch solves, and the
+		// singletons below must be hits carrying the same Answer.
+		batched := map[string]Answer{}
+		for label, strat := range map[string]string{"/": "", "multiple/integrated": "multiple"} {
+			resp, err := s.QueryBatch(ctx, BatchRequest{Sources: []string{q.Source, q.Source}, Strategy: strat})
+			if err != nil || resp.Items[0].Error != "" || resp.Items[0].Cached {
+				t.Fatalf("batch %q: %v %+v", strat, err, resp)
 			}
-			if len(resp.Answers) != len(want) {
-				t.Fatalf("%s: answers %v, oracle wants %v", label, resp.Answers, want)
+			folded := resp.Items[0].Answer
+			folded.Cached, folded.NewRetrievals = true, 0
+			if !reflect.DeepEqual(resp.Items[1].Answer, folded) {
+				t.Fatalf("batch %q: duplicate %+v, first occurrence %+v", strat, resp.Items[1], resp.Items[0])
 			}
-			for i := range want {
-				if resp.Answers[i] != want[i] {
-					t.Fatalf("%s: answers %v, oracle wants %v", label, resp.Answers, want)
-				}
-			}
+			batched[label] = folded
 		}
-		auto, err := s.Query(ctx, QueryRequest{Source: q.Source})
-		if err != nil {
-			t.Fatalf("auto query: %v", err)
+		query := func(strat, mode string) *QueryResponse {
+			label := strat + "/" + mode
+			resp, err := s.Query(ctx, QueryRequest{Source: q.Source, Strategy: strat, Mode: mode})
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if it, ok := batched[label]; ok && !reflect.DeepEqual(resp.Answer, it) {
+				t.Fatalf("%s: singleton %+v, batch item %+v", label, resp.Answer, it)
+			}
+			if !reflect.DeepEqual(resp.Answers, nonNilAnswers(want)) { // never nil
+				t.Fatalf("%s: answers %#v, oracle wants %v", label, resp.Answers, want)
+			}
+			return resp
 		}
-		check("auto", auto)
+		query("", "")
 		for _, strat := range []string{"basic", "single", "multiple", "recurring"} {
 			for _, mode := range []string{"independent", "integrated"} {
-				resp, err := s.Query(ctx, QueryRequest{Source: q.Source, Strategy: strat, Mode: mode})
-				if err != nil {
-					t.Fatalf("%s/%s: %v", strat, mode, err)
-				}
-				check(strat+"/"+mode, resp)
+				query(strat, mode)
 			}
 		}
 
@@ -295,14 +267,10 @@ func FuzzServiceQuery(f *testing.F) {
 		if again.Generation != first.Generation {
 			t.Fatalf("re-append bumped generation %d -> %d", first.Generation, again.Generation)
 		}
-		cached, err := s.Query(ctx, QueryRequest{Source: q.Source})
-		if err != nil {
-			t.Fatalf("cached query: %v", err)
-		}
-		if !cached.Cached || cached.NewRetrievals != 0 {
+		if cached := query("", ""); !cached.Cached || cached.NewRetrievals != 0 {
 			t.Fatalf("query after idempotent re-POST missed the cache: %+v", cached)
 		}
-		check("cached", cached)
+		checkAccounting(t, s)
 	})
 }
 

@@ -6,9 +6,8 @@ import (
 	"math"
 	"runtime/metrics"
 	"sort"
-	"sync"
+	"strings"
 	"sync/atomic"
-	"time"
 )
 
 // heapSamples name the runtime/metrics series whose sum is HeapInuse:
@@ -36,59 +35,6 @@ func heapInuseBytes() int64 {
 		}
 	}
 	return total
-}
-
-// latencyRing is a fixed-size ring buffer of recent query latencies,
-// the window behind the p50/p99 gauges of /v1/stats and the summary
-// quantiles of /metrics. A ring keeps the percentiles fresh (old
-// traffic ages out) at O(window) memory.
-type latencyRing struct {
-	mu      sync.Mutex
-	samples []time.Duration
-	next    int
-	filled  bool
-}
-
-func newLatencyRing(window int) *latencyRing {
-	return &latencyRing{samples: make([]time.Duration, window)}
-}
-
-// record appends one latency sample, overwriting the oldest once the
-// window is full.
-func (r *latencyRing) record(d time.Duration) {
-	r.mu.Lock()
-	r.samples[r.next] = d
-	r.next++
-	if r.next == len(r.samples) {
-		r.next = 0
-		r.filled = true
-	}
-	r.mu.Unlock()
-}
-
-// percentile returns the p-th (0..1) latency over the current window,
-// nearest-rank on a sorted copy. An empty window reads 0.
-func (r *latencyRing) percentile(p float64) time.Duration {
-	r.mu.Lock()
-	n := r.next
-	if r.filled {
-		n = len(r.samples)
-	}
-	buf := make([]time.Duration, n)
-	copy(buf, r.samples[:n])
-	r.mu.Unlock()
-	if n == 0 {
-		return 0
-	}
-	sort.Slice(buf, func(i, j int) bool { return buf[i] < buf[j] })
-	rank := int(p*float64(n) + 0.5)
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > n {
-		rank = n
-	}
-	return buf[rank-1]
 }
 
 // histogram is a fixed-bucket Prometheus histogram: lock-free atomic
@@ -132,6 +78,34 @@ func (h *histogram) snapshot() (cum []int64, count int64, sum float64) {
 	return cum, h.count.Load(), math.Float64frombits(h.sum.Load())
 }
 
+// quantile estimates the p-th (0..1) quantile of everything observed
+// since start, the way histogram_quantile does: find the bucket holding
+// that rank and interpolate linearly inside it. Samples past the last
+// bound clamp to it; an empty histogram reads 0. It never ages: a
+// recent window is histogram_quantile over rate() of the buckets.
+func (h *histogram) quantile(p float64) float64 {
+	cum, _, _ := h.snapshot()
+	rank := p * float64(cum[len(cum)-1])
+	i := sort.Search(len(cum), func(i int) bool { return cum[i] > 0 && float64(cum[i]) >= rank })
+	switch {
+	case i == len(cum):
+		return 0
+	case i == len(h.bounds):
+		return h.bounds[i-1]
+	}
+	lo, below := 0.0, int64(0)
+	if i > 0 {
+		lo, below = h.bounds[i-1], cum[i-1]
+	}
+	return lo + (h.bounds[i]-lo)*(rank-float64(below))/float64(cum[i]-below)
+}
+
+// quantileMS is quantile for a histogram of seconds, in milliseconds
+// rounded to the microsecond.
+func (h *histogram) quantileMS(p float64) float64 {
+	return math.Round(h.quantile(p)*1e6) / 1e3
+}
+
 // write emits the histogram in the text exposition format.
 func (h *histogram) write(w io.Writer, name, help string) error {
 	cum, count, sum := h.snapshot()
@@ -139,7 +113,7 @@ func (h *histogram) write(w io.Writer, name, help string) error {
 		return err
 	}
 	for i, b := range h.bounds {
-		if _, err := fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", name, formatBound(b), cum[i]); err != nil {
+		if _, err := fmt.Fprintf(w, "%s_bucket{le=\"%g\"} %d\n", name, b, cum[i]); err != nil {
 			return err
 		}
 	}
@@ -148,12 +122,6 @@ func (h *histogram) write(w io.Writer, name, help string) error {
 	}
 	_, err := fmt.Fprintf(w, "%s_sum %g\n%s_count %d\n", name, sum, name, count)
 	return err
-}
-
-// formatBound renders a bucket bound the way Prometheus clients do:
-// shortest float representation, no exponent for the usual ranges.
-func formatBound(b float64) string {
-	return fmt.Sprintf("%g", b)
 }
 
 // latencyBuckets are the mc_query_duration_seconds bucket bounds:
@@ -217,15 +185,16 @@ func (lc *labeledCounters) get(key string) int64 {
 
 // WriteMetrics writes the service counters in the Prometheus text
 // exposition format: plain counters and gauges, the per-method and
-// per-regime counter families, the latency summary (ring-buffer
+// per-regime counter families, the latency summary (histogram-estimated
 // quantiles plus the _sum/_count series strict scrapers require), and
 // the latency and retrievals-per-query histograms.
 func (s *Service) WriteMetrics(w io.Writer) error {
 	st := s.Stats()
-	counters := []struct {
+	type metric struct {
 		name, help string
 		value      any
-	}{
+	}
+	counters := []metric{
 		{"mc_queries_total", "Queries received (batch items counted individually).", st.Queries},
 		{"mc_batch_requests_total", "Batch query requests received.", st.BatchRequests},
 		{"mc_compiles_total", "Compiled query-graph builds, full or delta (never on the query path).", st.Compiles},
@@ -259,19 +228,13 @@ func (s *Service) WriteMetrics(w io.Writer) error {
 	}
 	if st.Shards != nil {
 		counters = append(counters,
-			struct {
-				name, help string
-				value      any
-			}{"mc_shards", "Live region shards in the compiled artifact (configured slots minus merges).", st.Shards.Live},
-			struct {
-				name, help string
-				value      any
-			}{"mc_shard_merges_total", "Region shards absorbed into a neighbor by bridging appends.", st.Shards.Merges},
+			metric{"mc_shards", "Live region shards in the compiled artifact (configured slots minus merges).", st.Shards.Live},
+			metric{"mc_shard_merges_total", "Region shards absorbed into a neighbor by bridging appends.", st.Shards.Merges},
 		)
 	}
 	for _, c := range counters {
 		kind := "gauge"
-		if len(c.name) > 6 && c.name[len(c.name)-6:] == "_total" {
+		if strings.HasSuffix(c.name, "_total") {
 			kind = "counter"
 		}
 		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %v\n", c.name, c.help, c.name, kind, c.name, c.value); err != nil {
@@ -286,7 +249,7 @@ func (s *Service) WriteMetrics(w io.Writer) error {
 		return err
 	}
 	for _, key := range s.byMethod.order {
-		strategy, mode, _ := cutMethodKey(key)
+		strategy, mode, _ := strings.Cut(key, "|")
 		if _, err := fmt.Fprintf(w, "mc_queries_by_method_total{strategy=%q,mode=%q} %d\n", strategy, mode, s.byMethod.get(key)); err != nil {
 			return err
 		}
@@ -314,23 +277,14 @@ func (s *Service) WriteMetrics(w io.Writer) error {
 		}
 	}
 
-	// Latency summary over the ring window. A summary must expose
-	// _sum and _count beside its quantiles — their absence is what
-	// strict scrapers rejected in the old hand-rolled exposition; both
-	// now come from the histogram's monotone totals.
+	// Latency summary: since-start quantile estimates from the query
+	// histogram's buckets. A summary must expose _sum and _count beside
+	// its quantiles — their absence is what strict scrapers rejected in
+	// the old hand-rolled exposition; they are the histogram's totals.
 	_, count, sum := s.latHist.snapshot()
-	if _, err := fmt.Fprintf(w, "# HELP mc_query_latency_seconds Query latency over the ring-buffer window.\n# TYPE mc_query_latency_seconds summary\n"); err != nil {
-		return err
-	}
-	for _, q := range []struct {
-		label string
-		ms    float64
-	}{{"0.5", st.LatencyP50MS}, {"0.99", st.LatencyP99MS}} {
-		if _, err := fmt.Fprintf(w, "mc_query_latency_seconds{quantile=%q} %g\n", q.label, q.ms/1000); err != nil {
-			return err
-		}
-	}
-	if _, err := fmt.Fprintf(w, "mc_query_latency_seconds_sum %g\nmc_query_latency_seconds_count %d\n", sum, count); err != nil {
+	if _, err := fmt.Fprintf(w, "# HELP mc_query_latency_seconds Query latency quantiles since start, estimated from the mc_query_duration_seconds buckets.\n# TYPE mc_query_latency_seconds summary\n"+
+		"mc_query_latency_seconds{quantile=\"0.5\"} %g\nmc_query_latency_seconds{quantile=\"0.99\"} %g\nmc_query_latency_seconds_sum %g\nmc_query_latency_seconds_count %d\n",
+		st.LatencyP50MS/1000, st.LatencyP99MS/1000, sum, count); err != nil {
 		return err
 	}
 
@@ -352,15 +306,6 @@ func (s *Service) WriteMetrics(w io.Writer) error {
 	return s.snapHist.write(w, "mc_snapshot_seconds", "Snapshot write duration.")
 }
 
-// methodKey builds the byMethod key, and cutMethodKey splits it back
+// methodKey builds the byMethod key; WriteMetrics cuts it back apart
 // for label rendering.
 func methodKey(strategy, mode string) string { return strategy + "|" + mode }
-
-func cutMethodKey(key string) (strategy, mode string, ok bool) {
-	for i := 0; i < len(key); i++ {
-		if key[i] == '|' {
-			return key[:i], key[i+1:], true
-		}
-	}
-	return key, "", false
-}

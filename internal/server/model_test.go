@@ -260,13 +260,35 @@ func checkAgainstModel(t *testing.T, step string, svc *Service, m *model, source
 	return out
 }
 
-// checkAccounting asserts the soak invariant every counter update must
-// preserve: each query received ends in exactly one outcome counter.
+// tally is every per-query counter account maintains, read back the
+// way a scraper would: Stats plus the sums of the labeled families.
+type tally struct {
+	queries, hits, misses, errors, timeouts, rejected, bad int64
+	byMethod, byRegime, retrievalSamples                   int64
+}
+
+func tallyOf(svc *Service) tally {
+	st := svc.Stats()
+	c := tally{queries: st.Queries, hits: st.CacheHits, misses: st.CacheMisses, errors: st.QueryErrors,
+		timeouts: st.QueryTimeouts, rejected: st.QueriesRejected, bad: st.BadRequests}
+	for _, k := range svc.byMethod.order {
+		c.byMethod += svc.byMethod.get(k)
+	}
+	for _, k := range svc.byRegime.order {
+		c.byRegime += svc.byRegime.get(k)
+	}
+	_, c.retrievalSamples, _ = svc.retHist.snapshot()
+	return c
+}
+
+// checkAccounting asserts the soak invariants: each query received ends
+// in one outcome counter, each answered one in byMethod and retHist.
 func checkAccounting(t *testing.T, svc *Service) {
 	t.Helper()
-	st := svc.Stats()
-	if sum := st.CacheHits + st.CacheMisses + st.QueryErrors + st.QueriesRejected + st.BadRequests; sum != st.Queries {
-		t.Fatalf("accounting does not close: hits=%d misses=%d errors=%d rejected=%d bad=%d != queries=%d",
-			st.CacheHits, st.CacheMisses, st.QueryErrors, st.QueriesRejected, st.BadRequests, st.Queries)
+	c := tallyOf(svc)
+	answered := c.hits + c.misses
+	if answered+c.errors+c.rejected+c.bad != c.queries || c.timeouts > c.errors ||
+		c.byMethod != answered || c.retrievalSamples != answered || c.byRegime > answered {
+		t.Fatalf("accounting does not close: %+v", c)
 	}
 }

@@ -308,19 +308,3 @@ func TestCacheEviction(t *testing.T) {
 		t.Fatalf("cache entries = %d, want <= 2", st.CacheEntries)
 	}
 }
-
-func TestLatencyRing(t *testing.T) {
-	r := newLatencyRing(4)
-	if got := r.percentile(0.5); got != 0 {
-		t.Fatalf("empty ring p50 = %v", got)
-	}
-	for _, d := range []time.Duration{40, 10, 30, 20, 50} { // 40 ages out
-		r.record(d)
-	}
-	if got := r.percentile(0.5); got != 20 && got != 30 {
-		t.Fatalf("p50 = %v, want 20 or 30", got)
-	}
-	if got := r.percentile(0.99); got != 50 {
-		t.Fatalf("p99 = %v, want 50", got)
-	}
-}

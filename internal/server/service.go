@@ -49,9 +49,6 @@ type Config struct {
 	DefaultTimeout time.Duration
 	// CacheCap bounds the number of cached results. Zero selects 1024.
 	CacheCap int
-	// LatencyWindow is the latency ring-buffer size behind the p50/p99
-	// metrics. Zero selects 1024.
-	LatencyWindow int
 	// Fsync, FsyncInterval, and WALSegmentBytes tune the durable store
 	// opened by Open (see durable.Options); they have no effect on a
 	// memory-only service. The zero Fsync is durable.FsyncAlways.
@@ -103,9 +100,6 @@ func (c Config) withDefaults() Config {
 	if c.CacheCap <= 0 {
 		c.CacheCap = 1024
 	}
-	if c.LatencyWindow <= 0 {
-		c.LatencyWindow = 1024
-	}
 	if c.DeltaMaxFrac == 0 {
 		c.DeltaMaxFrac = 0.25
 	}
@@ -135,6 +129,12 @@ type cacheKey struct {
 	strategy core.Strategy
 	mode     core.Mode
 	auto     bool
+}
+
+// of is k for another source: a request's sources share one method.
+func (k cacheKey) of(source string) cacheKey {
+	k.source = source
+	return k
 }
 
 // cacheEntry is a result valid for exactly one database generation.
@@ -196,18 +196,14 @@ type Service struct {
 	snapHist         *histogram
 
 	start time.Time
-	// lat holds singleton-query latencies; blat holds whole-batch
-	// request latencies. They are separate windows on purpose: one
-	// batch solves up to maxBatchSources items in a single wall-clock
-	// sample, so mixing the two streams would drag the query p99 up
-	// with every large batch (and bury batch regressions among the
-	// singleton samples).
-	lat  *latencyRing
-	blat *latencyRing
-
-	// latHist/batchHist and retHist observe the same streams as the
-	// rings and NewRetrievals; byMethod/byRegime count successful
-	// queries over their closed key spaces (see metrics.go).
+	// latHist holds singleton-query latencies and batchHist whole-batch
+	// ones, apart on purpose: one batch solves up to maxBatchSources
+	// items in a single wall-clock sample, so mixed streams would drag
+	// the query p99 up with every large batch (and bury batch regressions
+	// among the singleton samples). retHist observes NewRetrievals and
+	// byMethod/byRegime count answered queries over their closed key
+	// spaces; those three and the outcome counters below change in
+	// account and nowhere else.
 	latHist   *histogram
 	batchHist *histogram
 	retHist   *histogram
@@ -277,8 +273,6 @@ func New(cfg Config) *Service {
 		art:       core.CompileSharded(nil, nil, nil, core.ShardOpts{Shards: cfg.Shards}),
 		cache:     make(map[cacheKey]*cacheEntry),
 		start:     time.Now(),
-		lat:       newLatencyRing(cfg.LatencyWindow),
-		blat:      newLatencyRing(cfg.LatencyWindow),
 		latHist:   newHistogram(latencyBuckets...),
 		batchHist: newHistogram(latencyBuckets...),
 		retHist:   newHistogram(retrievalBuckets...),
@@ -311,14 +305,15 @@ type QueryRequest struct {
 	Trace bool `json:"trace,omitempty"`
 }
 
-// QueryResponse is one answered query.
-type QueryResponse struct {
+// Answer is what the service reports about one answered query: the
+// part a singleton response and a batch item share.
+type Answer struct {
 	Answers []string   `json:"answers"`
 	Stats   core.Stats `json:"stats"`
 	// Strategy and Mode are the method actually run (resolved when
-	// auto-selected).
-	Strategy string `json:"strategy"`
-	Mode     string `json:"mode"`
+	// auto-selected); empty only on a failed batch item.
+	Strategy string `json:"strategy,omitempty"`
+	Mode     string `json:"mode,omitempty"`
 	// Auto reports that the method was selected automatically; Regime
 	// and Reason then carry the Figure-3 justification.
 	Auto   bool   `json:"auto"`
@@ -327,10 +322,15 @@ type QueryResponse struct {
 	// Cached reports a cache hit; NewRetrievals is the tuple
 	// retrievals this request itself caused (zero on a hit; equal to
 	// Stats.Retrievals on a miss).
-	Cached        bool    `json:"cached"`
-	NewRetrievals int64   `json:"new_retrievals"`
-	Generation    uint64  `json:"generation"`
-	ElapsedMS     float64 `json:"elapsed_ms"`
+	Cached        bool  `json:"cached"`
+	NewRetrievals int64 `json:"new_retrievals"`
+}
+
+// QueryResponse is one answered query.
+type QueryResponse struct {
+	Answer
+	Generation uint64  `json:"generation"`
+	ElapsedMS  float64 `json:"elapsed_ms"`
 	// Trace is the span tree recorded when the request set "trace";
 	// its per-stage retrievals sum exactly to NewRetrievals.
 	Trace *obs.Span `json:"trace,omitempty"`
@@ -362,90 +362,226 @@ func ParseMode(s string) (core.Mode, error) {
 	return 0, fmt.Errorf("%w: unknown mode %q (want independent or integrated)", ErrBadRequest, s)
 }
 
-// parseMethod resolves a request's method selection: an empty strategy
+// parseMethod resolves a request's method selection into the cache key
+// every source of the request is answered under: an empty strategy
 // selects automatically (mode must then be empty too); an explicit
 // strategy defaults to integrated mode. Shared by the singleton and
 // batch paths so the two cannot drift.
-func parseMethod(strategy, mode string) (st core.Strategy, md core.Mode, auto bool, err error) {
-	auto = strategy == ""
-	if auto {
+func parseMethod(strategy, mode string) (key cacheKey, err error) {
+	if strategy == "" {
 		if mode != "" {
-			return 0, 0, false, fmt.Errorf("%w: mode %q given without a strategy (omit both for automatic selection)", ErrBadRequest, mode)
+			return key, fmt.Errorf("%w: mode %q given without a strategy (omit both for automatic selection)", ErrBadRequest, mode)
 		}
-		return 0, 0, true, nil
+		return cacheKey{auto: true}, nil
 	}
-	if st, err = ParseStrategy(strategy); err != nil {
-		return 0, 0, false, err
+	if key.strategy, err = ParseStrategy(strategy); err != nil {
+		return key, err
 	}
-	md = core.Integrated
+	key.mode = core.Integrated
 	if mode != "" {
-		if md, err = ParseMode(mode); err != nil {
-			return 0, 0, false, err
-		}
+		key.mode, err = ParseMode(mode)
 	}
-	return st, md, false, nil
+	return key, err
 }
+
+// errEmptySource is the one per-source validation failure.
+var errEmptySource = errors.New("empty source")
 
 // validateQuery is parseMethod plus the source check, under a
 // "validate" span closed on every path. The deferred End matters:
 // early error returns used to leave the span open, so anything started
 // afterwards on the same trace would nest under a stage that had
 // already failed, corrupting the span tree.
-func validateQuery(tr *obs.Trace, source, strategy, mode string) (st core.Strategy, md core.Mode, auto bool, err error) {
+func validateQuery(tr *obs.Trace, source, strategy, mode string) (cacheKey, error) {
 	vs := tr.Start("validate", 0)
 	defer tr.End(vs, 0)
 	if source == "" {
-		return 0, 0, false, fmt.Errorf("%w: empty source", ErrBadRequest)
+		return cacheKey{}, fmt.Errorf("%w: %v", ErrBadRequest, errEmptySource)
 	}
-	return parseMethod(strategy, mode)
+	key, err := parseMethod(strategy, mode)
+	return key.of(source), err
 }
 
-// Query answers req, consulting the result cache first. The run is
-// bounded by ctx, by req.TimeoutM, and by the service default
-// timeout, whichever is tightest, and by a worker-pool slot.
+// outcomeKind is how one query, singleton or batch item, ended. Both
+// entry points plan (one read-locked pass: snapshot the artifact, answer
+// what probeLocked finds cached), execute the misses, store the fresh
+// entries and account for every outcome; they differ in how many sources
+// they plan and in what they time. The zero kind is none of these.
+type outcomeKind uint8
+
+const (
+	outHit      outcomeKind = iota + 1 // answered from the cache, or a batch duplicate answered by its first occurrence
+	outMiss                            // answered by a solve that ran to completion
+	outFailed                          // the slot wait or the solve failed (deadline, cancellation)
+	outRejected                        // refused because the service is closed
+	outBad                             // refused by validation
+)
+
+// outcome is one query's answer — a cache entry, resident or about to
+// be — or its error.
+type outcome struct {
+	kind  outcomeKind
+	entry *cacheEntry // outHit, outMiss
+	shard int         // outMiss on a sharded service: the slot that solved it
+	err   error       // outFailed, outRejected, outBad
+}
+
+// newRetrievals is what the query itself charged: the solver's meter
+// on a miss, nothing otherwise.
+func (o outcome) newRetrievals() int64 {
+	if o.kind == outMiss {
+		return o.entry.result.Stats.Retrievals
+	}
+	return 0
+}
+
+// answer renders o for the wire. A failed outcome (reported per item
+// by a batch) keeps the empty, non-nil answer list.
+func (o outcome) answer(auto bool) Answer {
+	if o.err != nil {
+		return Answer{Answers: []string{}, Auto: auto}
+	}
+	e := o.entry
+	return Answer{
+		Answers:       nonNilAnswers(e.result.Answers),
+		Stats:         e.result.Stats,
+		Strategy:      e.strategy.String(),
+		Mode:          e.mode.String(),
+		Auto:          auto,
+		Regime:        e.regime,
+		Reason:        e.reason,
+		Cached:        o.kind == outHit,
+		NewRetrievals: o.newRetrievals(),
+	}
+}
+
+// account performs every counter update one query's outcome calls for,
+// and nothing else touches these counters: each query received ends in
+// exactly one of hits, misses, errors, rejected and bad requests, and
+// every answered one — hit, folded duplicate or miss — is in byMethod
+// and retHist, whichever entry point it came through.
+func (s *Service) account(o outcome) {
+	switch o.kind {
+	case outHit, outMiss:
+		if o.kind == outHit {
+			s.cacheHits.Add(1)
+		} else {
+			s.cacheMisses.Add(1)
+			s.retrievals.Add(o.newRetrievals())
+			if s.byShard != nil {
+				s.byShard.inc(strconv.Itoa(o.shard))
+			}
+		}
+		s.retHist.observe(float64(o.newRetrievals()))
+		s.byMethod.inc(methodKey(o.entry.strategy.String(), o.entry.mode.String()))
+		if o.entry.regime != "" { // auto-selected
+			s.byRegime.inc(o.entry.regime)
+		}
+	case outFailed:
+		s.queryErrors.Add(1)
+		if errors.Is(o.err, context.DeadlineExceeded) {
+			s.timeouts.Add(1)
+		}
+	case outRejected:
+		s.rejected.Add(1)
+	case outBad:
+		s.badRequests.Add(1)
+	}
+}
+
+// probeLocked returns key's cache entry if it is live for the published
+// artifact, marking it referenced for the CLOCK sweep. Caller holds mu,
+// read or write.
+func (s *Service) probeLocked(key cacheKey) *cacheEntry {
+	entry := s.cache[key]
+	if entry == nil || entry.generation != s.art.Generation {
+		return nil
+	}
+	entry.ref.Store(true)
+	return entry
+}
+
+// withTimeout bounds ctx by the request's timeout_ms, or by the service
+// default when the request carries none.
+func (s *Service) withTimeout(ctx context.Context, timeoutMS int64) (context.Context, context.CancelFunc) {
+	timeout := s.cfg.DefaultTimeout
+	if timeoutMS > 0 {
+		timeout = time.Duration(timeoutMS) * time.Millisecond
+	}
+	return context.WithTimeout(ctx, timeout)
+}
+
+// execute answers one cache miss against art — the only caller of
+// ChooseMethod and Solve. It waits for a worker slot (a cancelled wait
+// counts against the request's own deadline, keeping the pool bounded
+// under overload), selects the method when key asks for that, and
+// solves. It closes every span it opens and touches no counter.
+func (s *Service) execute(ctx context.Context, art *core.ShardedCompiled, key cacheKey, tr *obs.Trace) outcome {
+	as := tr.Start("acquire", 0)
+	select {
+	case s.sem <- struct{}{}:
+	case <-ctx.Done():
+		tr.End(as, 0)
+		return outcome{kind: outFailed, err: ctx.Err()}
+	}
+	tr.End(as, 0)
+	defer func() { <-s.sem }()
+	if s.closed.Load() {
+		// Close is draining the pool: hand the slot straight back.
+		return outcome{kind: outRejected, err: ErrClosed}
+	}
+	s.inFlight.Add(1)
+	defer s.inFlight.Add(-1)
+
+	entry := &cacheEntry{generation: art.Generation, strategy: key.strategy, mode: key.mode}
+	opts := core.Options{Ctx: ctx, Trace: tr}
+	if key.auto {
+		cls := tr.Start("classify", 0)
+		sel := art.ChooseMethod(key.source)
+		if cls != nil {
+			cls.Name = "classify/" + sel.Regime.String()
+		}
+		tr.End(cls, 0)
+		entry.strategy, entry.mode = sel.Strategy, sel.Mode
+		entry.regime, entry.reason = sel.Regime.String(), sel.Reason
+		opts.SCCStep1 = sel.Options.SCCStep1
+	}
+	out := outcome{kind: outMiss, entry: entry}
+	ss := tr.Start("solve", 0)
+	if s.byShard != nil {
+		out.shard = art.ShardOf(key.source)
+		ss.Set("shard", int64(out.shard))
+	}
+	res, err := art.Solve(key.source, entry.strategy, entry.mode, opts)
+	if err != nil {
+		tr.End(ss, 0)
+		return outcome{kind: outFailed, err: err}
+	}
+	tr.End(ss, res.Stats.Retrievals)
+	entry.result = res
+	return out
+}
+
+// store caches the entries outs solved fresh (outs[i] answers
+// sources[i] under base's method) with one write lock for all of them.
+func (s *Service) store(base cacheKey, sources []string, outs []outcome) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i, o := range outs {
+		if o.kind == outMiss {
+			s.storeResultLocked(base.of(sources[i]), o.entry)
+		}
+	}
+}
+
+// Query answers req, from the result cache when it can. A miss is
+// bounded by ctx, req.TimeoutM and the service default timeout, whichever
+// is tightest, and by a worker-pool slot; a hit waits for nothing.
 func (s *Service) Query(ctx context.Context, req QueryRequest) (*QueryResponse, error) {
 	started := time.Now()
 	s.queries.Add(1)
-	resp, err := s.query(ctx, req)
-	if errors.Is(err, ErrClosed) {
-		// Shutdown fast-fails are load-balancer noise, not query
-		// failures: counting them as errors (and their sub-microsecond
-		// latencies as samples) would skew both metrics during every
-		// deploy. They get their own counter instead.
-		s.rejected.Add(1)
-		return nil, err
-	}
-	if errors.Is(err, ErrBadRequest) {
-		// Validation failures never reach a solver, so their
-		// sub-microsecond turnaround is not a query latency: one client
-		// sending garbage would drag p50 toward zero and inflate
-		// mc_query_errors_total with failures that say nothing about
-		// the serving path. They mirror the ErrClosed treatment: their
-		// own counter, no latency sample.
-		s.badRequests.Add(1)
-		return nil, err
-	}
-	elapsed := time.Since(started)
-	s.lat.record(elapsed)
-	s.latHist.observe(elapsed.Seconds())
-	if err != nil {
-		s.queryErrors.Add(1)
-		if errors.Is(err, context.DeadlineExceeded) {
-			s.timeouts.Add(1)
-		}
-		return nil, err
-	}
-	s.retHist.observe(float64(resp.NewRetrievals))
-	s.byMethod.inc(methodKey(resp.Strategy, resp.Mode))
-	if resp.Auto {
-		s.byRegime.inc(resp.Regime)
-	}
-	resp.ElapsedMS = float64(elapsed.Microseconds()) / 1000
-	return resp, nil
-}
-
-func (s *Service) query(ctx context.Context, req QueryRequest) (*QueryResponse, error) {
 	if s.closed.Load() {
+		s.account(outcome{kind: outRejected})
 		return nil, ErrClosed
 	}
 	// tr stays nil for untraced requests; every obs call below is
@@ -455,126 +591,49 @@ func (s *Service) query(ctx context.Context, req QueryRequest) (*QueryResponse, 
 		s.traced.Add(1)
 		tr = obs.New("query", 0)
 	}
-
-	strategy, mode, auto, err := validateQuery(tr, req.Source, req.Strategy, req.Mode)
+	key, err := validateQuery(tr, req.Source, req.Strategy, req.Mode)
 	if err != nil {
+		s.account(outcome{kind: outBad})
 		return nil, err
 	}
 
-	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutM > 0 {
-		timeout = time.Duration(req.TimeoutM) * time.Millisecond
-	}
-	ctx, cancel := context.WithTimeout(ctx, timeout)
-	defer cancel()
-
-	// Acquire a worker-pool slot; a cancelled wait counts against the
-	// request's own deadline, keeping the pool bounded under overload.
-	as := tr.Start("acquire", 0)
-	select {
-	case s.sem <- struct{}{}:
-		if s.closed.Load() {
-			// Close is draining the pool; hand the slot straight back
-			// rather than holding it until our deadline.
-			<-s.sem
-			tr.End(as, 0)
-			return nil, ErrClosed
-		}
-		s.inFlight.Add(1)
-		defer func() {
-			s.inFlight.Add(-1)
-			<-s.sem
-		}()
-	case <-ctx.Done():
-		tr.End(as, 0)
-		return nil, ctx.Err()
-	}
-	tr.End(as, 0)
-
-	key := cacheKey{source: req.Source, strategy: strategy, mode: mode, auto: auto}
-
 	// Snapshot the database under the read lock: the artifact is
-	// immutable, so the solve below runs lock-free on one generation.
+	// immutable, so a solve runs lock-free on one generation.
 	cs := tr.Start("cache", 0)
 	s.mu.RLock()
 	art := s.art
-	entry := s.cache[key]
+	o := outcome{kind: outHit, entry: s.probeLocked(key)}
 	s.mu.RUnlock()
-	gen := art.Generation
-
-	if entry != nil && entry.generation == gen {
-		entry.ref.Store(true)
-		s.cacheHits.Add(1)
+	if o.entry != nil {
 		cs.Set("hit", 1)
 		tr.End(cs, 0)
-		return &QueryResponse{
-			Answers:       nonNilAnswers(entry.result.Answers),
-			Stats:         entry.result.Stats,
-			Strategy:      entry.strategy.String(),
-			Mode:          entry.mode.String(),
-			Auto:          auto,
-			Regime:        entry.regime,
-			Reason:        entry.reason,
-			Cached:        true,
-			NewRetrievals: 0,
-			Generation:    gen,
-			Trace:         tr.Finish(0),
-		}, nil
-	}
-	cs.Set("hit", 0)
-	tr.End(cs, 0)
-
-	opts := core.Options{Ctx: ctx, Trace: tr}
-	regime, reason := "", ""
-	if auto {
-		cls := tr.Start("classify", 0)
-		sel := art.ChooseMethod(req.Source)
-		if cls != nil {
-			cls.Name = "classify/" + sel.Regime.String()
+	} else {
+		cs.Set("hit", 0)
+		tr.End(cs, 0)
+		sctx, cancel := s.withTimeout(ctx, req.TimeoutM)
+		o = s.execute(sctx, art, key, tr)
+		cancel()
+		if o.kind == outMiss { // a failed solve has nothing worth the write lock
+			s.store(key, []string{req.Source}, []outcome{o})
 		}
-		tr.End(cls, 0)
-		strategy, mode = sel.Strategy, sel.Mode
-		opts.SCCStep1 = sel.Options.SCCStep1
-		regime, reason = sel.Regime.String(), sel.Reason
 	}
-	ss := tr.Start("solve", 0)
-	if ss != nil && s.byShard != nil {
-		ss.Set("shard", int64(art.ShardOf(req.Source)))
+	s.account(o)
+	if o.kind == outRejected {
+		return nil, o.err
 	}
-	res, err := art.Solve(req.Source, strategy, mode, opts)
-	if err != nil {
-		return nil, err
+	// Rejected and invalid requests return without a latency sample:
+	// neither reached a solver, and their sub-microsecond turnaround (one
+	// client sending garbage, every deploy) would drag p50 toward zero.
+	elapsed := time.Since(started)
+	s.latHist.observe(elapsed.Seconds())
+	if o.err != nil {
+		return nil, o.err
 	}
-	tr.End(ss, res.Stats.Retrievals)
-	// A miss is a solve that ran to completion, as on the batch path:
-	// a failed one is the caller's query error and nothing else.
-	s.cacheMisses.Add(1)
-	s.retrievals.Add(res.Stats.Retrievals)
-	s.countShard(art, req.Source)
-
-	s.mu.Lock()
-	s.storeResultLocked(key, gen, &cacheEntry{
-		generation: gen,
-		result:     res,
-		strategy:   strategy,
-		mode:       mode,
-		regime:     regime,
-		reason:     reason,
-	})
-	s.mu.Unlock()
-
 	return &QueryResponse{
-		Answers:       nonNilAnswers(res.Answers),
-		Stats:         res.Stats,
-		Strategy:      strategy.String(),
-		Mode:          mode.String(),
-		Auto:          auto,
-		Regime:        regime,
-		Reason:        reason,
-		Cached:        false,
-		NewRetrievals: res.Stats.Retrievals,
-		Generation:    gen,
-		Trace:         tr.Finish(res.Stats.Retrievals),
+		Answer:     o.answer(key.auto),
+		Generation: art.Generation,
+		ElapsedMS:  float64(elapsed.Microseconds()) / 1000,
+		Trace:      tr.Finish(o.newRetrievals()),
 	}, nil
 }
 
@@ -588,9 +647,8 @@ func nonNilAnswers(a []string) []string {
 	return a
 }
 
-// maxBatchSources bounds one batch request. 1024 sources amortize one
-// compile thoroughly; anything larger should be split so a single
-// request cannot monopolize the worker pool for an unbounded stretch.
+// maxBatchSources bounds one batch request, so that a single request
+// cannot monopolize the worker pool for an unbounded stretch.
 const maxBatchSources = 1024
 
 // BatchRequest asks for the answers to ?- P(a, Y) for many bound
@@ -611,17 +669,9 @@ type BatchRequest struct {
 // intact. A duplicate source is folded onto its first occurrence and
 // reported Cached with zero NewRetrievals.
 type BatchItem struct {
-	Source        string     `json:"source"`
-	Answers       []string   `json:"answers"`
-	Stats         core.Stats `json:"stats"`
-	Strategy      string     `json:"strategy,omitempty"`
-	Mode          string     `json:"mode,omitempty"`
-	Auto          bool       `json:"auto"`
-	Regime        string     `json:"regime,omitempty"`
-	Reason        string     `json:"reason,omitempty"`
-	Cached        bool       `json:"cached"`
-	NewRetrievals int64      `json:"new_retrievals"`
-	Error         string     `json:"error,omitempty"`
+	Source string `json:"source"`
+	Answer
+	Error string `json:"error,omitempty"`
 }
 
 // BatchResponse answers a batch; Items aligns with Sources.
@@ -632,11 +682,10 @@ type BatchResponse struct {
 }
 
 // QueryBatch answers every source of req against one snapshot of the
-// database: one read-lock pass snapshots the artifact and the cache
-// entries, and the misses fan out across the worker pool — and so
-// across the shards, each item routing to its source's — each item
-// acquiring a slot like a singleton query would. Per-item failures are
-// reported in the item, not as a batch error.
+// database: one read-lock pass snapshots the artifact and answers the
+// cached sources, and the misses run on at most Workers goroutines,
+// each item routing to its source's shard and acquiring a slot like a
+// singleton query would. Per-item failures are reported in the item.
 func (s *Service) QueryBatch(ctx context.Context, req BatchRequest) (*BatchResponse, error) {
 	started := time.Now()
 	s.batches.Add(1)
@@ -646,7 +695,7 @@ func (s *Service) QueryBatch(ctx context.Context, req BatchRequest) (*BatchRespo
 	if len(req.Sources) > maxBatchSources {
 		return nil, fmt.Errorf("%w: %d sources exceed the batch limit of %d", ErrBadRequest, len(req.Sources), maxBatchSources)
 	}
-	strategy, mode, auto, err := parseMethod(req.Strategy, req.Mode)
+	base, err := parseMethod(req.Strategy, req.Mode)
 	if err != nil {
 		return nil, err
 	}
@@ -654,185 +703,83 @@ func (s *Service) QueryBatch(ctx context.Context, req BatchRequest) (*BatchRespo
 	if s.closed.Load() {
 		// Every item is a rejected query, counted after queries so the
 		// accounting identity holds across a shutdown.
-		s.rejected.Add(int64(len(req.Sources)))
+		for range req.Sources {
+			s.account(outcome{kind: outRejected})
+		}
 		return nil, ErrClosed
 	}
 
-	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutM > 0 {
-		timeout = time.Duration(req.TimeoutM) * time.Millisecond
-	}
-	ctx, cancel := context.WithTimeout(ctx, timeout)
-	defer cancel()
-
-	// One snapshot serves the whole batch: every item evaluates the
-	// same immutable generation, however many appends land mid-flight.
+	// Plan. One snapshot serves the whole batch: every item evaluates
+	// the same immutable generation, however many appends land
+	// mid-flight. Only the first occurrence of a source gets an outcome.
+	outs := make([]outcome, len(req.Sources))
+	first := make(map[string]int, len(req.Sources))
+	var misses []int
 	s.mu.RLock()
 	art := s.art
-	entries := make(map[string]*cacheEntry, len(req.Sources))
-	for _, src := range req.Sources {
-		if _, seen := entries[src]; !seen {
-			entries[src] = s.cache[cacheKey{source: src, strategy: strategy, mode: mode, auto: auto}]
+	for i, src := range req.Sources {
+		if _, dup := first[src]; dup {
+			continue
+		}
+		first[src] = i
+		if src == "" {
+			outs[i] = outcome{kind: outBad, err: errEmptySource}
+		} else if entry := s.probeLocked(base.of(src)); entry != nil {
+			outs[i] = outcome{kind: outHit, entry: entry}
+		} else {
+			misses = append(misses, i)
 		}
 	}
 	s.mu.RUnlock()
-	gen := art.Generation
 
+	// Execute the misses on min(Workers, misses) goroutines, this one
+	// included (more could not hold a slot), sharing one cursor.
+	if len(misses) > 0 {
+		sctx, cancel := s.withTimeout(ctx, req.TimeoutM)
+		var cursor atomic.Int64
+		work := func() {
+			for n := cursor.Add(1); int(n) <= len(misses); n = cursor.Add(1) {
+				i := misses[n-1]
+				outs[i] = s.execute(sctx, art, base.of(req.Sources[i]), nil)
+			}
+		}
+		var wg sync.WaitGroup
+		for w := min(s.cfg.Workers, len(misses)); w > 1; w-- {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				work()
+			}()
+		}
+		work()
+		wg.Wait()
+		cancel()
+		s.store(base, req.Sources, outs)
+	}
+
+	// Account. A duplicate is one more query of the batch, answered by
+	// its first occurrence without a solve of its own: a hit when that
+	// one succeeded, the same failure when it did not.
 	items := make([]BatchItem, len(req.Sources))
-	store := make([]*cacheEntry, len(req.Sources))
-	first := make(map[string]int, len(req.Sources))
-	var missing []int
 	for i, src := range req.Sources {
-		items[i] = BatchItem{Source: src, Auto: auto, Answers: []string{}}
-		if src == "" {
-			// A validation failure, not a query failure — counted with
-			// the singleton path's bad requests so mc_query_errors_total
-			// only ever reports solves that went wrong.
-			s.badRequests.Add(1)
-			items[i].Error = "empty source"
-			continue
+		o := outs[first[src]]
+		if first[src] != i && o.kind == outMiss {
+			o.kind = outHit
 		}
-		if _, dup := first[src]; dup {
-			continue // folded onto the first occurrence below
+		s.account(o)
+		items[i] = BatchItem{Source: src, Answer: o.answer(base.auto)}
+		if o.err != nil {
+			items[i].Error = o.err.Error()
 		}
-		first[src] = i
-		if entry := entries[src]; entry != nil && entry.generation == gen {
-			entry.ref.Store(true)
-			s.cacheHits.Add(1)
-			items[i] = BatchItem{
-				Source:   src,
-				Answers:  nonNilAnswers(entry.result.Answers),
-				Stats:    entry.result.Stats,
-				Strategy: entry.strategy.String(),
-				Mode:     entry.mode.String(),
-				Auto:     auto,
-				Regime:   entry.regime,
-				Reason:   entry.reason,
-				Cached:   true,
-			}
-			s.byMethod.inc(methodKey(items[i].Strategy, items[i].Mode))
-			if auto {
-				s.byRegime.inc(entry.regime)
-			}
-			continue
-		}
-		missing = append(missing, i)
 	}
 
-	var wg sync.WaitGroup
-	for _, i := range missing {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			src := items[i].Source
-			select {
-			case s.sem <- struct{}{}:
-				if s.closed.Load() {
-					<-s.sem
-					s.rejected.Add(1)
-					items[i].Error = ErrClosed.Error()
-					return
-				}
-				s.inFlight.Add(1)
-				defer func() {
-					s.inFlight.Add(-1)
-					<-s.sem
-				}()
-			case <-ctx.Done():
-				s.queryErrors.Add(1)
-				if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-					s.timeouts.Add(1)
-				}
-				items[i].Error = ctx.Err().Error()
-				return
-			}
-			st, md := strategy, mode
-			opts := core.Options{Ctx: ctx}
-			regime, reason := "", ""
-			if auto {
-				sel := art.ChooseMethod(src)
-				st, md = sel.Strategy, sel.Mode
-				opts.SCCStep1 = sel.Options.SCCStep1
-				regime, reason = sel.Regime.String(), sel.Reason
-			}
-			res, err := art.Solve(src, st, md, opts)
-			if err != nil {
-				s.queryErrors.Add(1)
-				if errors.Is(err, context.DeadlineExceeded) {
-					s.timeouts.Add(1)
-				}
-				items[i].Error = err.Error()
-				return
-			}
-			s.cacheMisses.Add(1)
-			s.retrievals.Add(res.Stats.Retrievals)
-			s.retHist.observe(float64(res.Stats.Retrievals))
-			s.countShard(art, src)
-			s.byMethod.inc(methodKey(st.String(), md.String()))
-			if auto {
-				s.byRegime.inc(regime)
-			}
-			items[i] = BatchItem{
-				Source:        src,
-				Answers:       nonNilAnswers(res.Answers),
-				Stats:         res.Stats,
-				Strategy:      st.String(),
-				Mode:          md.String(),
-				Auto:          auto,
-				Regime:        regime,
-				Reason:        reason,
-				NewRetrievals: res.Stats.Retrievals,
-			}
-			store[i] = &cacheEntry{
-				generation: gen,
-				result:     res,
-				strategy:   st,
-				mode:       md,
-				regime:     regime,
-				reason:     reason,
-			}
-		}(i)
-	}
-	wg.Wait()
-
-	// Fold duplicates onto their first occurrence's outcome, and store
-	// the fresh results under one lock. Every folded item is still one
-	// query of the batch, so its outcome is counted like the original's
-	// — a successful fold as a cache hit (it was answered without a
-	// solve), a folded failure under the matching failure counter —
-	// keeping queries == hits + misses + errors + rejected + bad exact.
-	for i, src := range req.Sources {
-		if j, ok := first[src]; ok && j != i {
-			items[i] = items[j]
-			switch {
-			case items[i].Error == "":
-				items[i].Cached = true
-				items[i].NewRetrievals = 0
-				s.cacheHits.Add(1)
-			case items[i].Error == ErrClosed.Error():
-				s.rejected.Add(1)
-			default:
-				s.queryErrors.Add(1)
-			}
-		}
-	}
-	s.mu.Lock()
-	for i, entry := range store {
-		if entry != nil {
-			s.storeResultLocked(cacheKey{source: items[i].Source, strategy: strategy, mode: mode, auto: auto}, gen, entry)
-		}
-	}
-	s.mu.Unlock()
-
-	// One whole-batch wall-time sample into the batch window only:
-	// recording it beside the singleton samples would inflate the query
-	// p99 in proportion to batch size.
+	// One whole-batch wall-time sample, into the batch histogram only
+	// (see latHist).
 	elapsed := time.Since(started)
-	s.blat.record(elapsed)
 	s.batchHist.observe(elapsed.Seconds())
 	return &BatchResponse{
 		Items:      items,
-		Generation: gen,
+		Generation: art.Generation,
 		ElapsedMS:  float64(elapsed.Microseconds()) / 1000,
 	}, nil
 }
@@ -844,21 +791,13 @@ func (s *Service) current() *core.ShardedCompiled {
 	return s.art
 }
 
-// countShard counts one solver run against the shard that served it;
-// with a single shard there is no such family.
-func (s *Service) countShard(art *core.ShardedCompiled, source string) {
-	if s.byShard != nil {
-		s.byShard.inc(strconv.Itoa(art.ShardOf(source)))
-	}
-}
-
-// storeResultLocked caches entry under key if the snapshot generation
-// is still current: if AppendFacts bumped the generation mid-solve,
-// the result reflects the old snapshot and must not serve future
-// queries. First-time keys join the CLOCK ring, evicting a victim
+// storeResultLocked caches entry under key if the generation it was
+// solved on is still current: if AppendFacts bumped the generation
+// mid-solve, the result reflects the old snapshot and must not serve
+// future queries. First-time keys join the CLOCK ring, evicting a victim
 // when the cache is at capacity.
-func (s *Service) storeResultLocked(key cacheKey, gen uint64, entry *cacheEntry) {
-	if s.art.Generation != gen {
+func (s *Service) storeResultLocked(key cacheKey, entry *cacheEntry) {
+	if s.art.Generation != entry.generation {
 		return
 	}
 	if _, exists := s.cache[key]; !exists {
@@ -885,23 +824,20 @@ func (s *Service) evictOneLocked() {
 		}
 		k := s.clock[s.hand]
 		entry := s.cache[k]
-		if entry == nil {
-			// Dead slot (entry purged behind the ring): compact by
-			// swapping the last slot in, and resweep the position.
-			last := len(s.clock) - 1
-			s.clock[s.hand] = s.clock[last]
-			s.clock = s.clock[:last]
-			continue
-		}
-		if entry.ref.CompareAndSwap(true, false) {
+		if entry != nil && entry.ref.CompareAndSwap(true, false) {
 			s.hand++ // second chance
 			continue
 		}
-		delete(s.cache, k)
+		// The victim, or a dead slot (entry purged behind the ring):
+		// compact by swapping the last slot in; after a dead slot the
+		// sweep resumes at the same position.
 		last := len(s.clock) - 1
 		s.clock[s.hand] = s.clock[last]
 		s.clock = s.clock[:last]
-		return
+		if entry != nil {
+			delete(s.cache, k)
+			return
+		}
 	}
 }
 
@@ -1135,10 +1071,11 @@ type Stats struct {
 	TracedQueries   int64   `json:"traced_queries"`
 	Workers         int     `json:"workers"`
 	InFlight        int     `json:"in_flight"`
-	LatencyP50MS    float64 `json:"latency_p50_ms"`
-	LatencyP99MS    float64 `json:"latency_p99_ms"`
-	// BatchLatency* are whole-batch request latencies, windowed
-	// separately from the singleton percentiles above.
+	// Latency* are since-start estimates read off the latency
+	// histogram's buckets (histogram.quantile), not a recent window.
+	LatencyP50MS float64 `json:"latency_p50_ms"`
+	LatencyP99MS float64 `json:"latency_p99_ms"`
+	// BatchLatency* are the same estimates over whole-batch requests.
 	BatchLatencyP50MS float64 `json:"batch_latency_p50_ms"`
 	BatchLatencyP99MS float64 `json:"batch_latency_p99_ms"`
 	// Durable reports whether a durable store is open; the remaining
@@ -1281,8 +1218,6 @@ func (s *Service) Stats() Stats {
 			Shards:        art.ShardInfos(),
 		}
 	}
-	p50, p99 := s.lat.percentile(0.50), s.lat.percentile(0.99)
-	bp50, bp99 := s.blat.percentile(0.50), s.blat.percentile(0.99)
 	return Stats{
 		UptimeSeconds:   time.Since(s.start).Seconds(),
 		Generation:      art.Generation,
@@ -1304,11 +1239,11 @@ func (s *Service) Stats() Stats {
 		TracedQueries:   s.traced.Load(),
 		Workers:         s.cfg.Workers,
 		InFlight:        int(s.inFlight.Load()),
-		LatencyP50MS:    float64(p50.Microseconds()) / 1000,
-		LatencyP99MS:    float64(p99.Microseconds()) / 1000,
+		LatencyP50MS:    s.latHist.quantileMS(0.50),
+		LatencyP99MS:    s.latHist.quantileMS(0.99),
 
-		BatchLatencyP50MS: float64(bp50.Microseconds()) / 1000,
-		BatchLatencyP99MS: float64(bp99.Microseconds()) / 1000,
+		BatchLatencyP50MS: s.batchHist.quantileMS(0.50),
+		BatchLatencyP99MS: s.batchHist.quantileMS(0.99),
 
 		Durable:                 s.dur != nil,
 		WALAppends:              s.walAppends.Load(),

@@ -10,6 +10,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -94,10 +95,10 @@ func TestBadRequestsExcludedFromLatency(t *testing.T) {
 	if _, count, _ := s.latHist.snapshot(); count != 1 {
 		t.Fatalf("latency histogram has %d samples after one good query, want 1", count)
 	}
-	if st := s.Stats(); st.Queries != int64(len(bad))+1 ||
-		st.CacheHits+st.CacheMisses+st.QueryErrors+st.QueriesRejected+st.BadRequests != st.Queries {
-		t.Fatalf("query accounting does not close: %+v", st)
+	if st := s.Stats(); st.Queries != int64(len(bad))+1 {
+		t.Fatalf("queries = %d, want %d", st.Queries, len(bad)+1)
 	}
+	checkAccounting(t, s)
 }
 
 // TestValidateSpanClosedOnError asserts the validate span is ended on
@@ -115,7 +116,7 @@ func TestValidateSpanClosedOnError(t *testing.T) {
 		{"mode without strategy", "a", "", "integrated"},
 	} {
 		tr := obs.New("query", 0)
-		if _, _, _, err := validateQuery(tr, tc.source, tc.strategy, tc.mode); !errors.Is(err, ErrBadRequest) {
+		if _, err := validateQuery(tr, tc.source, tc.strategy, tc.mode); !errors.Is(err, ErrBadRequest) {
 			t.Fatalf("%s: err = %v, want ErrBadRequest", tc.name, err)
 		}
 		next := tr.Start("next", 0)
@@ -134,7 +135,7 @@ func TestValidateSpanClosedOnError(t *testing.T) {
 
 	// The success path keeps the same shape: validate is a closed leaf.
 	tr := obs.New("query", 0)
-	if _, _, _, err := validateQuery(tr, "a", "single", "integrated"); err != nil {
+	if _, err := validateQuery(tr, "a", "single", "integrated"); err != nil {
 		t.Fatal(err)
 	}
 	root := tr.Finish(0)
@@ -204,45 +205,77 @@ func TestBatchLatencySeparateFromQueries(t *testing.T) {
 	}
 }
 
-// TestBatchAccountingCloses asserts the per-item counters partition
-// mc_queries_total exactly, duplicates and empty sources included:
-// queries == hits + misses + errors + rejected + bad.
-func TestBatchAccountingCloses(t *testing.T) {
-	s := New(Config{Workers: 4})
-	if _, err := s.AppendFacts(FactsRequest{Parent: []core.Pair{core.P("a", "b"), core.P("b", "c")}}); err != nil {
-		t.Fatal(err)
+// TestBatchSingletonParity sends one source list — a duplicate, a
+// cached source, an unknown one, an empty one — as singletons to one
+// service and as a batch to another, and requires the same counters of
+// both: idle, with every slot held past the deadline (the cached source
+// still hits, needing no slot; the rest time out), and closed.
+func TestBatchSingletonParity(t *testing.T) {
+	sources := []string{"p0_0", "p0_1", "p0_0", "nobody", "p0_2", ""}
+	expired, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
+	defer cancel()
+	for name, tc := range map[string]struct {
+		starve, close bool
+		want          tally // p0_2 is primed first: one query, one miss
+	}{
+		"idle":    {want: tally{queries: 7, hits: 2, misses: 4, bad: 1, byMethod: 6, byRegime: 6, retrievalSamples: 6}},
+		"starved": {starve: true, want: tally{queries: 7, hits: 1, misses: 1, errors: 4, timeouts: 4, bad: 1, byMethod: 2, byRegime: 2, retrievalSamples: 2}},
+		"closed":  {close: true, want: tally{queries: 7, misses: 1, rejected: 6, byMethod: 1, byRegime: 1, retrievalSamples: 1}},
+	} {
+		for _, batch := range []bool{false, true} {
+			s := New(Config{Workers: 1})
+			genealogyFacts(t, s, 6, 4)
+			ctx := context.Background()
+			if _, err := s.Query(ctx, QueryRequest{Source: "p0_2"}); err != nil {
+				t.Fatal(err)
+			}
+			if tc.starve {
+				s.sem <- struct{}{}
+				ctx = expired
+			}
+			if tc.close && s.Close(ctx) != nil {
+				t.Fatal("Close failed")
+			}
+			if batch {
+				s.QueryBatch(ctx, BatchRequest{Sources: sources})
+			} else {
+				for _, src := range sources {
+					s.Query(ctx, QueryRequest{Source: src})
+				}
+			}
+			if got := tallyOf(s); got != tc.want {
+				t.Errorf("%s, batch=%v:\n got %+v\nwant %+v", name, batch, got, tc.want)
+			}
+			checkAccounting(t, s)
+		}
 	}
-	// a solves, the duplicate a folds (counted as a hit), "" is a bad
-	// request, b solves.
-	resp, err := s.QueryBatch(context.Background(), BatchRequest{Sources: []string{"a", "a", "", "b"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resp.Items) != 4 {
-		t.Fatalf("items = %d, want 4", len(resp.Items))
-	}
-	if !resp.Items[1].Cached {
-		t.Fatalf("folded duplicate not reported cached: %+v", resp.Items[1])
-	}
-	st := s.Stats()
-	if st.Queries != 4 {
-		t.Fatalf("Queries = %d, want 4", st.Queries)
-	}
-	checkAccounting(t, s)
-	if st.BadRequests != 1 {
-		t.Fatalf("BadRequests = %d, want 1 (empty batch item)", st.BadRequests)
-	}
+}
 
-	// A batch refused by a closed service is len(Sources) rejected
-	// queries: the old path counted one rejection and no queries.
-	if err := s.Close(context.Background()); err != nil {
-		t.Fatal(err)
+// TestBatchWorkersBounded holds every slot so a 512-miss batch stalls,
+// on at most Workers goroutines; released, it solves every item.
+func TestBatchWorkersBounded(t *testing.T) {
+	s := New(Config{Workers: 2})
+	sources := make([]string, 512)
+	for i := range sources {
+		sources[i] = fmt.Sprintf("n%d", i)
 	}
-	if _, err := s.QueryBatch(context.Background(), BatchRequest{Sources: []string{"a", "b", "c"}}); !errors.Is(err, ErrClosed) {
-		t.Fatalf("batch on a closed service: %v, want ErrClosed", err)
+	s.sem <- struct{}{}
+	s.sem <- struct{}{}
+	before := runtime.NumGoroutine()
+	done := make(chan error, 1)
+	go func() {
+		_, err := s.QueryBatch(context.Background(), BatchRequest{Sources: sources})
+		done <- err
+	}()
+	for deadline := time.Now().Add(50 * time.Millisecond); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if n := runtime.NumGoroutine(); n > before+8 {
+			t.Fatalf("%d goroutines during the batch, %d before it: want at most Workers more, not one per miss", n, before)
+		}
 	}
-	if st := s.Stats(); st.Queries != 7 || st.QueriesRejected != 3 {
-		t.Fatalf("after a rejected 3-item batch: queries=%d rejected=%d, want 7 and 3", st.Queries, st.QueriesRejected)
+	<-s.sem
+	<-s.sem
+	if err := <-done; err != nil || s.Stats().CacheMisses != 512 {
+		t.Fatalf("released batch: err %v, %d of 512 solved", err, s.Stats().CacheMisses)
 	}
 	checkAccounting(t, s)
 }
