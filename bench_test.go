@@ -337,6 +337,48 @@ func BenchmarkEngineParallel(b *testing.B) {
 	}
 }
 
+// BenchmarkChooseMethod measures auto-selection alone — the magic-graph
+// classification a miss pays before its solve — over a 33k-node
+// database of 1,024 disjoint 32-node chains, so a source reaches a
+// thousandth of it: for a present source and for one that occurs in no
+// relation, on the cold-compiled artifact and on the flattened form of
+// an Extend chain. Time and bytes still grow with the database (the
+// classifier's dense result arrays); allocs/op must not.
+func BenchmarkChooseMethod(b *testing.B) {
+	var base, delta []core.Pair
+	for c := 0; c < 1024; c++ {
+		for i := 0; i < 31; i++ {
+			p := core.P(fmt.Sprintf("r%d_%d", c, i), fmt.Sprintf("r%d_%d", c, i+1))
+			if c%8 == 7 {
+				delta = append(delta, p)
+			} else {
+				base = append(base, p)
+			}
+		}
+	}
+	all := core.SameGeneration(append(append([]core.Pair(nil), base...), delta...), "r0_0")
+	bq, dq := core.SameGeneration(base, "r0_0"), core.SameGeneration(delta, "r7_0")
+	artifacts := []struct {
+		name string
+		c    *core.Compiled
+	}{
+		{"cold", core.Compile(all.L, all.E, all.R)},
+		{"flattened", core.Compile(bq.L, bq.E, bq.R).Extend(dq.L, dq.E, dq.R).Flatten()},
+	}
+	for _, a := range artifacts {
+		for _, src := range []struct{ name, source string }{{"present", "r7_0"}, {"absent", "in-no-relation"}} {
+			b.Run(a.name+"/"+src.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if sel := a.c.ChooseMethod(src.source); sel.Regime != core.RegimeRegular {
+						b.Fatalf("selected %+v, want the regular regime", sel)
+					}
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkServerQuery measures the query service end to end: the
 // cache-hit fast path and the full solve path (rotating sources defeat
 // the cache).

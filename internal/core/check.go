@@ -19,8 +19,7 @@ import (
 // boundary of correctness.
 func CheckReducedSets(q Query, rs *ReducedSets, mode Mode) error {
 	in := build(q)
-	lg := in.lGraph()
-	cls := lg.Classify(int(in.src))
+	cls := in.classify()
 
 	// Condition a: the partition covers the magic set exactly.
 	inRC := make([]bool, in.nL)

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"sync"
-
-	"magiccounting/internal/graph"
-)
+import "sync"
 
 // This file holds the compiled-instance layer: the build-once,
 // share-everywhere artifact behind every solver entry point. The
@@ -113,14 +109,13 @@ type Compiled struct {
 	lidOv *symOv
 	ridOv *symOv
 
+	// lOut and lIn are the magic graph G_L, the artifact's only copy of
+	// it: per-query classification (method auto-selection, the SCC
+	// Step 1) reads lOut's rows directly.
 	lOut csr // G_L arcs: L-node -> L-nodes
 	lIn  csr // reverse of lOut
 	eOut csr // G_E arcs: L-node -> R-nodes
 	rOut csr // descent arcs: rOut[c] = {b : (b, c) in R}
-
-	// lg is the magic graph as a graph.Digraph, prebuilt so per-query
-	// classification (method auto-selection) skips reconstruction.
-	lg *graph.Digraph
 
 	// lGen, eGen, and rGen tag each relation's adjacency with the
 	// generation at which it last changed: an Extend whose delta leaves
@@ -198,10 +193,6 @@ func Compile(L, E, R []Pair) *Compiled {
 	c.lIn = buildCSR(nL, lArcs, true)
 	c.eOut = buildCSR(nL, eArcs, false)
 	c.rOut = buildCSR(nR, rArcs, false)
-	c.lg = graph.NewDigraph(nL)
-	for _, a := range lArcs {
-		c.lg.AddArc(int(a.u), int(a.v))
-	}
 	return c
 }
 

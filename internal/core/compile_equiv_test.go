@@ -129,6 +129,41 @@ func TestCompileEquivalence(t *testing.T) {
 	}
 }
 
+// TestChooseMethodAbsentSource pins the cost and the outcome of
+// auto-selection for a source that occurs in no relation (a misspelt
+// name, a node not yet appended). It reaches nothing, so it is regular
+// whatever the database holds — here one big cycle, which a classifier
+// looking past the source's reach would call cyclic — its answers and
+// Stats are those of an explicit basic/integrated solve, and selecting
+// for it allocates the same small number of objects on a 2k-fact and a
+// 100k-fact database: nothing is built per arc or per node to give the
+// source its one isolated node.
+func TestChooseMethodAbsentSource(t *testing.T) {
+	const absent = "not-in-any-relation"
+	var allocs []float64
+	for _, nodes := range []int{700, 33400} { // 3 facts per node
+		q := workload.Cycle(nodes)
+		c := core.Compile(q.L, q.E, q.R)
+		if sel := c.ChooseMethod(q.Source); sel.Regime != core.RegimeCyclic {
+			t.Fatalf("%d nodes: present source selected %+v, want the cyclic regime", nodes, sel)
+		}
+		sel := c.ChooseMethod(absent)
+		if sel.Regime != core.RegimeRegular || sel.Strategy != core.Basic || sel.Mode != core.Integrated {
+			t.Fatalf("%d nodes: absent source selected %+v, want regular -> basic/integrated", nodes, sel)
+		}
+		auto, asel, aerr := c.SolveAuto(absent, core.Options{})
+		if !reflect.DeepEqual(asel, sel) {
+			t.Errorf("%d nodes: SolveAuto selected %+v, ChooseMethod %+v", nodes, asel, sel)
+		}
+		explicit, eerr := c.Solve(absent, core.Basic, core.Integrated, core.Options{})
+		checkSame(t, fmt.Sprintf("%d nodes auto vs basic/integrated", nodes), explicit, eerr, auto, aerr)
+		allocs = append(allocs, testing.AllocsPerRun(10, func() { c.ChooseMethod(absent) }))
+	}
+	if allocs[0] != allocs[1] || allocs[0] > 16 {
+		t.Errorf("ChooseMethod(absent source) allocates %v objects on the 2k-fact database and %v on the 100k-fact one, want the same small constant", allocs[0], allocs[1])
+	}
+}
+
 // TestCompileSharedConcurrent hammers one Compiled from many
 // goroutines across sources and methods at once; every result must
 // match the sequentially precomputed expectation. Run under -race this

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"magiccounting/internal/graph"
-)
+import "fmt"
 
 // This file is the delta-compilation layer: Extend patches a Compiled
 // artifact with a fact delta instead of rebuilding it, the maintenance
@@ -20,10 +16,8 @@ import (
 //     carries a delta arc get fresh storage, every untouched row
 //     aliases the parent's arc array, and a relation with no delta at
 //     all aliases wholesale (its generation tag carries forward);
-//   - the prebuilt magic graph is extended semi-naive-style: the
-//     delta arcs' endpoints seed the patch frontier, and only their
-//     adjacency rows (forward and reverse) are re-derived — the rest
-//     of the graph is shared with the parent.
+//   - the magic graph needs no step of its own: it is the lOut/lIn
+//     tables, which classification reads in either form.
 //
 // The result compiles the same database as a cold Compile over the
 // concatenated relations: identical up to the interning order of the
@@ -135,21 +129,6 @@ func (c *Compiled) Extend(dL, dE, dR []Pair) *Compiled {
 		child.rOut = c.rOut
 	}
 
-	// Magic graph: its arc set is exactly the deduplicated L relation,
-	// so when the delta touched L the freshly laid lOut/lIn row tables
-	// already ARE the patched adjacency — wrap them as a graph view
-	// instead of re-laying the same rows a second time (lg is never
-	// mutated after compilation, which is what makes the aliasing
-	// sound). When only the node count grew (fresh L symbols interned
-	// via dE, no L arcs), Digraph.Extend pads the parent's tables so
-	// per-node classification arrays line up with the symbol table.
-	if len(lArcs) > 0 {
-		child.lg = graph.FromRows(child.lOut.rows, child.lIn.rows, child.lOut.m)
-	} else if nL > c.lg.N() {
-		child.lg = c.lg.Extend(nL-c.lg.N(), nil)
-	} else {
-		child.lg = c.lg
-	}
 	// Tag the relations the delta touched with the child's (parent's,
 	// until the caller restamps) generation. The tags only need to be
 	// distinct from the parent's when something changed; callers that
@@ -344,8 +323,9 @@ func (c *csr) flatten(n int) csr {
 
 // StructuralEqual reports whether two artifacts compile the same
 // database: same symbol sets, same per-row adjacency (contents and
-// order) in all four graphs, same magic graph — regardless of how
-// either was built (cold Compile, Extend chain, or snapshot decode).
+// order) in all four graphs — the magic graph is two of them —
+// regardless of how either was built (cold Compile, Extend chain, or
+// snapshot decode).
 // The comparison runs through the name bijection, not raw ids: an
 // Extend interns the delta's new symbols after every parent symbol,
 // while a cold compile over the concatenated relations interleaves
@@ -416,20 +396,6 @@ func (c *Compiled) StructuralEqual(o *Compiled) error {
 				if ra[i] != g.dstO[rb[i]] {
 					return fmt.Errorf("core: %s row %d arc %d: %d != %d (mapped)", g.name, x, i, ra[i], g.dstO[rb[i]])
 				}
-			}
-		}
-	}
-	if c.lg.N() != o.lg.N() || c.lg.M() != o.lg.M() {
-		return fmt.Errorf("core: magic graph %d nodes/%d arcs != %d/%d", c.lg.N(), c.lg.M(), o.lg.N(), o.lg.M())
-	}
-	for v := 0; v < c.lg.N(); v++ {
-		ra, rb := c.lg.Out(v), o.lg.Out(int(cToOL[v]))
-		if len(ra) != len(rb) {
-			return fmt.Errorf("core: magic graph row %d: %d arcs != %d", v, len(ra), len(rb))
-		}
-		for i := range ra {
-			if ra[i] != oToCL[rb[i]] {
-				return fmt.Errorf("core: magic graph row %d arc %d: %d != %d (mapped)", v, i, ra[i], oToCL[rb[i]])
 			}
 		}
 	}

@@ -18,8 +18,7 @@ func Explain(w io.Writer, q Query, strategy Strategy, mode Mode) error {
 
 	// Phase 0: the magic graph and its node classes.
 	in := build(q)
-	lg := in.lGraph()
-	cls := lg.Classify(int(in.src))
+	cls := in.classify()
 	p := q.Params()
 	fmt.Fprintf(w, "\nmagic graph: nL=%d mL=%d (reachable), R side: nR=%d mR=%d\n", p.NL, p.ML, p.NR, p.MR)
 	switch {
@@ -31,7 +30,7 @@ func Explain(w io.Writer, q Query, strategy Strategy, mode Mode) error {
 		fmt.Fprintln(w, "classification: acyclic non-regular — multiple nodes present, no cycles")
 	}
 	byClass := map[graph.Class][]string{}
-	for v := 0; v < lg.N(); v++ {
+	for v := 0; v < in.nL; v++ {
 		if cls.Class[v] != graph.Unreachable {
 			byClass[cls.Class[v]] = append(byClass[cls.Class[v]], in.lName(int32(v)))
 		}

@@ -1,9 +1,5 @@
 package core
 
-import (
-	"magiccounting/internal/graph"
-)
-
 // This file is the chain-collapse layer: Flatten folds an Extend chain
 // back into the self-contained form a cold Compile produces, and
 // ResidentBytes estimates how much storage an artifact keeps reachable
@@ -16,12 +12,12 @@ import (
 
 // Flatten collapses a delta-extended artifact into a self-contained
 // one: the four adjacency graphs are rebuilt in flat CSR form (no
-// per-row header tables, no rows aliasing an ancestor's storage), the
-// symbol-overlay chains are folded into fresh base interning maps, and
-// the magic graph is rebuilt over the flat adjacency — so nothing in
-// the result keeps a parent artifact reachable. Generation and the
-// per-relation generation tags are preserved; DeltaDepth resets to 0,
-// re-arming a serving layer's chain-depth budget.
+// per-row header tables, no rows aliasing an ancestor's storage) and
+// the symbol-overlay chains are folded into fresh base interning maps
+// — so nothing in the result keeps a parent artifact reachable.
+// Generation and the per-relation generation tags are preserved;
+// DeltaDepth resets to 0, re-arming a serving layer's chain-depth
+// budget.
 //
 // The result is StructuralEqual to the receiver (identical symbol
 // tables and per-row adjacency — Flatten renumbers nothing), and
@@ -66,15 +62,6 @@ func (c *Compiled) Flatten() *Compiled {
 	f.lIn = c.lIn.flatten(nL)
 	f.eOut = c.eOut.flatten(nL)
 	f.rOut = c.rOut.flatten(nR)
-	// Rebuild the magic graph over the flat forward CSR, exactly as the
-	// snapshot decode does: rows alias the flat arc array cap-clamped,
-	// so the graph costs headers plus its reverse table, nothing more.
-	rows := make([][]int32, nL)
-	for u := 0; u < nL; u++ {
-		lo, hi := f.lOut.off[u], f.lOut.off[u+1]
-		rows[u] = f.lOut.arcs[lo:hi:hi]
-	}
-	f.lg = graph.FromAdjacency(rows)
 	return f
 }
 
@@ -93,7 +80,7 @@ const sliceHeaderBytes = 24
 
 // ResidentBytes estimates the storage this artifact keeps reachable:
 // symbol tables (headers, characters, interning maps, overlay chains),
-// the four adjacency graphs, and the magic graph. It is a deterministic
+// and the four adjacency graphs. It is a deterministic
 // walk of the artifact's own structure, not a heap measurement — rows
 // that alias a slice of an ancestor's larger array are counted at
 // their visible length, so a deep Extend chain's estimate understates
@@ -121,11 +108,6 @@ func (c *Compiled) ResidentBytes() int64 {
 	}
 	for _, g := range []*csr{&c.lOut, &c.lIn, &c.eOut, &c.rOut} {
 		b += g.residentBytes()
-	}
-	if c.lg != nil {
-		// Header tables both ways plus the reverse arc storage; the
-		// forward rows alias an adjacency table counted above.
-		b += int64(c.lg.N())*2*sliceHeaderBytes + int64(c.lg.M())*4
 	}
 	return b
 }

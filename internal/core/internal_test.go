@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -165,10 +166,92 @@ func TestStep1AgreesWithOracleProperty(t *testing.T) {
 				}
 			}
 		}
+		classifyAcrossArtifactForms(t, seed, rng, q)
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// classifyAcrossArtifactForms is TestStep1AgreesWithOracleProperty's
+// last case. Classification reads the artifact's own G_L rows, so it
+// must not matter how the artifact came to be: a cold compile, an
+// Extend chain (rows-form tables), its flattened form and its decoded
+// snapshot give every node the same class, first index and index set —
+// through in.lOut exactly what the on-demand Digraph view and the
+// brute-force oracle say — for a source in the database and for a
+// virtual one, and auto-selection and the solve it selects come out
+// identical.
+func classifyAcrossArtifactForms(t *testing.T, seed int64, rng *rand.Rand, q Query) {
+	type byName struct {
+		Class      map[string]graph.Class
+		FirstIndex map[string]int
+		Indices    map[string][]int
+		Regular    bool
+		Recurring  bool
+	}
+	cut := func(p []Pair) (a, b, c []Pair) {
+		i := rng.Intn(len(p) + 1)
+		j := i + rng.Intn(len(p)-i+1)
+		return p[:i], p[i:j], p[j:]
+	}
+	l0, l1, l2 := cut(q.L)
+	e0, e1, e2 := cut(q.E)
+	r0, r1, r2 := cut(q.R)
+	chain := Compile(l0, e0, r0).Extend(l1, e1, r1).Extend(l2, e2, r2)
+	decoded, _, err := DecodeCompiled(chain.AppendBinary(nil))
+	if err != nil {
+		t.Fatalf("seed %d: decode: %v", seed, err)
+	}
+	forms := []struct {
+		name string
+		c    *Compiled
+	}{
+		{"cold", Compile(q.L, q.E, q.R)},
+		{"chain", chain},
+		{"flattened", chain.Flatten()},
+		{"decoded", decoded},
+	}
+	for _, src := range []string{q.Source, "in-no-relation"} {
+		var want *byName
+		var wantSel Selection
+		var wantRes *Result
+		for _, f := range forms {
+			in := f.c.bind(src)
+			cls := in.classify()
+			view := in.lGraph()
+			if !reflect.DeepEqual(cls, view.Classify(int(in.src))) {
+				t.Fatalf("seed %d %s source %q: classification over lOut differs from the Digraph view's", seed, f.name, src)
+			}
+			if oracle := view.ClassifyOracle(int(in.src)); !reflect.DeepEqual(cls.Class, oracle) {
+				t.Fatalf("seed %d %s source %q: classes %v, oracle %v", seed, f.name, src, cls.Class, oracle)
+			}
+			// Ids differ between forms (Extend interns delta symbols
+			// last), so forms are compared by name.
+			got := &byName{map[string]graph.Class{}, map[string]int{}, map[string][]int{}, cls.Regular, cls.HasRecurring}
+			for v := 0; v < in.nL; v++ {
+				name := in.lName(int32(v))
+				got.Class[name], got.FirstIndex[name], got.Indices[name] = cls.Class[v], cls.FirstIndex[v], cls.Indices[v]
+			}
+			res, sel, err := f.c.SolveAuto(src, Options{})
+			if err != nil {
+				t.Fatalf("seed %d %s source %q: %v", seed, f.name, src, err)
+			}
+			if want == nil {
+				want, wantSel, wantRes = got, sel, res
+				continue
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d source %q: %s classifies %+v, cold %+v", seed, src, f.name, got, want)
+			}
+			if !reflect.DeepEqual(sel, wantSel) {
+				t.Fatalf("seed %d source %q: %s selects %+v, cold %+v", seed, src, f.name, sel, wantSel)
+			}
+			if !reflect.DeepEqual(res, wantRes) {
+				t.Fatalf("seed %d source %q: %s answers %+v, cold %+v", seed, src, f.name, res, wantRes)
+			}
+		}
 	}
 }
 

@@ -222,20 +222,23 @@ func (in *instance) charge(n int64) {
 	}
 }
 
-// lGraph returns the magic graph G_L as a graph.Digraph for analysis.
-// The compiled artifact carries it prebuilt; only a run with a
-// virtual source needs the one-node extension, built on demand.
+// classify runs the reach-confined classifier over the artifact's own
+// G_L rows; the virtual source is just one more (empty) row.
+func (in *instance) classify() *graph.Classification {
+	return graph.Classify(in.nL, in.lOut, int(in.src))
+}
+
+// lGraph builds a graph.Digraph view of the magic graph G_L (virtual
+// source included) over the artifact's rows: O(n_L + m_L) per call,
+// for the one-shot diagnostics that need predecessor lists or DOT
+// output. Nothing on a query path calls it.
 func (in *instance) lGraph() *graph.Digraph {
-	if in.nL == len(in.c.lNames) {
-		return in.c.lg
+	rows := make([][]int32, in.nL)
+	for u := range rows {
+		row := in.lOut(int32(u))
+		rows[u] = row[:len(row):len(row)]
 	}
-	g := graph.NewDigraph(in.nL)
-	for u := 0; u < len(in.c.lNames); u++ {
-		for _, v := range in.c.lOut.row(int32(u)) {
-			g.AddArc(u, int(v))
-		}
-	}
-	return g
+	return graph.FromAdjacency(rows)
 }
 
 // answerNames maps an answer node set to constant names, sorted once

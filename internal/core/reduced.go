@@ -396,23 +396,9 @@ func multiIndices(cs *levelSet, v int32) []int {
 // SCC algorithm and the index enumeration is confined to the
 // non-recurring subgraph, for cost O(m_L + n_m·m_m).
 func (in *instance) step1RecurringSCC(integrated bool) *ReducedSets {
-	g := in.lGraph()
-	c := g.Classify(int(in.src))
-	// Charge the SCC + reachability sweeps: linear in the nodes and
-	// arcs of the source-reachable region. A Tarjan run over the
-	// induced reachable subgraph retrieves exactly those rows (every
-	// out-neighbor of a reachable node is reachable), so the method's
-	// cost — like every other Step 1's — is confined to the query's
-	// region and does not grow with unrelated parts of the database.
-	var reachN, reachM int64
-	for v := 0; v < g.N(); v++ {
-		if c.Class[v] != graph.Unreachable {
-			reachN++
-			reachM += int64(len(g.Out(v)))
-		}
-	}
-	in.charge(2 * (reachN + reachM))
+	c := in.classify()
 	n := in.nL
+	var reachN, reachM int64
 	rs := &ReducedSets{
 		MS:         make([]bool, n),
 		RM:         make([]bool, n),
@@ -421,20 +407,28 @@ func (in *instance) step1RecurringSCC(integrated bool) *ReducedSets {
 		Iterations: 1,
 	}
 	for v := 0; v < n; v++ {
-		switch c.Class[v] {
-		case graph.Unreachable:
+		if c.Class[v] == graph.Unreachable {
 			continue
-		case graph.Recurring:
-			rs.MS[v] = true
+		}
+		reachN++
+		reachM += int64(len(in.lOut(int32(v))))
+		rs.MS[v] = true
+		if c.Class[v] == graph.Recurring {
 			rs.RM[v] = true
-		default:
-			rs.MS[v] = true
-			for _, j := range c.Indices[v] {
-				in.charge(1) // index enumeration work
-				rs.RC.add(j, int32(v))
-			}
+			continue
+		}
+		for _, j := range c.Indices[v] {
+			in.charge(1) // index enumeration work
+			rs.RC.add(j, int32(v))
 		}
 	}
+	// Charge the SCC + reachability sweeps: linear in the nodes and
+	// arcs of the source-reachable region. The Tarjan run rooted at the
+	// source retrieves exactly those rows (every out-neighbor of a
+	// reachable node is reachable), so the method's cost — like every
+	// other Step 1's — is confined to the query's region and does not
+	// grow with unrelated parts of the database.
+	in.charge(2 * (reachN + reachM))
 	if integrated && rs.RC.pairs == 0 {
 		rs.RC.add(0, in.src)
 	}

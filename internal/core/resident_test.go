@@ -33,9 +33,6 @@ func residentGroundTruth(t *testing.T, c *Compiled) int64 {
 		}
 		b += int64(len(g.off)+len(g.arcs)) * 4
 	}
-	if c.lg != nil {
-		b += int64(c.lg.N())*2*24 + int64(c.lg.M())*4
-	}
 	return b
 }
 

@@ -54,19 +54,19 @@ type Selection struct {
 //     improvement, confining magic evaluation to the truly recurring
 //     nodes.
 //
-// The analysis itself is a linear-time classification of the magic
-// graph and is not charged to any meter.
+// The analysis itself is graph.Classify over the compiled G_L rows —
+// confined to the nodes and arcs the source reaches, see there — and is
+// not charged to any meter.
 func ChooseMethod(q Query) Selection {
 	return Compile(q.L, q.E, q.R).ChooseMethod(q.Source)
 }
 
 // ChooseMethod picks a magic counting method for one source on the
 // compiled instance; see the function-level ChooseMethod for the
-// selection policy. The classification reuses the precomputed magic
-// graph, so repeated selections cost no rebuild.
+// selection policy. The classification reads the artifact's G_L rows
+// in place and is confined to what the source reaches.
 func (c *Compiled) ChooseMethod(source string) Selection {
-	in := c.bind(source)
-	cls := in.lGraph().Classify(int(in.src))
+	cls := c.bind(source).classify()
 	switch {
 	case cls.Regular:
 		return Selection{

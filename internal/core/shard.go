@@ -370,8 +370,13 @@ func (sc *ShardedCompiled) Solve(source string, strategy Strategy, mode Mode, op
 }
 
 // ChooseMethod picks a method for one source per its shard's magic
-// graph; the classification is confined to the source-reachable
-// region, so the selection matches the monolithic artifact's.
+// graph. The selection depends only on what the source reaches, which
+// its shard holds whole, so it matches the monolithic artifact's; and
+// the classifier's work is confined to that region too — linear in the
+// reached nodes and arcs, plus the index enumeration on the multiple
+// region. What still grows with the shard's L-node count is four
+// allocations: graph.Classify's dense per-node result arrays and its
+// node-to-position table.
 func (sc *ShardedCompiled) ChooseMethod(source string) Selection {
 	return sc.shards[sc.ShardOf(source)].comp.ChooseMethod(source)
 }

@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-
-	"magiccounting/internal/graph"
 )
 
 // This file is the binary codec for the Compiled artifact, the piece
@@ -45,10 +43,9 @@ func (c *Compiled) AppendBinary(buf []byte) []byte {
 
 // DecodeCompiled decodes an artifact produced by AppendBinary from
 // the front of data, returning the remaining bytes. The interning
-// maps and the prebuilt magic graph are reconstructed from the
-// decoded tables, so the result is behaviorally identical to the
-// Compile output it was encoded from (per-node adjacency order is
-// preserved by the CSR layout).
+// maps are reconstructed from the decoded name tables, so the result
+// is behaviorally identical to the Compile output it was encoded from
+// (per-node adjacency order is preserved by the CSR layout).
 func DecodeCompiled(data []byte) (*Compiled, []byte, error) {
 	r := &byteCursor{data: data}
 	c := &Compiled{Generation: r.uvarint()}
@@ -84,19 +81,6 @@ func DecodeCompiled(data []byte) (*Compiled, []byte, error) {
 	for i, name := range c.rNames {
 		c.rid[name] = int32(i)
 	}
-	// Rebuild the prebuilt magic graph from the forward CSR: rows keep
-	// the original per-node arc order, so classification sees the same
-	// adjacency lists Compile built. The rows alias the CSR arc array
-	// (full-capacity slices, so a later AddArc reallocates rather than
-	// clobbering a neighbour row); validateCSR already established they
-	// are duplicate-free enough for FromAdjacency's contract, since
-	// Compile deduped them before encoding.
-	rows := make([][]int32, nL)
-	for u := 0; u < nL; u++ {
-		lo, hi := c.lOut.off[u], c.lOut.off[u+1]
-		rows[u] = c.lOut.arcs[lo:hi:hi]
-	}
-	c.lg = graph.FromAdjacency(rows)
 	return c, r.rest(), nil
 }
 

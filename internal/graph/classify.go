@@ -52,92 +52,110 @@ type Classification struct {
 	HasRecurring bool
 }
 
-// Classify determines the class of every node relative to src using
-// Tarjan SCC for the recurring set (linear time) and a level-by-level
-// walk enumeration, confined to non-recurring nodes, for the exact
-// index sets of single and multiple nodes. This is the efficient
-// Step 1 the paper sketches at the end of §9: recurring nodes are
-// detected in O(N+M) and the index enumeration costs only on the
-// multiple region.
-func (g *Digraph) Classify(src int) *Classification {
-	n := g.N()
+// Classify determines the class of every node of an n-node graph
+// relative to src, reading the graph only through out — out(u) lists
+// u's successors, every id in [0, n) — so the caller's own adjacency
+// storage is the graph and nothing is copied. This is the efficient
+// Step 1 the paper sketches at the end of §9, and its work is confined
+// to what src reaches: a BFS for the first indices, Tarjan's SCC
+// algorithm rooted at src for the cyclic nodes, the forward closure of
+// those for the recurring set, and a frontier-list level DP over the
+// non-recurring nodes for the exact index sets of single and multiple
+// nodes. Every step is linear in the reached nodes and arcs except the
+// DP, which scans a node's arcs once per index the node holds and so
+// exceeds that on the multiple region only. out is never called on an
+// unreached node. What remains O(n) is allocating (and, for
+// FirstIndex, filling) the three dense per-node result arrays and the
+// node-to-position table that lets all working state be sized by the
+// reached set. A src outside [0, n) reaches nothing.
+func Classify(n int, out func(int32) []int32, src int) *Classification {
 	c := &Classification{
 		Class:      make([]Class, n),
-		FirstIndex: g.BFSLevels(src),
+		FirstIndex: make([]int, n),
 		Indices:    make([][]int, n),
 		Regular:    true,
+	}
+	for i := range c.FirstIndex {
+		c.FirstIndex[i] = -1
 	}
 	if src < 0 || src >= n {
 		return c
 	}
-	reach := g.Reachable(src)
 
-	// Recurring = reachable and reachable from a reachable cyclic node.
-	cyc := g.CyclicNodes()
-	var seeds []int
-	for v := 0; v < n; v++ {
-		if reach[v] && cyc[v] {
-			seeds = append(seeds, v)
+	// BFS: first indices, and the reached nodes in discovery order.
+	// pos[v]-1 is v's position in reached; 0 marks an unreached node.
+	pos := make([]int32, n)
+	reached := []int32{int32(src)}
+	pos[src] = 1
+	c.FirstIndex[src] = 0
+	for head := 0; head < len(reached); head++ {
+		u := reached[head]
+		for _, v := range out(u) {
+			if pos[v] == 0 {
+				reached = append(reached, v)
+				pos[v] = int32(len(reached))
+				c.FirstIndex[v] = c.FirstIndex[u] + 1
+			}
 		}
 	}
-	fromCycle := g.ReverseReachableForward(seeds)
-	for v := 0; v < n; v++ {
-		if reach[v] && fromCycle[v] {
+
+	// Cyclic nodes: members of a strongly connected component of size
+	// >= 2, or nodes with a self-loop. Recurring = downstream of one;
+	// Class doubles as the closure's visited mask.
+	var stack []int32
+	tarjan(out, reached, pos, func(comp []int32) {
+		if len(comp) == 1 && !rowHas(out(comp[0]), comp[0]) {
+			return
+		}
+		for _, v := range comp {
 			c.Class[v] = Recurring
-			c.HasRecurring = true
-			c.Regular = false
+		}
+		stack = append(stack, comp...)
+	})
+	c.HasRecurring = len(stack) > 0
+	for len(stack) > 0 {
+		u := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, v := range out(u) {
+			if c.Class[v] != Recurring {
+				c.Class[v] = Recurring
+				stack = append(stack, v)
+			}
 		}
 	}
 
 	// Walks that end at a non-recurring node never pass through a
 	// recurring node (anything downstream of a recurring node is
 	// recurring), so a level DP restricted to non-recurring nodes
-	// enumerates their full index sets. All such walks are simple
-	// paths, so n-1 levels suffice.
-	cur := make([]bool, n)
-	nxt := make([]bool, n)
+	// enumerates their full index sets. Those nodes induce an acyclic
+	// graph, so the frontier empties by itself; and since each node's
+	// indices arrive in ascending order, "already on this level's
+	// frontier" is "its last index is this level".
+	var cur, nxt []int32
 	if c.Class[src] != Recurring {
-		cur[src] = true
-		c.Indices[src] = append(c.Indices[src], 0)
+		cur = append(cur, int32(src))
+		c.Indices[src] = []int{0}
 	}
-	for level := 1; level < n; level++ {
-		any := false
-		for i := range nxt {
-			nxt[i] = false
-		}
-		for u := 0; u < n; u++ {
-			if !cur[u] {
-				continue
-			}
-			for _, v := range g.out[u] {
+	for level := 1; len(cur) > 0; level++ {
+		nxt = nxt[:0]
+		for _, u := range cur {
+			for _, v := range out(u) {
 				if c.Class[v] == Recurring {
 					continue
 				}
-				if !nxt[v] {
-					nxt[v] = true
-					any = true
-					c.Indices[v] = append(c.Indices[v], level)
+				if idx := c.Indices[v]; len(idx) == 0 || idx[len(idx)-1] != level {
+					c.Indices[v] = append(idx, level)
+					nxt = append(nxt, v)
 				}
 			}
 		}
 		cur, nxt = nxt, cur
-		if !any {
-			break
-		}
 	}
-	for v := 0; v < n; v++ {
-		if !reach[v] || c.Class[v] == Recurring {
-			continue
-		}
-		switch len(c.Indices[v]) {
-		case 0:
-			// Reachable only through recurring territory; but anything
-			// downstream of a recurring node is recurring, so this
-			// cannot happen for a correctly built graph.
-			c.Class[v] = Recurring
-			c.HasRecurring = true
-			c.Regular = false
-		case 1:
+	c.Regular = !c.HasRecurring
+	for _, v := range reached {
+		switch {
+		case c.Class[v] == Recurring:
+		case len(c.Indices[v]) == 1:
 			c.Class[v] = Single
 		default:
 			c.Class[v] = Multiple
@@ -145,6 +163,12 @@ func (g *Digraph) Classify(src int) *Classification {
 		}
 	}
 	return c
+}
+
+// Classify is the package-level Classify over g's own adjacency, for
+// tests and diagnostics that already hold a Digraph.
+func (g *Digraph) Classify(src int) *Classification {
+	return Classify(g.N(), func(u int32) []int32 { return g.out[u] }, src)
 }
 
 // ReverseReachableForward returns the set of nodes reachable from any

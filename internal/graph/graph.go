@@ -4,7 +4,7 @@
 // algorithm (the [Tar] reference of the paper), walk-length analysis,
 // and the single/multiple/recurring node classification of Saccà and
 // Zaniolo §3, together with a brute-force oracle used to validate the
-// fast classifiers.
+// fast classifier.
 package graph
 
 import "fmt"
@@ -17,11 +17,6 @@ type Digraph struct {
 	in   [][]int32
 	m    int
 	seen map[int64]struct{} // arc dedupe
-	// clamped records that every out/in row has cap == len (true for
-	// Extend results), letting a chained Extend bulk-copy the row
-	// tables instead of re-clamping row by row. AddArc clears it: an
-	// in-place append can leave spare capacity behind.
-	clamped bool
 }
 
 // NewDigraph returns a graph with n isolated nodes.
@@ -36,9 +31,10 @@ func NewDigraph(n int) *Digraph {
 // [0, len(out)). It takes ownership of out (rows must not grow past
 // their capacity afterwards) and builds the reverse adjacency in two
 // counting passes over one backing array — no per-arc map work and no
-// per-node allocations, which is what makes decoding a persisted
-// compiled artifact cheap. The arc-dedupe index is built lazily by
-// the first AddArc instead of here; until then HasArc scans the row.
+// per-node allocations, which is what makes a one-shot graph view of
+// a compiled artifact's adjacency cheap. The arc-dedupe index is built
+// lazily by the first AddArc instead of here; until then HasArc scans
+// the row.
 func FromAdjacency(out [][]int32) *Digraph {
 	n := len(out)
 	g := &Digraph{out: out, in: make([][]int32, n)}
@@ -65,68 +61,6 @@ func FromAdjacency(out [][]int32) *Digraph {
 		g.in[v] = back[start[v]:start[v+1]:start[v+1]]
 	}
 	return g
-}
-
-// FromRows wraps already-built forward and reverse adjacency into a
-// graph without copying or validating: out[u] lists u's successors,
-// in[v] lists v's predecessors, and m is the arc count — the caller
-// guarantees the two views describe the same duplicate-free arc set.
-// The graph aliases the given tables, so both sides must treat them
-// as immutable from here on; in particular AddArc must never be
-// called on the result (a reallocating append would write into the
-// shared header table). Every row must already be cap-clamped
-// (cap == len). This is the zero-cost bridge for callers that
-// maintain CSR-style adjacency themselves and need a graph view of
-// it — a delta-extended artifact's magic graph shares its relation
-// tables instead of re-laying them.
-func FromRows(out, in [][]int32, m int) *Digraph {
-	return &Digraph{out: out, in: in, m: m, clamped: true}
-}
-
-// Extend returns a new graph holding g's nodes plus extraNodes fresh
-// isolated ones, and g's arcs plus arcs. g is not modified and stays
-// fully usable. The delta arcs' endpoints act as the patch frontier:
-// only their forward and reverse adjacency rows are re-laid (copied
-// once, on first touch, then grown privately); every row the delta
-// does not touch aliases g's storage, cap-clamped so neither graph
-// can ever grow into the other's backing array. arcs must be
-// in-range, deduplicated against g and within themselves — the
-// caller-side dedupe that Extend's O(nodes + delta) bound assumes.
-// The arc-dedupe index is deferred exactly as in FromAdjacency.
-func (g *Digraph) Extend(extraNodes int, arcs [][2]int32) *Digraph {
-	n := len(g.out) + extraNodes
-	ng := &Digraph{out: make([][]int32, n), in: make([][]int32, n), m: g.m}
-	if g.clamped {
-		copy(ng.out, g.out)
-		copy(ng.in, g.in)
-	} else {
-		for i, row := range g.out {
-			ng.out[i] = row[:len(row):len(row)]
-		}
-		for i, row := range g.in {
-			ng.in[i] = row[:len(row):len(row)]
-		}
-	}
-	for _, a := range arcs {
-		u, v := a[0], a[1]
-		if u < 0 || int(u) >= n || v < 0 || int(v) >= n {
-			panic(fmt.Sprintf("graph: extend arc (%d,%d) out of range, n=%d", u, v, n))
-		}
-		// cap == len on every copied row, so the first append per
-		// touched row reallocates out of the shared storage.
-		ng.out[u] = append(ng.out[u], v)
-		ng.in[v] = append(ng.in[v], u)
-		ng.m++
-	}
-	// Re-clamp the touched rows: with every row back at cap == len the
-	// next Extend in the chain bulk-copies the tables.
-	for _, a := range arcs {
-		u, v := a[0], a[1]
-		ng.out[u] = ng.out[u][:len(ng.out[u]):len(ng.out[u])]
-		ng.in[v] = ng.in[v][:len(ng.in[v]):len(ng.in[v])]
-	}
-	ng.clamped = true
-	return ng
 }
 
 // N returns the number of nodes.
@@ -173,22 +107,26 @@ func (g *Digraph) AddArc(u, v int) {
 	g.out[u] = append(g.out[u], int32(v))
 	g.in[v] = append(g.in[v], int32(u))
 	g.m++
-	g.clamped = false
 }
 
 // HasArc reports whether u -> v is present.
 func (g *Digraph) HasArc(u, v int) bool {
 	if g.seen == nil {
-		for _, w := range g.out[u] {
-			if w == int32(v) {
-				return true
-			}
-		}
-		return false
+		return rowHas(g.out[u], int32(v))
 	}
 	key := int64(u)<<32 | int64(uint32(v))
 	_, ok := g.seen[key]
 	return ok
+}
+
+// rowHas reports whether a successor row lists v.
+func rowHas(row []int32, v int32) bool {
+	for _, w := range row {
+		if w == v {
+			return true
+		}
+	}
+	return false
 }
 
 // Out returns the successors of u. The slice must not be modified.

@@ -294,19 +294,86 @@ func TestClassifySourceOnCycle(t *testing.T) {
 	}
 }
 
+// partlyReachedGraph builds a random digraph in which node 0 reaches
+// only (some of) the first k nodes: arcs run within [0, k), within
+// [k, n) and from [k, n) into [0, k), never out of [0, k). The
+// unreached part always holds a cycle (k -> k+1 -> k) and a node with
+// two walk lengths from k (k+2, over k -> k+2 and k+1 -> k+2), so a
+// classifier that looked at it would report both.
+func partlyReachedGraph(rng *rand.Rand) (g *Digraph, k int) {
+	k = 1 + rng.Intn(8)
+	rest := 3 + rng.Intn(6)
+	g = NewDigraph(k + rest)
+	for i := rng.Intn(3 * k); i > 0; i-- {
+		g.AddArc(rng.Intn(k), rng.Intn(k))
+	}
+	for i := rng.Intn(3 * rest); i > 0; i-- {
+		g.AddArc(k+rng.Intn(rest), rng.Intn(k+rest))
+	}
+	for _, a := range [][2]int{{k, k + 1}, {k + 1, k}, {k, k + 2}, {k + 1, k + 2}} {
+		g.AddArc(a[0], a[1])
+	}
+	return g, k
+}
+
+// checkConfined asserts what confinement promises on a graph from
+// partlyReachedGraph: the unreached nodes carry no analysis at all, the
+// classification of the first k nodes and both regime flags are those
+// of the subgraph they induce, and the classifier never reads an
+// unreached node's row.
+func checkConfined(t *testing.T, g *Digraph, k int) bool {
+	c := Classify(g.N(), func(u int32) []int32 {
+		if int(u) >= k {
+			t.Errorf("classifier read the row of unreached node %d (k=%d)", u, k)
+		}
+		return g.out[u]
+	}, 0)
+	for v := k; v < g.N(); v++ {
+		if c.Class[v] != Unreachable || c.Indices[v] != nil || c.FirstIndex[v] != -1 {
+			t.Logf("unreached node %d: class %v, indices %v, first index %d", v, c.Class[v], c.Indices[v], c.FirstIndex[v])
+			return false
+		}
+	}
+	keep := make([]bool, g.N())
+	for v := 0; v < k; v++ {
+		keep[v] = true
+	}
+	sub, _, _ := g.Induced(keep) // keeps the first k ids as they are
+	want := sub.Classify(0)
+	if c.Regular != want.Regular || c.HasRecurring != want.HasRecurring {
+		t.Logf("flags regular=%v recurring=%v, reached part alone %v/%v", c.Regular, c.HasRecurring, want.Regular, want.HasRecurring)
+		return false
+	}
+	for v := 0; v < k; v++ {
+		if c.Class[v] != want.Class[v] {
+			t.Logf("node %d: class %v, reached part alone %v", v, c.Class[v], want.Class[v])
+			return false
+		}
+	}
+	return !t.Failed()
+}
+
 func TestClassifyMatchesOracleProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(10)
-		g := randomGraph(rng, n, rng.Intn(3*n))
+	matches := func(g *Digraph) bool {
 		fast := g.Classify(0)
 		slow := g.ClassifyOracle(0)
-		for v := 0; v < n; v++ {
+		for v := 0; v < g.N(); v++ {
 			if fast.Class[v] != slow[v] {
 				return false
 			}
 		}
 		return true
+	}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 2 + rng.Intn(10)
+		if !matches(randomGraph(rng, n, rng.Intn(3*n))) {
+			return false
+		}
+		// The source reaches only part of the graph; the rest holds
+		// cycles and multiple nodes.
+		g, k := partlyReachedGraph(rng)
+		return matches(g) && checkConfined(t, g, k)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -314,13 +381,13 @@ func TestClassifyMatchesOracleProperty(t *testing.T) {
 }
 
 func TestClassifyIndicesMatchWalkSetsProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(8)
-		g := randomGraph(rng, n, rng.Intn(2*n))
+	matches := func(g *Digraph, reached int) bool {
 		c := g.Classify(0)
-		walks := g.WalkLengthSets(0, n-1)
-		for v := 0; v < n; v++ {
+		walks := g.WalkLengthSets(0, g.N()-1)
+		for v := 0; v < g.N(); v++ {
+			if v >= reached && c.Indices[v] != nil {
+				return false
+			}
 			if c.Class[v] != Single && c.Class[v] != Multiple {
 				continue
 			}
@@ -334,6 +401,15 @@ func TestClassifyIndicesMatchWalkSetsProperty(t *testing.T) {
 			}
 		}
 		return true
+	}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 2 + rng.Intn(8)
+		if !matches(randomGraph(rng, n, rng.Intn(2*n)), n) {
+			return false
+		}
+		g, k := partlyReachedGraph(rng)
+		return matches(g, k)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

@@ -13,81 +13,93 @@ type SCCResult struct {
 	NumComps int
 }
 
-// SCC computes strongly connected components with an iterative version
-// of Tarjan's depth-first algorithm, in O(N+M) time. The paper's §9
-// cites exactly this algorithm for detecting recurring nodes in linear
-// time.
+// SCC computes strongly connected components with Tarjan's depth-first
+// algorithm, in O(N+M) time. The paper's §9 cites exactly this
+// algorithm for detecting recurring nodes in linear time.
 func (g *Digraph) SCC() *SCCResult {
 	n := g.N()
 	res := &SCCResult{Comp: make([]int, n)}
-	for i := range res.Comp {
-		res.Comp[i] = -1
+	nodes := make([]int32, n)
+	pos := make([]int32, n)
+	for i := range nodes {
+		nodes[i], pos[i] = int32(i), int32(i+1)
 	}
-	index := make([]int32, n) // discovery order, 0 = unvisited
-	low := make([]int32, n)
-	onStack := make([]bool, n)
+	tarjan(func(u int32) []int32 { return g.out[u] }, nodes, pos, func(comp []int32) {
+		for _, w := range comp {
+			res.Comp[w] = res.NumComps
+		}
+		res.Size = append(res.Size, len(comp))
+		res.NumComps++
+	})
+	return res
+}
+
+// tarjan is the iterative form of Tarjan's algorithm over a graph read
+// through out. It starts a depth-first search at each root not yet
+// visited and hands emit every strongly connected component as it
+// completes — reverse topological order of the condensation, the
+// component's DFS root first; emit must not keep the slice. All state is
+// indexed by pos[v]-1, which must number the roots and everything they
+// reach within [0, len(roots)): a caller that holds the set reached
+// from one node passes it as roots (only the first starts a search) and
+// pays for that set, not for the graph.
+func tarjan(out func(int32) []int32, roots, pos []int32, emit func(comp []int32)) {
+	index := make([]int32, len(roots)) // discovery order, 0 = unvisited
+	low := make([]int32, len(roots))
+	onStack := make([]bool, len(roots))
 	var stack []int32   // Tarjan stack
 	var next int32 = 1  // next discovery index
 	type frame struct { // explicit DFS stack
-		v  int32
-		ai int // next out-arc to consider
+		v    int32
+		rest []int32 // out-arcs of v still to consider
 	}
 	var dfs []frame
-	for root := 0; root < n; root++ {
-		if index[root] != 0 {
+	visit := func(v int32) {
+		p := pos[v] - 1
+		index[p], low[p], onStack[p] = next, next, true
+		next++
+		stack = append(stack, v)
+		dfs = append(dfs, frame{v: v, rest: out(v)})
+	}
+	for _, root := range roots {
+		if index[pos[root]-1] != 0 {
 			continue
 		}
-		dfs = append(dfs[:0], frame{v: int32(root)})
-		index[root] = next
-		low[root] = next
-		next++
-		stack = append(stack, int32(root))
-		onStack[root] = true
+		visit(root)
 		for len(dfs) > 0 {
 			f := &dfs[len(dfs)-1]
-			v := f.v
-			if f.ai < len(g.out[v]) {
-				w := g.out[v][f.ai]
-				f.ai++
-				if index[w] == 0 {
-					index[w] = next
-					low[w] = next
-					next++
-					stack = append(stack, w)
-					onStack[w] = true
-					dfs = append(dfs, frame{v: w})
-				} else if onStack[w] && low[v] > index[w] {
-					low[v] = index[w]
+			v, pv := f.v, pos[f.v]-1
+			if len(f.rest) > 0 {
+				w := f.rest[0]
+				f.rest = f.rest[1:]
+				if pw := pos[w] - 1; index[pw] == 0 {
+					visit(w)
+				} else if onStack[pw] && low[pv] > index[pw] {
+					low[pv] = index[pw]
 				}
 				continue
 			}
-			// v is finished: pop a component if v is a root.
-			if low[v] == index[v] {
-				c := res.NumComps
-				res.NumComps++
-				size := 0
-				for {
-					w := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[w] = false
-					res.Comp[w] = c
-					size++
-					if w == v {
-						break
-					}
+			// v is finished: pop its component if v is the root of one.
+			if low[pv] == index[pv] {
+				top := len(stack) - 1
+				for stack[top] != v {
+					top--
 				}
-				res.Size = append(res.Size, size)
+				for _, w := range stack[top:] {
+					onStack[pos[w]-1] = false
+				}
+				emit(stack[top:])
+				stack = stack[:top]
 			}
 			dfs = dfs[:len(dfs)-1]
 			if len(dfs) > 0 {
-				p := dfs[len(dfs)-1].v
-				if low[p] > low[v] {
-					low[p] = low[v]
+				pp := pos[dfs[len(dfs)-1].v] - 1
+				if low[pp] > low[pv] {
+					low[pp] = low[pv]
 				}
 			}
 		}
 	}
-	return res
 }
 
 // CyclicNodes returns the mask of nodes lying on some directed cycle:
