@@ -251,92 +251,6 @@ func BenchmarkNaiveBaseline(b *testing.B) {
 	}
 }
 
-// --- Parallel frontier evaluation ----------------------------------
-
-// BenchmarkParallelSolve measures the core solvers with and without
-// the frontier worker pool on a wide workload (a branching-4 tree:
-// frontiers up to 4^6 nodes). Results are identical by construction —
-// the benchmark exists to keep the speedup visible and regressions
-// loud.
-func BenchmarkParallelSolve(b *testing.B) {
-	q := workload.Tree(4, 7)
-	configs := []struct {
-		name string
-		opts core.Options
-	}{
-		{"sequential", core.Options{}},
-		{"parallel", core.Options{Workers: -1}},
-	}
-	for _, cfg := range configs {
-		b.Run("tree/counting/"+cfg.name, func(b *testing.B) {
-			var retrievals int64
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := q.SolveCountingOpts(cfg.opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				retrievals = res.Stats.Retrievals
-			}
-			b.ReportMetric(float64(retrievals), "retrievals")
-		})
-		b.Run("tree/mc-recurring-int/"+cfg.name, func(b *testing.B) {
-			var retrievals int64
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := q.SolveMagicCountingOpts(core.Recurring, core.Integrated, cfg.opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				retrievals = res.Stats.Retrievals
-			}
-			b.ReportMetric(float64(retrievals), "retrievals")
-		})
-	}
-}
-
-// BenchmarkEngineParallel measures seminaive evaluation of a
-// transitive closure over the union of four edge relations — four
-// independent recursive rules per delta round, the shape the engine's
-// conflict gate parallelizes.
-func BenchmarkEngineParallel(b *testing.B) {
-	var src string
-	const n = 320
-	for i := 0; i < n; i++ {
-		src += fmt.Sprintf("e%d(n%d, n%d).\n", i%4+1, i, i+1)
-		if i%7 == 0 && i+3 <= n {
-			src += fmt.Sprintf("e%d(n%d, n%d).\n", (i+2)%4+1, i, i+3)
-		}
-	}
-	for k := 1; k <= 4; k++ {
-		src += fmt.Sprintf("path(X, Y) :- e%d(X, Y).\n", k)
-		src += fmt.Sprintf("path(X, Y) :- path(X, Z), e%d(Z, Y).\n", k)
-	}
-	src += "?- path(n0, Y).\n"
-	prog := datalog.MustParse(src)
-	for _, workers := range []int{0, -1} {
-		name := "sequential"
-		if workers != 0 {
-			name = "parallel"
-		}
-		b.Run(name, func(b *testing.B) {
-			var retrievals int64
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				store := relation.NewStore()
-				if _, err := engine.Eval(prog, store, engine.Options{Workers: workers}); err != nil {
-					b.Fatal(err)
-				}
-				retrievals = store.Meter().Retrievals()
-			}
-			b.ReportMetric(float64(retrievals), "retrievals")
-		})
-	}
-}
-
 // BenchmarkChooseMethod measures auto-selection alone — the magic-graph
 // classification a miss pays before its solve — over a 33k-node
 // database of 1,024 disjoint 32-node chains, so a source reaches a

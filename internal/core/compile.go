@@ -117,13 +117,9 @@ type Compiled struct {
 	eOut csr // G_E arcs: L-node -> R-nodes
 	rOut csr // descent arcs: rOut[c] = {b : (b, c) in R}
 
-	// lGen, eGen, and rGen tag each relation's adjacency with the
-	// generation at which it last changed: an Extend whose delta leaves
-	// a relation untouched aliases that relation's graphs wholesale and
-	// carries the parent's tag forward. depth counts Extend steps since
-	// the last full Compile (see DeltaDepth).
-	lGen, eGen, rGen uint64
-	depth            int
+	// depth counts Extend steps since the last full Compile (see
+	// DeltaDepth).
+	depth int
 }
 
 // Compile interns the three database relations into graph form once.

@@ -56,6 +56,20 @@ func (s *levelSet) maxLevel() int {
 	return -1
 }
 
+// expandLevel is one frontier round of a counting-style fixpoint:
+// for every node x of frontier, charge 1 + len(adj[x]) retrievals
+// (the semijoin probe plus the produced arcs) and insert adj[x] into
+// level toLevel of dest. Dedup probes are not charged.
+func (in *instance) expandLevel(dest *levelSet, frontier []int32, adj *csr, toLevel int) {
+	for _, x := range frontier {
+		row := adj.row(x)
+		in.charge(1 + int64(len(row)))
+		for _, v := range row {
+			dest.add(toLevel, v)
+		}
+	}
+}
+
 // countingSets runs the counting-set fixpoint of §2:
 //
 //	CS(0, a).
@@ -81,8 +95,8 @@ func (in *instance) countingSets() (*levelSet, int, error) {
 			in.tr.End(sp, in.retrievals)
 			return nil, iterations, ErrUnsafe
 		}
-		// Semijoin CS ⋉ L over the frontier, sharded when workers are
-		// configured; each node costs 1 + len(lOut[x]).
+		// Semijoin CS ⋉ L over the frontier; each node costs
+		// 1 + len(lOut[x]).
 		in.expandLevel(cs, cs.at(j), &in.c.lOut, j+1)
 	}
 	rt.done()
@@ -154,7 +168,7 @@ func (q Query) SolveCounting() (*Result, error) {
 }
 
 // SolveCountingOpts is SolveCounting with explicit options (context
-// cancellation, worker pool for the frontier rounds).
+// cancellation, tracing).
 func (q Query) SolveCountingOpts(opts Options) (*Result, error) {
 	return compileTraced(q, opts.Trace).SolveCounting(q.Source, opts)
 }

@@ -15,7 +15,7 @@ import "fmt"
 //   - CSR adjacency is re-laid per row: only rows whose source node
 //     carries a delta arc get fresh storage, every untouched row
 //     aliases the parent's arc array, and a relation with no delta at
-//     all aliases wholesale (its generation tag carries forward);
+//     all aliases wholesale;
 //   - the magic graph needs no step of its own: it is the lOut/lIn
 //     tables, which classification reads in either form.
 //
@@ -35,14 +35,6 @@ import "fmt"
 // generation's re-laid rows; a periodic full compile flattens it.
 func (c *Compiled) DeltaDepth() int { return c.depth }
 
-// RelationGenerations returns the per-relation generation tags: the
-// Generation value at which each of L, E, and R last changed. An
-// Extend whose delta leaves a relation untouched carries its tag
-// forward unchanged.
-func (c *Compiled) RelationGenerations() (l, e, r uint64) {
-	return c.lGen, c.eGen, c.rGen
-}
-
 // Extend returns a new artifact covering the parent's relations plus
 // the delta, reusing everything the delta does not touch. The parent
 // is not modified and remains fully usable — in-flight queries keep
@@ -59,9 +51,6 @@ func (c *Compiled) Extend(dL, dE, dR []Pair) *Compiled {
 		Generation: c.Generation,
 		lid:        c.lid,
 		rid:        c.rid,
-		lGen:       c.lGen,
-		eGen:       c.eGen,
-		rGen:       c.rGen,
 		depth:      c.depth + 1,
 	}
 	// Cap-clamp the shared name tables so the first append reallocates
@@ -128,40 +117,7 @@ func (c *Compiled) Extend(dL, dE, dR []Pair) *Compiled {
 	} else {
 		child.rOut = c.rOut
 	}
-
-	// Tag the relations the delta touched with the child's (parent's,
-	// until the caller restamps) generation. The tags only need to be
-	// distinct from the parent's when something changed; callers that
-	// stamp Generation get exact per-relation versions via SetGeneration.
-	if len(lArcs) > 0 {
-		child.lGen = child.Generation + 1
-	}
-	if len(eArcs) > 0 {
-		child.eGen = child.Generation + 1
-	}
-	if len(rArcs) > 0 {
-		child.rGen = child.Generation + 1
-	}
 	return child
-}
-
-// SetGeneration stamps the artifact's generation and re-anchors the
-// per-relation tags that were provisionally tagged by the last Extend
-// (those equal to Generation+1 before the stamp). Serving layers call
-// it instead of assigning Generation directly when they use the
-// per-relation tags.
-func (c *Compiled) SetGeneration(gen uint64) {
-	next := c.Generation + 1
-	if c.lGen == next {
-		c.lGen = gen
-	}
-	if c.eGen == next {
-		c.eGen = gen
-	}
-	if c.rGen == next {
-		c.rGen = gen
-	}
-	c.Generation = gen
 }
 
 // dedupeDelta interns a delta's endpoints and returns its arcs with

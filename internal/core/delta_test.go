@@ -136,14 +136,6 @@ func TestExtendEdgeCases(t *testing.T) {
 		if err := ext.StructuralEqual(core.Compile(whole.L, whole.E, whole.R)); err != nil {
 			t.Fatalf("L-only delta diverges: %v", err)
 		}
-		_, eGen, rGen := func() (l, e, r uint64) { return ext.RelationGenerations() }()
-		pl, pe, pr := cold.RelationGenerations()
-		if eGen != pe || rGen != pr {
-			t.Fatalf("untouched relations changed generation: got e=%d r=%d, parent e=%d r=%d", eGen, rGen, pe, pr)
-		}
-		if l, _, _ := ext.RelationGenerations(); l == pl {
-			t.Fatalf("touched L relation kept the parent tag %d", l)
-		}
 	})
 }
 
@@ -180,13 +172,13 @@ func TestExtendOntoHub(t *testing.T) {
 
 // TestExtendChain extends the same artifact many times in sequence —
 // the serving layer's rolling-artifact shape — and checks structural
-// identity against a cold compile at every step, plus the generation
-// stamping contract SetGeneration provides.
+// identity against a cold compile at every step, and that each link
+// starts at its parent's Generation for the caller to restamp.
 func TestExtendChain(t *testing.T) {
 	q := workload.RandomRegime(workload.KindMultiple, 7, 3)
 	base, rest := splitQuery(q, 0.3, 0.3, 0.3)
 	comp := core.Compile(base.L, base.E, base.R)
-	comp.SetGeneration(1)
+	comp.Generation = 1
 	accL := append([]core.Pair(nil), base.L...)
 	accE := append([]core.Pair(nil), base.E...)
 	accR := append([]core.Pair(nil), base.R...)
@@ -202,7 +194,10 @@ func TestExtendChain(t *testing.T) {
 		}
 		dL, dE, dR := lo(rest.L), lo(rest.E), lo(rest.R)
 		next := comp.Extend(dL, dE, dR)
-		next.SetGeneration(comp.Generation + 1)
+		if next.Generation != comp.Generation {
+			t.Fatalf("step %d: Extend changed Generation %d -> %d", i, comp.Generation, next.Generation)
+		}
+		next.Generation++
 		if next.DeltaDepth() != i+1 {
 			t.Fatalf("step %d: DeltaDepth = %d, want %d", i, next.DeltaDepth(), i+1)
 		}
@@ -230,7 +225,7 @@ func TestExtendCodecIdentity(t *testing.T) {
 	base, delta := splitQuery(q, 0.5, 0.4, 0.6)
 	cold := core.Compile(q.L, q.E, q.R)
 	ext := core.Compile(base.L, base.E, base.R).Extend(delta.L, delta.E, delta.R)
-	ext.SetGeneration(42)
+	ext.Generation = 42
 
 	enc := ext.AppendBinary(nil)
 	dec, rest, err := core.DecodeCompiled(enc)

@@ -15,9 +15,8 @@ package core
 // per-row header tables, no rows aliasing an ancestor's storage) and
 // the symbol-overlay chains are folded into fresh base interning maps
 // — so nothing in the result keeps a parent artifact reachable.
-// Generation and the per-relation generation tags are preserved;
-// DeltaDepth resets to 0, re-arming a serving layer's chain-depth
-// budget.
+// Generation is preserved; DeltaDepth resets to 0, re-arming a
+// serving layer's chain-depth budget.
 //
 // The result is StructuralEqual to the receiver (identical symbol
 // tables and per-row adjacency — Flatten renumbers nothing), and
@@ -45,9 +44,6 @@ func (c *Compiled) Flatten() *Compiled {
 		rNames: append(make([]string, 0, nR), c.rNames...),
 		lid:    make(map[string]int32, nL),
 		rid:    make(map[string]int32, nR),
-		lGen:   c.lGen,
-		eGen:   c.eGen,
-		rGen:   c.rGen,
 	}
 	// Fold the overlay chains away: the name tables list every symbol
 	// (base and overlaid) in id order, so rebuilding the base maps from

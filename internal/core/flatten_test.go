@@ -20,7 +20,7 @@ import (
 func buildChain(q core.Query, steps int) (*core.Compiled, core.Query) {
 	base, rest := splitQuery(q, 0.3, 0.3, 0.3)
 	comp := core.Compile(base.L, base.E, base.R)
-	comp.SetGeneration(1)
+	comp.Generation = 1
 	acc := core.Query{Source: q.Source}
 	acc.L = append(acc.L, base.L...)
 	acc.E = append(acc.E, base.E...)
@@ -35,7 +35,7 @@ func buildChain(q core.Query, steps int) (*core.Compiled, core.Query) {
 		}
 		dL, dE, dR := cut(rest.L), cut(rest.E), cut(rest.R)
 		next := comp.Extend(dL, dE, dR)
-		next.SetGeneration(comp.Generation + 1)
+		next.Generation = comp.Generation + 1
 		acc.L = append(acc.L, dL...)
 		acc.E = append(acc.E, dE...)
 		acc.R = append(acc.R, dR...)
@@ -78,11 +78,6 @@ func TestFlattenAgainstChain(t *testing.T) {
 			}
 			if flat.Generation != chain.Generation {
 				t.Fatalf("%s: Flatten changed Generation %d -> %d", label, chain.Generation, flat.Generation)
-			}
-			cl, ce, cr := chain.RelationGenerations()
-			fl, fe, fr := flat.RelationGenerations()
-			if fl != cl || fe != ce || fr != cr {
-				t.Fatalf("%s: Flatten changed relation tags (%d,%d,%d) -> (%d,%d,%d)", label, cl, ce, cr, fl, fe, fr)
 			}
 
 			sources := []string{q.Source, "absent-from-everything"}

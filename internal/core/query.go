@@ -97,9 +97,6 @@ type instance struct {
 
 	retrievals int64 // tuple retrievals charged so far
 
-	workers      int // frontier workers; <= 1 means sequential
-	parThreshold int // min frontier size for a parallel round
-
 	// tr receives the run's span tree; nil when tracing is off, in
 	// which case every instrumentation point is one nil check at a
 	// stage or round boundary — never per tuple.
@@ -175,16 +172,11 @@ func (in *instance) observeCtx() {
 	}
 }
 
-// configure applies run options: cancellation context, the frontier
-// worker pool, and the trace sink.
+// configure applies run options: cancellation context and the trace
+// sink.
 func (in *instance) configure(opts Options) {
 	in.tr = opts.Trace
 	in.setContext(opts.Ctx)
-	in.workers = resolveWorkers(opts.Workers)
-	in.parThreshold = opts.ParallelThreshold
-	if in.parThreshold <= 0 {
-		in.parThreshold = defaultParallelThreshold
-	}
 }
 
 // stopped reports whether the run's context has been observed as

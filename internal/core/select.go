@@ -113,8 +113,6 @@ func (c *Compiled) SolveAuto(source string, opts Options) (*Result, Selection, e
 	run := sel.Options
 	run.Ctx = opts.Ctx
 	run.Trace = opts.Trace
-	run.Workers = opts.Workers
-	run.ParallelThreshold = opts.ParallelThreshold
 	res, err := c.Solve(source, sel.Strategy, sel.Mode, run)
 	return res, sel, err
 }

@@ -496,9 +496,12 @@ func (sc *ShardedCompiled) ShardInfos() []ShardInfo {
 //     slot order, the union compiles cold, and the vacated slots
 //     redirect to the survivor;
 //   - no live shard touched (an entirely fresh region): the group
-//     joins the live shard currently holding the fewest facts, and
-//     all the regions one delta places on a slot are rolled together
-//     (a bulk load rolls each slot once, not once per region).
+//     joins the live shard currently holding the fewest facts.
+//
+// Everything one delta sends to a slot — the group extending it in
+// place and the fresh regions placed on it — is rolled together, so an
+// append rolls each slot once (a bulk load does not roll it once per
+// region), after any merge.
 //
 // maxFrac <= 0 disables the delta path (touched shards always rebuild
 // cold, still scoped to the shard). Generation follows the Compiled
@@ -618,9 +621,27 @@ func (sc *ShardedCompiled) Extend(dL, dE, dR []Pair, maxFrac float64) (*ShardedC
 		}
 	}
 
+	// Each slot's share of the delta — the group extending it in place
+	// and every fresh region placed on it — is gathered here and rolled
+	// once after the loop, so one append deepens a shard's chain by at
+	// most one link.
+	pending := make([]*group, k)
+	queue := func(slot int, gp *group) {
+		f := pending[slot]
+		if f == nil {
+			f = &group{}
+			pending[slot] = f
+		}
+		f.dl, f.de, f.dr = append(f.dl, gp.dl...), append(f.de, gp.de...), append(f.dr, gp.dr...)
+	}
+	load := func(slot int) int {
+		n := child.shards[slot].nfacts
+		if f := pending[slot]; f != nil {
+			n += len(f.dl) + len(f.de) + len(f.dr)
+		}
+		return n
+	}
 	touched := make(map[int]bool)
-	fresh := make(map[int]*group) // the fresh regions placed on each slot
-	placed := make(map[int]int)   // and how many facts they hold
 	for _, root := range groupOrder {
 		gp := groups[root]
 		live := members[root]
@@ -630,20 +651,14 @@ func (sc *ShardedCompiled) Extend(dL, dE, dR []Pair, maxFrac float64) (*ShardedC
 			// An entirely fresh region: join the lightest live shard.
 			target = -1
 			for _, i := range child.LiveSlots() {
-				if target < 0 || child.shards[i].nfacts+placed[i] < child.shards[target].nfacts+placed[target] {
+				if target < 0 || load(i) < load(target) {
 					target = i
 				}
 			}
-			f := fresh[target]
-			if f == nil {
-				f = &group{}
-				fresh[target] = f
-			}
-			f.dl, f.de, f.dr = append(f.dl, gp.dl...), append(f.de, gp.de...), append(f.dr, gp.dr...)
-			placed[target] += len(gp.dl) + len(gp.de) + len(gp.dr)
+			queue(target, gp)
 		case len(live) == 1:
 			target = live[0]
-			child.extendShard(target, gp.dl, gp.de, gp.dr, maxFrac, &stats)
+			queue(target, gp)
 		default:
 			// Bridging delta: merge every member into the lowest slot.
 			target = live[0]
@@ -659,19 +674,23 @@ func (sc *ShardedCompiled) Extend(dL, dE, dR []Pair, maxFrac float64) (*ShardedC
 						child.redirect[s] = int32(target)
 					}
 				}
+				// Fresh regions already placed on m follow it.
+				if f := pending[m]; f != nil {
+					queue(target, f)
+					pending[m] = nil
+				}
 			}
 			stats.Merges += len(live) - 1
 			stats.Rebuilt++
-		}
-		if len(live) > 0 {
 			touched[target] = true
 		}
 		child.routeFresh(gp.freshL, gp.freshR, int32(target))
 	}
-	for slot, f := range fresh {
-		slot = int(child.redirect[slot]) // a merge above may have absorbed it
-		child.extendShard(slot, f.dl, f.de, f.dr, maxFrac, &stats)
-		touched[slot] = true
+	for slot, f := range pending {
+		if f != nil {
+			child.extendShard(slot, f.dl, f.de, f.dr, maxFrac, &stats)
+			touched[slot] = true
+		}
 	}
 
 	for i := range touched {

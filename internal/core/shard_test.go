@@ -202,6 +202,48 @@ func TestShardedExtendEquivalence(t *testing.T) {
 			}
 		}
 	}
+
+	// One delta that extends a slot in place and also places a fresh
+	// region on it rolls that slot once: one delta Extend, a chain one
+	// link deeper.
+	chain := func(prefix string, n int) []core.Pair {
+		var out []core.Pair
+		for i := 0; i < n; i++ {
+			out = append(out, core.P(fmt.Sprintf("%s%d", prefix, i), fmt.Sprintf("%s%d", prefix, i+1)))
+		}
+		return out
+	}
+	baseL := append(chain("h", 12), chain("l", 8)...)
+	baseE := []core.Pair{core.P("h12", "x"), core.P("l8", "y")}
+	sc := core.CompileSharded(baseL, baseE, nil, core.ShardOpts{Shards: 2})
+	slot := sc.ShardOf("l0")
+	if slot == sc.ShardOf("h0") {
+		t.Fatal("both regions packed into one shard: the in-place + fresh case is not exercised")
+	}
+	dL := []core.Pair{core.P("l8", "l9"), core.P("f0", "f1")}
+	next, stats := sc.Extend(dL, nil, nil, 0.25)
+	if next.ShardOf("f0") != slot {
+		t.Fatalf("fresh region placed on shard %d, want the lighter shard %d", next.ShardOf("f0"), slot)
+	}
+	if !reflect.DeepEqual(stats.Touched, []int{slot}) || stats.DeltaExtended != 1 || stats.Rebuilt != 0 {
+		t.Errorf("in-place + fresh delta on one slot: %+v, want Touched [%d], one DeltaExtended, no rebuild", stats, slot)
+	}
+	if got, want := next.ShardArtifact(slot).DeltaDepth(), sc.ShardArtifact(slot).DeltaDepth()+1; got != want {
+		t.Errorf("shard %d chain depth %d after one append, want %d", slot, got, want)
+	}
+	mono := core.Compile(append(baseL, dL...), baseE, nil)
+	checkShardedSame(t, "in-place + fresh", mono, next, []string{"l0", "l8", "f0", "h0", "absent-from-everything"})
+
+	// The fresh region first, then a link bridging the two shards: the
+	// region is placed on the lighter slot, the merge folds that slot
+	// into the other, and the region follows it.
+	dL = []core.Pair{core.P("f0", "f1"), core.P("h12", "l0")}
+	next, stats = sc.Extend(dL, nil, nil, 0.25)
+	if stats.Merges != 1 || len(stats.Touched) != 1 || next.ShardOf("f0") != stats.Touched[0] || next.ShardOf("l0") != stats.Touched[0] {
+		t.Errorf("fresh + bridge: %+v, fresh region on shard %d, merged regions on %d", stats, next.ShardOf("f0"), next.ShardOf("l0"))
+	}
+	mono = core.Compile(append(baseL, dL...), baseE, nil)
+	checkShardedSame(t, "fresh + bridge", mono, next, []string{"l0", "f0", "h0", "h12", "absent-from-everything"})
 }
 
 // TestShardedBridgingMerge pins the merge policy: an append connecting

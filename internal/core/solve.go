@@ -17,16 +17,6 @@ type Options struct {
 	// fixpoints poll it and return ctx.Err() instead of a result once
 	// it is done. A nil Ctx disables cancellation entirely.
 	Ctx context.Context
-	// Workers sets the size of the worker pool sharding the counting
-	// frontier rounds (Step 1 counting-set BFS, exit seeding, Step 2
-	// descent). 0 or 1 runs sequentially; a negative value uses one
-	// worker per CPU. Results and retrieval counts are identical to
-	// the sequential run in every case.
-	Workers int
-	// ParallelThreshold is the minimum frontier size for a round to be
-	// sharded across Workers; smaller frontiers run sequentially. 0
-	// selects a sensible default.
-	ParallelThreshold int
 	// Trace, when non-nil and armed, receives the run's span tree:
 	// Step 1 and Step 2 stage spans with per-round children, each
 	// carrying its duration, the tuple retrievals it charged, and

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -476,5 +477,94 @@ func TestIntervalFsync(t *testing.T) {
 	_, info := mustOpen(t, dir, Options{})
 	if info.Generation != 1 {
 		t.Fatalf("recovered gen %d, want 1", info.Generation)
+	}
+}
+
+// TestFsyncFailureLatches: a failed fsync leaves its record in the log
+// unacknowledged, so the wal must refuse everything after it — a second
+// record under the same generation would make recovery replay the
+// unacknowledged one and drop the acknowledged one. Under both syncing
+// policies the failure latches, nothing more is written, and a reopen
+// recovers a gapless history: the acknowledged records plus, at most,
+// the whole unacknowledged one.
+func TestFsyncFailureLatches(t *testing.T) {
+	failing := errors.New("injected fsync failure")
+	for _, policy := range []FsyncPolicy{FsyncAlways, FsyncInterval} {
+		t.Run(policy.String(), func(t *testing.T) {
+			dir := t.TempDir()
+			st, _ := mustOpen(t, dir, Options{Fsync: FsyncAlways})
+			acked := []Record{mkRecord(1, 2), mkRecord(2, 3)}
+			appendAll(t, st, acked...)
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			// The seam is set only while no interval-sync goroutine runs.
+			fsyncFile = func(*os.File) error { return failing }
+			defer func() { fsyncFile = (*os.File).Sync }()
+			tried := make(chan struct{}, 1)
+			st, _ = mustOpen(t, dir, Options{Fsync: policy, FsyncInterval: time.Millisecond, OnFsync: func(time.Duration) {
+				select {
+				case tried <- struct{}{}:
+				default:
+				}
+			}})
+			lost := mkRecord(3, 4)
+			err := st.Append(lost)
+			if policy == FsyncAlways {
+				if !errors.Is(err, failing) {
+					t.Fatalf("append over a failing fsync: %v", err)
+				}
+			} else {
+				// The interval policy acknowledges before syncing; the
+				// ticker's failed fsync is what latches.
+				if err != nil {
+					t.Fatalf("interval append: %v", err)
+				}
+				select {
+				case <-tried:
+				case <-time.After(2 * time.Second):
+					t.Fatal("interval policy never fsynced")
+				}
+			}
+			paths, _, _ := listSegments(dir)
+			before, _ := os.Stat(paths[len(paths)-1])
+			reused := mkRecord(3, 1) // what the service would log next: the generation it never published
+			for _, op := range []struct {
+				name string
+				err  error
+			}{{"append", st.Append(reused)}, {"sync", st.Sync()}, {"rotate", func() error { _, err := st.Rotate(); return err }()}, {"close", st.Close()}} {
+				if op.err == nil || !strings.Contains(op.err.Error(), "wal is failed") || !errors.Is(op.err, failing) {
+					t.Errorf("%s after the failed fsync: %v, want the latched failure", op.name, op.err)
+				}
+			}
+			after, _ := os.Stat(paths[len(paths)-1])
+			if more, _, _ := listSegments(dir); len(more) != len(paths) || after.Size() != before.Size() {
+				t.Errorf("the failed wal kept writing: %d → %d segments, active %d → %d bytes", len(paths), len(more), before.Size(), after.Size())
+			}
+
+			fsyncFile = (*os.File).Sync
+			st, info := mustOpen(t, dir, Options{Fsync: FsyncAlways})
+			want := acked
+			if info.Generation == 3 {
+				want = append(want, lost)
+			}
+			var wl, we, wr []core.Pair
+			for _, r := range want {
+				wl, we, wr = append(wl, r.L...), append(we, r.E...), append(wr, r.R...)
+			}
+			if info.Generation != uint64(len(want)) || info.ReplayedRecords != len(want) || info.TruncatedBytes != 0 ||
+				!reflect.DeepEqual(info.L, wl) || !reflect.DeepEqual(info.E, we) || !reflect.DeepEqual(info.R, wr) {
+				t.Fatalf("recovered gen %d from %d records (%d bytes cut) with %d/%d/%d facts, want the %d acknowledged records and at most the whole unacknowledged one",
+					info.Generation, info.ReplayedRecords, info.TruncatedBytes, len(info.L), len(info.E), len(info.R), len(acked))
+			}
+			appendAll(t, st, mkRecord(info.Generation+1, 1))
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if _, again := mustOpen(t, dir, Options{}); again.Generation != info.Generation+1 || again.TruncatedBytes != 0 {
+				t.Fatalf("after the restart's append: gen %d, %d bytes cut; want gen %d, none", again.Generation, again.TruncatedBytes, info.Generation+1)
+			}
+		})
 	}
 }

@@ -27,12 +27,16 @@ type wal struct {
 	seq    uint64 // active segment sequence number
 	size   int64  // bytes written to the active segment
 	dirty  bool   // unsynced bytes pending (interval policy)
-	broken error  // sticky write-failure state; set when recovery-by-truncate failed
+	broken error  // sticky failure: a failed fsync, or a failed write whose truncate also failed
 	closed bool
 
 	stop chan struct{} // interval-sync goroutine shutdown
 	done chan struct{}
 }
+
+// fsyncFile flushes a file to stable storage. A variable so a test can
+// make the flush fail; nothing else assigns it.
+var fsyncFile = (*os.File).Sync
 
 func segmentName(seq uint64) string { return fmt.Sprintf("wal-%016x.log", seq) }
 
@@ -137,8 +141,10 @@ func openWAL(dir string, opts Options, seq uint64, size int64) (*wal, error) {
 // exclusively during open).
 func (w *wal) createSegmentLocked(seq uint64) error {
 	if w.f != nil {
-		if w.dirty {
-			w.syncLocked() // durability boundary: a rotated-away segment is final
+		if w.dirty { // durability boundary: a rotated-away segment is final
+			if err := w.syncLocked(); err != nil {
+				return err
+			}
 		}
 		if err := w.f.Close(); err != nil {
 			return err
@@ -161,7 +167,8 @@ func (w *wal) createSegmentLocked(seq uint64) error {
 // append frames and writes one record payload, rotating first when
 // the segment is full, then syncs per policy. On a write failure the
 // partial frame is truncated away so the log never accumulates a torn
-// record mid-file; if even the truncate fails the wal latches broken.
+// record mid-file; if even the truncate fails, or the fsync does, the
+// wal latches broken and every later append fails.
 func (w *wal) append(payload []byte) error {
 	if len(payload) > maxRecordBytes {
 		return fmt.Errorf("durable: record of %d bytes exceeds the %d-byte limit", len(payload), maxRecordBytes)
@@ -171,8 +178,8 @@ func (w *wal) append(payload []byte) error {
 	if w.closed {
 		return ErrClosed
 	}
-	if w.broken != nil {
-		return fmt.Errorf("durable: wal is failed: %w", w.broken)
+	if err := w.failedLocked(); err != nil {
+		return err
 	}
 	if w.size > headerLen && w.size+recordHeaderLen+int64(len(payload)) > w.opts.SegmentBytes {
 		if err := w.createSegmentLocked(w.seq + 1); err != nil {
@@ -200,18 +207,33 @@ func (w *wal) append(payload []byte) error {
 	return nil
 }
 
+// failedLocked reports the latched failure, if any. Caller holds mu.
+func (w *wal) failedLocked() error {
+	if w.broken != nil {
+		return fmt.Errorf("durable: wal is failed: %w", w.broken)
+	}
+	return nil
+}
+
 // syncLocked flushes the active segment to stable storage and feeds
-// the observer. Caller holds mu.
+// the observer. A failure latches the wal broken: the record just
+// written stays in the log unacknowledged, and since the kernel may
+// drop the dirty pages of a failed fsync, a retry could report success
+// for bytes that never reached the disk — so nothing is written or
+// synced after it, no generation is logged twice, and recovery at
+// worst replays that one record whole. Caller holds mu.
 func (w *wal) syncLocked() error {
 	start := time.Now()
-	err := w.f.Sync()
+	err := fsyncFile(w.f)
 	if w.opts.OnFsync != nil {
 		w.opts.OnFsync(time.Since(start))
 	}
-	if err == nil {
-		w.dirty = false
+	if err != nil {
+		w.broken = fmt.Errorf("fsync: %w", err)
+		return fmt.Errorf("durable: wal fsync: %w", err)
 	}
-	return err
+	w.dirty = false
+	return nil
 }
 
 // sync forces an fsync regardless of policy.
@@ -221,8 +243,8 @@ func (w *wal) sync() error {
 	if w.closed {
 		return ErrClosed
 	}
-	if !w.dirty {
-		return nil
+	if err := w.failedLocked(); err != nil || !w.dirty {
+		return err
 	}
 	return w.syncLocked()
 }
@@ -236,8 +258,8 @@ func (w *wal) syncLoop() {
 		select {
 		case <-t.C:
 			w.mu.Lock()
-			if !w.closed && w.dirty {
-				w.syncLocked()
+			if !w.closed && w.dirty && w.broken == nil {
+				w.syncLocked() // a failure latches; the next append reports it
 			}
 			w.mu.Unlock()
 		case <-w.stop:
@@ -256,6 +278,9 @@ func (w *wal) rotate() (uint64, error) {
 	if w.closed {
 		return 0, ErrClosed
 	}
+	if err := w.failedLocked(); err != nil {
+		return 0, err
+	}
 	if err := w.createSegmentLocked(w.seq + 1); err != nil {
 		return 0, err
 	}
@@ -271,8 +296,8 @@ func (w *wal) close() error {
 		return nil
 	}
 	w.closed = true
-	var err error
-	if w.dirty {
+	err := w.failedLocked()
+	if err == nil && w.dirty {
 		err = w.syncLocked()
 	}
 	if cerr := w.f.Close(); err == nil {

@@ -32,13 +32,6 @@ type Options struct {
 	// polls it and Eval returns ctx.Err() once it is done, matching
 	// the cancellation semantics of the core solver path.
 	Ctx context.Context
-	// Workers sets the worker pool for seminaive delta rounds. A round
-	// is parallelized only when its rule evaluations are provably
-	// independent (no task reads a predicate another task writes);
-	// conflicting rounds fall back to the sequential loop, so results,
-	// stats, and meter counts are identical to Workers == 0 in every
-	// case. 0 or 1 runs sequentially; negative uses one worker per CPU.
-	Workers int
 	// Trace, when non-nil and armed, receives the evaluation's span
 	// tree: one span per stratum with per-round children carrying the
 	// round's duration, its meter delta (tuple retrievals charged to
@@ -191,7 +184,7 @@ func evalNaive(rules []datalog.Rule, store *relation.Store, opts Options, stats 
 		for _, r := range rules {
 			r := r
 			rel := store.Relation(r.Head.Pred, len(r.Head.Args))
-			evalRule(r, store, nil, -1, false, func(t relation.Tuple) {
+			evalRule(r, store, nil, -1, func(t relation.Tuple) {
 				if rel.Insert(t) {
 					added++
 					stats.note(r.Head.Pred)
@@ -205,7 +198,6 @@ func evalNaive(rules []datalog.Rule, store *relation.Store, opts Options, stats 
 }
 
 func evalSeminaive(rules []datalog.Rule, heads map[string]bool, store *relation.Store, opts Options, stats *Stats) error {
-	pe := newParEval(rules, heads, store, opts)
 	rt := roundTrace{tr: opts.Trace, meter: store.Meter()}
 	defer rt.done()
 
@@ -213,22 +205,19 @@ func evalSeminaive(rules []datalog.Rule, heads map[string]bool, store *relation.
 	rt.begin(0, -1)
 	deltas := make(map[string]*relation.Relation)
 	stats.Iterations++
-	tasks := make([]roundTask, 0, len(rules))
-	for i, r := range rules {
+	for _, r := range rules {
+		r := r
 		rel := store.Relation(r.Head.Pred, len(r.Head.Args))
 		if deltas[r.Head.Pred] == nil {
 			deltas[r.Head.Pred] = store.Scratch("Δ"+r.Head.Pred, rel.Arity())
 		}
-		tasks = append(tasks, roundTask{rule: r, ruleIdx: i, head: rel, deltaPos: -1})
-	}
-	runRound(store, pe, rules, tasks, func(tk *roundTask, t relation.Tuple) {
-		if tk.head.Insert(t) {
-			stats.note(tk.rule.Head.Pred)
-			deltas[tk.rule.Head.Pred].Insert(t)
-		}
-	})
-	for pred, d := range deltas {
-		pe.indexDelta(pred, d)
+		d := deltas[r.Head.Pred]
+		evalRule(r, store, nil, -1, func(t relation.Tuple) {
+			if rel.Insert(t) {
+				stats.note(r.Head.Pred)
+				d.Insert(t)
+			}
+		})
 	}
 	for round := 1; ; round++ {
 		if round >= opts.MaxIterations {
@@ -247,12 +236,13 @@ func evalSeminaive(rules []datalog.Rule, heads map[string]bool, store *relation.
 		rt.begin(round, int64(total))
 		stats.Iterations++
 		next := make(map[string]*relation.Relation)
-		tasks = tasks[:0]
-		for ri, r := range rules {
+		for _, r := range rules {
+			r := r
 			rel := store.Relation(r.Head.Pred, len(r.Head.Args))
 			if next[r.Head.Pred] == nil {
 				next[r.Head.Pred] = store.Scratch("Δ"+r.Head.Pred, rel.Arity())
 			}
+			nd := next[r.Head.Pred]
 			// One differential per recursive body literal: match that
 			// literal against its predicate's delta, the rest against
 			// the full relations.
@@ -264,17 +254,13 @@ func evalSeminaive(rules []datalog.Rule, heads map[string]bool, store *relation.
 				if d == nil || d.Len() == 0 {
 					continue
 				}
-				tasks = append(tasks, roundTask{rule: r, ruleIdx: ri, head: rel, deltaPos: i, delta: d})
+				evalRule(r, store, d, i, func(t relation.Tuple) {
+					if rel.Insert(t) {
+						stats.note(r.Head.Pred)
+						nd.Insert(t)
+					}
+				})
 			}
-		}
-		runRound(store, pe, rules, tasks, func(tk *roundTask, t relation.Tuple) {
-			if tk.head.Insert(t) {
-				stats.note(tk.rule.Head.Pred)
-				next[tk.rule.Head.Pred].Insert(t)
-			}
-		})
-		for pred, nd := range next {
-			pe.indexDelta(pred, nd)
 		}
 		deltas = next
 	}
@@ -287,10 +273,8 @@ type bindings map[string]relation.Value
 // is non-negative, the body literal at that original position reads
 // from delta instead of its stored relation. Builtins and negated
 // literals are deferred until their inputs are bound, so rules only
-// need to be statically safe, not textually ordered. With readOnly
-// set, relation probes never build indexes lazily, so concurrent
-// evaluations over a shared store are race-free.
-func evalRule(r datalog.Rule, store *relation.Store, delta *relation.Relation, deltaPos int, readOnly bool, emit func(relation.Tuple)) {
+// need to be statically safe, not textually ordered.
+func evalRule(r datalog.Rule, store *relation.Store, delta *relation.Relation, deltaPos int, emit func(relation.Tuple)) {
 	order := orderBody(r)
 	env := make(bindings)
 	var walk func(i int)
@@ -309,7 +293,7 @@ func evalRule(r datalog.Rule, store *relation.Store, delta *relation.Relation, d
 			evalBuiltin(l.Atom, env, func() { walk(i + 1) })
 		case l.Negated:
 			rel, ok := store.Lookup(l.Atom.Pred)
-			if !ok || !hasMatch(rel, l.Atom, env, readOnly) {
+			if !ok || !hasMatch(rel, l.Atom, env) {
 				walk(i + 1)
 			}
 		default:
@@ -320,7 +304,7 @@ func evalRule(r datalog.Rule, store *relation.Store, delta *relation.Relation, d
 			if !ok {
 				return
 			}
-			matchAtomMode(rel, l.Atom, env, readOnly, func(relation.Tuple) { walk(i + 1) })
+			matchAtom(rel, l.Atom, env, func(relation.Tuple) { walk(i + 1) })
 		}
 	}
 	walk(0)
@@ -428,14 +412,6 @@ func valueOf(t datalog.Term, env bindings) relation.Value {
 // every matching tuple with the atom's free variables bound. Bindings
 // added for a match are undone before trying the next tuple.
 func matchAtom(rel *relation.Relation, a datalog.Atom, env bindings, next func(relation.Tuple)) {
-	matchAtomMode(rel, a, env, false, next)
-}
-
-// matchAtomMode is matchAtom with an explicit probe mode: readOnly
-// probes use LookupReadOnly (identical matches and identical meter
-// charges, but no lazy index builds), which makes them safe to run
-// concurrently against a shared relation.
-func matchAtomMode(rel *relation.Relation, a datalog.Atom, env bindings, readOnly bool, next func(relation.Tuple)) {
 	var cols []int
 	var vals []relation.Value
 	for i, t := range a.Args {
@@ -447,11 +423,7 @@ func matchAtomMode(rel *relation.Relation, a datalog.Atom, env bindings, readOnl
 			vals = append(vals, v)
 		}
 	}
-	lookup := rel.Lookup
-	if readOnly {
-		lookup = rel.LookupReadOnly
-	}
-	lookup(cols, vals, func(t relation.Tuple) bool {
+	rel.Lookup(cols, vals, func(t relation.Tuple) bool {
 		var boundHere []string
 		ok := true
 		for i, arg := range a.Args {
@@ -480,9 +452,9 @@ func matchAtomMode(rel *relation.Relation, a datalog.Atom, env bindings, readOnl
 
 // hasMatch reports whether any tuple of rel matches a under env
 // (used for negated literals; all variables are bound by safety).
-func hasMatch(rel *relation.Relation, a datalog.Atom, env bindings, readOnly bool) bool {
+func hasMatch(rel *relation.Relation, a datalog.Atom, env bindings) bool {
 	found := false
-	matchAtomMode(rel, a, env, readOnly, func(relation.Tuple) { found = true })
+	matchAtom(rel, a, env, func(relation.Tuple) { found = true })
 	return found
 }
 

@@ -39,10 +39,14 @@ var Methods = []MethodDef{
 		func(c *core.Compiled, src string, _ core.Options) (*core.Result, error) { return c.SolveNaive(src) }},
 	{"counting", "counting method (§2); unsafe on cyclic magic graphs", core.Query.SolveCounting,
 		func(q core.Query, o core.Options) (*core.Result, error) { return q.SolveCountingOpts(o) },
-		func(c *core.Compiled, src string, o core.Options) (*core.Result, error) { return c.SolveCounting(src, o) }},
+		func(c *core.Compiled, src string, o core.Options) (*core.Result, error) {
+			return c.SolveCounting(src, o)
+		}},
 	{"counting-cyclic", "generalized counting extension (safe, [MPS]/[SZ2] footnote)", core.Query.SolveCountingCyclic,
 		func(q core.Query, o core.Options) (*core.Result, error) { return q.SolveCountingCyclicOpts(o) },
-		func(c *core.Compiled, src string, o core.Options) (*core.Result, error) { return c.SolveCountingCyclic(src, o) }},
+		func(c *core.Compiled, src string, o core.Options) (*core.Result, error) {
+			return c.SolveCountingCyclic(src, o)
+		}},
 	{"magic", "magic set method (§2)", core.Query.SolveMagic, nil,
 		func(c *core.Compiled, src string, _ core.Options) (*core.Result, error) { return c.SolveMagic(src) }},
 	{"mc-basic-ind", "basic magic counting, independent (§4, §6)", mc(core.Basic, core.Independent), mcOpts(core.Basic, core.Independent), mcC(core.Basic, core.Independent)},

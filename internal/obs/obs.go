@@ -21,9 +21,9 @@
 // the "enabled but unsampled" configuration the benchmark guard
 // measures against the nil path.
 //
-// A Trace is single-goroutine: the solver's parallel frontier workers
-// never touch it (only the coordinating loop opens and closes spans,
-// at round boundaries), so no locking is needed or provided.
+// A Trace is single-goroutine: one request's solve opens and closes
+// its spans on the goroutine that runs it, so no locking is needed or
+// provided.
 package obs
 
 import (

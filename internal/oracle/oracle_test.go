@@ -60,8 +60,8 @@ func TestAnswersHandComputed(t *testing.T) {
 		{
 			name:   "separate name spaces: L-side b and R-side b differ",
 			l:      []Arc{{"a", "b"}},
-			e:      []Arc{{"b", "b"}},  // crosses to R-side "b"
-			r:      []Arc{{"b", "b"}},  // R-side self-loop
+			e:      []Arc{{"b", "b"}}, // crosses to R-side "b"
+			r:      []Arc{{"b", "b"}}, // R-side self-loop
 			source: "a",
 			// k=1: a->b, cross (b,b), one R step: (b,b) reversed is
 			// b->b, stays at b.

@@ -347,20 +347,6 @@ func (r *Relation) row(pos int) []int32 {
 // retrieval per tuple produced. It uses a hash index, building one on
 // first use. Returning false from fn stops the lookup early.
 func (r *Relation) Lookup(cols []int, vals []Value, fn func(Tuple) bool) {
-	r.lookup(cols, vals, fn, false)
-}
-
-// LookupReadOnly is Lookup without the lazy index build: a probe with
-// no prebuilt index falls back to a filtered scan, which charges
-// exactly what the index probe would (one retrieval per matching
-// tuple). It exists for read-only phases — e.g. the engine's parallel
-// rule evaluation — where concurrent readers probe a relation that is
-// mutable in principle but quiescent by protocol.
-func (r *Relation) LookupReadOnly(cols []int, vals []Value, fn func(Tuple) bool) {
-	r.lookup(cols, vals, fn, true)
-}
-
-func (r *Relation) lookup(cols []int, vals []Value, fn func(Tuple) bool, readOnly bool) {
 	if len(cols) != len(vals) {
 		panic("relation: Lookup cols/vals length mismatch on " + r.name)
 	}
@@ -370,11 +356,11 @@ func (r *Relation) lookup(cols []int, vals []Value, fn func(Tuple) bool, readOnl
 	}
 	ix := r.findIndex(cols)
 	if ix == nil {
-		if r.frozen || readOnly {
-			// No lazy build on a frozen relation or during a read-only
-			// phase: a filtered scan keeps concurrent readers
-			// mutation-free at the cost of one retrieval per matching
-			// tuple, exactly as an index probe charges.
+		if r.frozen {
+			// No lazy build on a frozen relation: a filtered scan keeps
+			// concurrent readers mutation-free at the cost of one
+			// retrieval per matching tuple, exactly as an index probe
+			// charges.
 			r.scanMatch(cols, vals, fn)
 			return
 		}

@@ -86,6 +86,9 @@ func TestServiceModel(t *testing.T) {
 		{"bulk-load", "append", load},
 		{"small-append", "append", FactsRequest{L: []core.Pair{core.P(sources[0], "s0")}, E: []core.Pair{core.P("s0", "s0")}}},
 		{"repost", "repost", mergeFacts(regions[1], regions[3])},
+		// One link onto region 3, which at four shards sits alone on the
+		// lightest one, plus a fresh region that therefore joins it.
+		{"extend-and-fresh", "append", FactsRequest{L: []core.Pair{core.P(sources[3], "w0"), core.P("w1", "w2")}}},
 		{"bulk-into-region", "append", bulk},
 		{"fresh-region", "append", regions[5]},
 		{"bridge", "append", FactsRequest{L: []core.Pair{core.P(sources[0], sources[1])}}},
@@ -168,6 +171,15 @@ func TestServiceModel(t *testing.T) {
 				case "repost":
 					if resp, err := svc.Query(context.Background(), QueryRequest{Source: sources[0]}); err != nil || !resp.Cached {
 						t.Fatalf("re-POST purged the cache: cached=%v err=%v", resp != nil && resp.Cached, err)
+					}
+				case "extend-and-fresh":
+					art := svc.current()
+					if art.ShardOf("w1") != art.ShardOf(sources[3]) {
+						t.Fatalf("the fresh region joined shard %d, region 3 is on %d: one slot taking both is not exercised", art.ShardOf("w1"), art.ShardOf(sources[3]))
+					}
+					depth := art.ShardArtifact(art.ShardOf("w1")).DeltaDepth()
+					if s.DeltaCompile.DeltaCompiles != 2 || (shards > 1 && depth != 1) {
+						t.Fatalf("an append extending a shard and placing a fresh region on it rolled it more than once: %+v, depth %d", s.DeltaCompile, depth)
 					}
 				case "bulk-into-region":
 					if s.DeltaCompile.Fallbacks != 1 || s.DeltaCompile.LastAppend.Find("compile") == nil {

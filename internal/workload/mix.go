@@ -56,7 +56,7 @@ func (k OpKind) String() string {
 // both POST them and feed its generation ledger from the same value.
 type Op struct {
 	// Seq is the operation's position in the schedule, starting at 0.
-	Seq int
+	Seq  int
 	Kind OpKind
 
 	// OpQuery / OpBadQuery.

@@ -138,7 +138,9 @@ func TestMixAppendsDisjointAndAcyclic(t *testing.T) {
 		}
 	}
 	// Acyclicity of the accumulated L graph: iterative DFS three-color.
-	const (white, gray, black = 0, 1, 2)
+	const (
+		white, gray, black = 0, 1, 2
+	)
 	color := map[string]int{}
 	var stack []string
 	for n := range adj {

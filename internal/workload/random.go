@@ -56,8 +56,8 @@ func RandomRegime(kind RegimeKind, seed int64, size int) core.Query {
 		size = 1
 	}
 	rng := rand.New(rand.NewSource(seed ^ int64(kind)<<32))
-	layers := 2 + rng.Intn(2+size)   // 2..3+size
-	width := 1 + rng.Intn(1+size)    // 1..1+size
+	layers := 2 + rng.Intn(2+size) // 2..3+size
+	width := 1 + rng.Intn(1+size)  // 1..1+size
 	var q core.Query
 	q.Source = "a"
 	node := func(l, i int) string { return fmt.Sprintf("n%d_%d", l, i) }
