@@ -293,6 +293,57 @@ func BenchmarkChooseMethod(b *testing.B) {
 	}
 }
 
+// appendLink is append i onto a same-generation tree: one fresh node
+// below an existing one, the shape of a served 1-link append.
+func appendLink(q core.Query, i int) (dL, dE, dR []core.Pair) {
+	old, fresh := q.L[(i*7919)%len(q.L)].To, fmt.Sprintf("fresh%d", i)
+	return []core.Pair{core.P(old, fresh)}, []core.Pair{core.P(fresh, fresh)}, []core.Pair{core.P(old, fresh)}
+}
+
+// BenchmarkExtend measures the delta compile of one 1-link append on
+// same-generation trees of about 10k and about 100k facts, chained the
+// way the serving layer chains them (collapsed every 8 links, the
+// default -max-resident-compiled) and restarted from the cold artifact
+// every 256 appends so the database stays its size. B/op is the
+// O(delta) claim: it must not grow with the database.
+func BenchmarkExtend(b *testing.B) {
+	for _, size := range []struct {
+		name  string
+		depth int
+	}{{"10k-facts", 7}, {"100k-facts", 9}} {
+		q := workload.Tree(3, size.depth)
+		cold := core.Compile(q.L, q.E, q.R)
+		b.Run(size.name, func(b *testing.B) {
+			b.ReportAllocs()
+			c := cold
+			for i := 0; i < b.N; i++ {
+				if i%256 == 0 {
+					c = cold
+				}
+				if c = c.Extend(appendLink(q, i)); c.DeltaDepth() == 8 {
+					c = c.Flatten()
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkFlatten measures collapsing a depth-8 chain of 1-link
+// appends on a same-generation tree of about 100k facts: the serving
+// layer's collapse at its default depth cap. It must cost what the
+// chain added, not the database.
+func BenchmarkFlatten(b *testing.B) {
+	q := workload.Tree(3, 9)
+	chain := core.Compile(q.L, q.E, q.R)
+	for i := 0; i < 8; i++ {
+		chain = chain.Extend(appendLink(q, i))
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		chain.Flatten()
+	}
+}
+
 // BenchmarkServerQuery measures the query service end to end: the
 // cache-hit fast path and the full solve path (rotating sources defeat
 // the cache).

@@ -62,7 +62,7 @@ func run(args []string, stdout io.Writer) error {
 	shardmixShards := fs.Int("shardmix-shards", 8, "shard slots for the -shardmix probe")
 	shardmixBase := fs.Int("shardmix-base", 48_000, "pre-loaded facts for the -shardmix probe")
 	shardmixAppends := fs.Int("shardmix-appends", 400, "append steps for the -shardmix probe")
-	shardmixMinSpeedup := fs.Float64("shardmix-min-speedup", 3, "required monolithic/sharded amortized-append speedup for -shardmix (0 disables the gate)")
+	shardmixMinSpeedup := fs.Float64("shardmix-min-speedup", 0.5, "required monolithic/sharded amortized-append speedup for -shardmix (0 disables the gate)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

@@ -1,6 +1,9 @@
 package core
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // This file holds the compiled-instance layer: the build-once,
 // share-everywhere artifact behind every solver entry point. The
@@ -9,44 +12,196 @@ import "sync"
 // EDB as a compiled, indexed artifact reused across goal invocations;
 // Compile is that artifact. A Compiled is immutable after
 // construction, so any number of concurrent queries may share one.
-
-// csr is one adjacency graph in compressed sparse row form: the arcs
-// of node x occupy arcs[off[x]:off[x+1]]. One flat arc array plus one
-// offset array per graph replaces the per-node [][]int32 slices of
-// the old interned form — rows are contiguous, a frontier expansion
-// walks memory linearly, and the whole graph is two allocations.
 //
-// A delta-extended graph (see Extend) trades the flat layout for a
-// per-row table: rows[x] is node x's arc list, aliasing the parent
-// artifact's storage for every row the delta did not touch and owning
-// fresh storage for the re-laid rows. row() dispatches on which form
-// is present, so solvers never see the difference.
+// The four adjacency graphs and the two name tables share one paged
+// layout: a directory of pages of pageRows rows (or names) each. Cold
+// Compile and DecodeCompiled lay every page of a graph back to back in
+// one array and write the arcs straight into it; Extend copies a
+// directory and re-lays only the pages a delta touches, so an append
+// costs O(delta + pages), never O(nodes) — the per-row maintenance rule
+// the magic-set literature gives for fact insertion, at page grain.
+
+// pageShift sets the page size of every paged table: pageRows rows of
+// a graph, or pageRows names of a symbol table, per page.
+const (
+	pageShift = 8
+	pageRows  = 1 << pageShift
+	pageMask  = pageRows - 1
+)
+
+// csr is one adjacency graph in paged compressed-sparse-row form. A
+// page is pageRows consecutive rows in one pointer-free []int32 — the
+// rows' offsets, then their arcs — so the collector never traces
+// inside one: for a page of r rows, entries 0..r are positions within
+// the page, and row i is page[page[i]:page[i+1]]. Rows are contiguous
+// inside a page, so a frontier expansion walks memory linearly.
+//
+// The full pages sit in a directory shared freely between an artifact
+// and everything extended from it; the partial last page, the one new
+// nodes grow, is the tail, held apart so that re-laying it never copies
+// the directory. Pages are immutable once built.
 type csr struct {
-	off  []int32 // len = nodes + 1 (flat form)
-	arcs []int32
-	rows [][]int32 // non-nil on a delta-extended graph; overrides off/arcs
-	m    int       // arc count, maintained across both forms
+	pages [][]int32 // full pages, n>>pageShift of them
+	tail  []int32   // the last n&pageMask rows; nil when there are none
+	n     int       // rows covered; ids at or past n have no arcs
+	m     int       // arc count
 }
 
 // row returns node x's arc list. Ids at or past the node count — the
-// bound query constant when it occurs in no relation — have no arcs.
+// bound query constant when it occurs in no relation, or a node interned
+// after this graph last gained an arc — have no arcs.
 func (c *csr) row(x int32) []int32 {
-	if c.rows != nil {
-		if int(x) >= len(c.rows) {
-			return nil
-		}
-		return c.rows[x]
-	}
-	if int(x)+1 >= len(c.off) {
+	if int(x) >= c.n {
 		return nil
 	}
-	return c.arcs[c.off[x]:c.off[x+1]]
+	p := c.tail
+	if k := int(x >> pageShift); k < len(c.pages) {
+		p = c.pages[k]
+	}
+	i := x & pageMask
+	return p[p[i]:p[i+1]]
+}
+
+// page returns page p: a full page, the tail, or nil past the end.
+func (c *csr) page(p int) []int32 {
+	if p < len(c.pages) {
+		return c.pages[p]
+	}
+	if p == len(c.pages) {
+		return c.tail
+	}
+	return nil
+}
+
+// layCSR allocates the graph whose row x holds off[x+1]-off[x] arcs (off
+// has one entry per row plus one): every page back to back in one
+// array, each page's offsets filled in and its arcs left for the caller
+// to write in row order.
+func layCSR(off []int32) csr {
+	n := len(off) - 1
+	buf := make([]int32, n+(n+pageMask)>>pageShift+int(off[n]))
+	c := csr{pages: make([][]int32, n>>pageShift), n: n, m: int(off[n])}
+	at := 0
+	for lo := 0; lo < n; lo += pageRows {
+		hi := min(lo+pageRows, n)
+		head := int32(hi - lo + 1)
+		size := int(head + off[hi] - off[lo])
+		page := buf[at : at+size : at+size]
+		for x := lo; x <= hi; x++ {
+			page[x-lo] = head + off[x] - off[lo]
+		}
+		if p := lo >> pageShift; p < len(c.pages) {
+			c.pages[p] = page
+		} else {
+			c.tail = page
+		}
+		at += size
+	}
+	return c
+}
+
+// residentBytes is the graph's storage: page headers, every page's
+// offsets (rows plus one) and its arcs.
+func (c *csr) residentBytes() int64 {
+	np := int64(len(c.pages))
+	if c.tail != nil {
+		np++
+	}
+	return np*sliceHeaderBytes + (int64(c.n)+np+int64(c.m))*4
+}
+
+// names is a paged symbol table: the full pages of pageRows names in a
+// shared directory, and the partial last page, the tail. Tables built
+// by Extend from one another share the tail's backing array; see push
+// for who may write past whose length.
+type names struct {
+	pages [][]string // full pages
+	tail  []string   // the last n&pageMask names
+	// claimed counts the slots of tail's backing array some table has
+	// written; nil when the array may not grow in place (a cold tail is
+	// a clamped slice of the compile-time name list).
+	claimed *atomic.Int32
+	n       int   // names held
+	chars   int64 // total name length, for ResidentBytes
+}
+
+// pagedNames slices a flat name list into pages without copying it.
+func pagedNames(flat []string) names {
+	t := names{pages: make([][]string, len(flat)>>pageShift), n: len(flat)}
+	for p := range t.pages {
+		t.pages[p] = flat[p<<pageShift : (p+1)<<pageShift : (p+1)<<pageShift]
+	}
+	t.tail = flat[len(t.pages)<<pageShift : len(flat) : len(flat)]
+	for _, s := range flat {
+		t.chars += int64(len(s))
+	}
+	return t
+}
+
+// at returns the name of id x.
+func (t *names) at(x int32) string {
+	if k := int(x >> pageShift); k < len(t.pages) {
+		return t.pages[k][x&pageMask]
+	}
+	return t.tail[x&pageMask]
+}
+
+// page returns page p: a full page, or the tail.
+func (t *names) page(p int) []string {
+	if p < len(t.pages) {
+		return t.pages[p]
+	}
+	return t.tail
+}
+
+// flat returns the table as one fresh slice, in id order.
+func (t *names) flat() []string {
+	out := make([]string, 0, t.n)
+	for _, p := range t.pages {
+		out = append(out, p...)
+	}
+	return append(out, t.tail...)
+}
+
+// push appends name to t, a copy of some table Extend grows, and
+// returns its id. Every table is immutable below its own length, so
+// the tail grows in place exactly when t is the first table to claim
+// the next slot of the shared backing array — a linear chain of appends
+// never copies it. A sibling that finds the slot taken copies the tail
+// first, so tables sharing pages never see each other's names. A full
+// tail moves into a fresh copy of the directory, once per pageRows
+// names.
+func (t *names) push(name string) int32 {
+	if len(t.tail) == pageRows {
+		t.pages = append(t.pages[:len(t.pages):len(t.pages)], t.tail)
+		t.tail, t.claimed = nil, nil
+	}
+	k := int32(len(t.tail))
+	if t.claimed == nil || !t.claimed.CompareAndSwap(k, k+1) {
+		t.tail = append(make([]string, 0, pageRows), t.tail...)
+		t.claimed = new(atomic.Int32)
+		t.claimed.Store(k + 1)
+	}
+	t.tail = append(t.tail, name)
+	t.chars += int64(len(name))
+	t.n++
+	return int32(t.n - 1)
+}
+
+// residentBytes is the table's storage: page headers, string headers
+// and characters.
+func (t *names) residentBytes() int64 {
+	np := int64(len(t.pages))
+	if len(t.tail) > 0 {
+		np++
+	}
+	return np*sliceHeaderBytes + int64(t.n)*stringHeaderBytes + t.chars
 }
 
 // iarc is one deduplicated arc during compilation.
 type iarc struct{ u, v int32 }
 
-// buildCSR lays out arcs in CSR form over n nodes. rev swaps each
+// buildCSR lays out arcs in paged CSR form over n nodes. rev swaps each
 // arc's endpoints (the reverse graph). The counting sort is stable,
 // so rows keep the relation's fact order like the old per-node
 // append did.
@@ -64,19 +219,22 @@ func buildCSR(n int, arcs []iarc, rev bool) csr {
 	for i := 1; i <= n; i++ {
 		off[i] += off[i-1]
 	}
-	flat := make([]int32, len(arcs))
-	cur := make([]int32, n)
-	copy(cur, off[:n])
+	c := layCSR(off)
+	// off is spent: reuse it as each row's next free slot in its page.
+	cur := off[:n]
+	for x := range cur {
+		cur[x] = c.page(x >> pageShift)[x&pageMask]
+	}
 	for _, a := range arcs {
 		s := src(a)
 		d := a.v
 		if rev {
 			d = a.u
 		}
-		flat[cur[s]] = d
+		c.page(int(s >> pageShift))[cur[s]] = d
 		cur[s]++
 	}
-	return csr{off: off, arcs: flat, m: len(flat)}
+	return c
 }
 
 // Compiled is a query instance compiled once and shared read-only
@@ -94,18 +252,19 @@ type Compiled struct {
 	// its result-cache generation.
 	Generation uint64
 
-	lNames []string
-	rNames []string
+	lNames names
+	rNames names
 	lid    map[string]int32
 	rid    map[string]int32
 	// lidOv and ridOv are the delta overlays: symbols interned by
-	// Extend since the last full Compile, as an immutable chain of
-	// small per-generation maps. The base maps above are shared
-	// read-only across a whole extend chain (concurrent queries on the
-	// parent may be probing them), so a delta generation interns its
-	// new constants into a fresh link instead of rehashing the base —
-	// and instead of copying the accumulated overlay, which would make
-	// a long append chain quadratic. nil on a cold-compiled artifact.
+	// Extend and not yet folded into the base maps, as an immutable
+	// chain of small maps. The base maps above are shared read-only
+	// across a whole extend chain (concurrent queries on the parent may
+	// be probing them), so a delta generation interns its new constants
+	// into a fresh link instead of rehashing the base — and instead of
+	// copying the accumulated overlay, which would make a long append
+	// chain quadratic. Flatten folds the chain into one link. nil on a
+	// cold-compiled artifact.
 	lidOv *symOv
 	ridOv *symOv
 
@@ -133,22 +292,23 @@ func Compile(L, E, R []Pair) *Compiled {
 		lid: make(map[string]int32, len(L)),
 		rid: make(map[string]int32, len(R)),
 	}
+	var lNames, rNames []string
 	internL := func(name string) int32 {
 		if id, ok := c.lid[name]; ok {
 			return id
 		}
-		id := int32(len(c.lNames))
+		id := int32(len(lNames))
 		c.lid[name] = id
-		c.lNames = append(c.lNames, name)
+		lNames = append(lNames, name)
 		return id
 	}
 	internR := func(name string) int32 {
 		if id, ok := c.rid[name]; ok {
 			return id
 		}
-		id := int32(len(c.rNames))
+		id := int32(len(rNames))
 		c.rid[name] = id
-		c.rNames = append(c.rNames, name)
+		rNames = append(rNames, name)
 		return id
 	}
 	dedupe := func(seen map[iarc]bool, u, v int32) bool {
@@ -184,7 +344,8 @@ func Compile(L, E, R []Pair) *Compiled {
 			rArcs = append(rArcs, iarc{ch, b})
 		}
 	}
-	nL, nR := len(c.lNames), len(c.rNames)
+	nL, nR := len(lNames), len(rNames)
+	c.lNames, c.rNames = pagedNames(lNames), pagedNames(rNames)
 	c.lOut = buildCSR(nL, lArcs, false)
 	c.lIn = buildCSR(nL, lArcs, true)
 	c.eOut = buildCSR(nL, eArcs, false)
@@ -194,10 +355,10 @@ func Compile(L, E, R []Pair) *Compiled {
 
 // NumL and NumR report the interned domain sizes (excluding any
 // virtual source node a bind may add).
-func (c *Compiled) NumL() int { return len(c.lNames) }
+func (c *Compiled) NumL() int { return c.lNames.n }
 
 // NumR reports the R-domain size.
-func (c *Compiled) NumR() int { return len(c.rNames) }
+func (c *Compiled) NumR() int { return c.rNames.n }
 
 // Arcs reports the deduplicated arc counts of G_L, G_E, and the
 // descent graph.
@@ -206,11 +367,11 @@ func (c *Compiled) Arcs() (l, e, r int) {
 }
 
 // symOv is one link of the overlay chain: the symbols one Extend
-// generation interned, plus the previous generation's link. Links are
-// immutable once their Extend returns, so siblings branch freely and
-// in-flight queries on any ancestor stay safe — a name is interned in
-// exactly one link (or the base), so there is no shadowing and walk
-// order is a pure lookup-cost concern.
+// generation interned (or a fold of several), plus the previous link.
+// Links are immutable once their Extend returns, so siblings branch
+// freely and in-flight queries on any ancestor stay safe — a name is
+// interned in exactly one link (or the base), so there is no shadowing
+// and walk order is a pure lookup-cost concern.
 type symOv struct {
 	prev *symOv
 	m    map[string]int32
@@ -233,17 +394,54 @@ func lookupSym(base map[string]int32, overlay *symOv, name string) (int32, bool)
 	return 0, false
 }
 
+// foldSyms folds an overlay chain into at most one link over base, so
+// a lookup probes at most two maps. The link holds the union of the
+// chain's maps; once it outgrows an eighth of base, the base map is
+// rebuilt with everything instead, which amortizes to O(1) per symbol.
+// Neither input is modified.
+func foldSyms(base map[string]int32, ov *symOv) (map[string]int32, *symOv) {
+	if ov == nil {
+		return base, nil
+	}
+	size := 0
+	for l := ov; l != nil; l = l.prev {
+		size += len(l.m)
+	}
+	if size <= len(base)/8 {
+		if ov.prev == nil {
+			return base, ov
+		}
+		m := make(map[string]int32, size)
+		for l := ov; l != nil; l = l.prev {
+			for name, id := range l.m {
+				m[name] = id
+			}
+		}
+		return base, &symOv{m: m}
+	}
+	out := make(map[string]int32, len(base)+size)
+	for name, id := range base {
+		out[name] = id
+	}
+	for l := ov; l != nil; l = l.prev {
+		for name, id := range l.m {
+			out[name] = id
+		}
+	}
+	return out, nil
+}
+
 // bind attaches a source constant to the compiled instance, producing
 // the small per-run state every solver entry point evaluates with. A
 // source that occurs in no relation becomes a virtual L-node one past
 // the interned table — it has no arcs, exactly as if it had been
 // interned fresh — so bind never mutates the shared artifact.
 func (c *Compiled) bind(source string) *instance {
-	in := &instance{c: c, srcName: source, nL: len(c.lNames), nR: len(c.rNames)}
+	in := &instance{c: c, srcName: source, nL: c.lNames.n, nR: c.rNames.n}
 	if id, ok := lookupSym(c.lid, c.lidOv, source); ok {
 		in.src = id
 	} else {
-		in.src = int32(len(c.lNames))
+		in.src = int32(c.lNames.n)
 		in.nL++
 	}
 	return in

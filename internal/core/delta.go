@@ -1,6 +1,10 @@
 package core
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+	"slices"
+)
 
 // This file is the delta-compilation layer: Extend patches a Compiled
 // artifact with a fact delta instead of rebuilding it, the maintenance
@@ -11,13 +15,17 @@ import "fmt"
 //
 //   - symbol tables grow append-only: new constants intern into a
 //     small overlay map, the base maps (shared with the parent, which
-//     concurrent queries may still be probing) are never rehashed;
-//   - CSR adjacency is re-laid per row: only rows whose source node
-//     carries a delta arc get fresh storage, every untouched row
-//     aliases the parent's arc array, and a relation with no delta at
-//     all aliases wholesale;
+//     concurrent queries may still be probing) are never rehashed, and
+//     the paged name tables append past the parent's length — in place
+//     along a chain, onto a private copy of the last page for a second
+//     child of one parent;
+//   - CSR adjacency is re-laid per page: the child copies the page
+//     directory and re-lays only the pages holding a delta arc's source
+//     row (plus the last page when new nodes extend it); every other
+//     page is the parent's, shared as is, and a relation with no delta
+//     at all is shared wholesale;
 //   - the magic graph needs no step of its own: it is the lOut/lIn
-//     tables, which classification reads in either form.
+//     tables, which classification reads through row().
 //
 // The result compiles the same database as a cold Compile over the
 // concatenated relations: identical up to the interning order of the
@@ -29,10 +37,10 @@ import "fmt"
 // observational identity (same sorted answers, same Stats).
 
 // DeltaDepth reports how many Extend steps separate this artifact
-// from its last full Compile (0 for a cold-compiled or decoded one).
-// Serving layers bound the chain: each step aliases the previous
-// artifact's storage, so an unbounded chain would pin every
-// generation's re-laid rows; a periodic full compile flattens it.
+// from its last full Compile or Flatten (0 for a cold-compiled,
+// decoded or flattened one). Serving layers bound the chain: each step
+// adds an overlay link that lookups walk, and a periodic Flatten folds
+// the links.
 func (c *Compiled) DeltaDepth() int { return c.depth }
 
 // Extend returns a new artifact covering the parent's relations plus
@@ -44,47 +52,45 @@ func (c *Compiled) DeltaDepth() int { return c.depth }
 //
 // Facts already present are ignored (relations are sets), matching
 // Compile's deduplication, so Extend is idempotent over re-sent
-// deltas. The cost is O(nodes) in slice-header copies plus O(delta)
-// in real work — no hashing or sorting over the parent's facts.
+// deltas. The cost is O(delta) in real work plus one page directory
+// copy per touched table and one re-laid page per touched page — no
+// hashing, sorting or copying over the parent's facts.
 func (c *Compiled) Extend(dL, dE, dR []Pair) *Compiled {
 	child := &Compiled{
 		Generation: c.Generation,
+		lNames:     c.lNames,
+		rNames:     c.rNames,
 		lid:        c.lid,
 		rid:        c.rid,
+		lidOv:      c.lidOv,
+		ridOv:      c.ridOv,
 		depth:      c.depth + 1,
 	}
-	// Cap-clamp the shared name tables so the first append reallocates
-	// instead of growing into the parent's backing array (two siblings
-	// extended from one parent must not clobber each other). The
-	// overlay chains are shared outright: the parent's links are
-	// immutable, and the child's first new symbol prepends a fresh one.
-	child.lNames = c.lNames[:len(c.lNames):len(c.lNames)]
-	child.rNames = c.rNames[:len(c.rNames):len(c.rNames)]
-	child.lidOv = c.lidOv
-	child.ridOv = c.ridOv
-
+	// The parent's name pages and overlay links are immutable: the
+	// child's names go past the parent's length (see names.push), and
+	// its first new symbol per domain prepends a fresh overlay link, so
+	// two siblings extended from one parent never see each other's
+	// symbols.
 	internL := func(name string) int32 {
 		if id, ok := lookupSym(child.lid, child.lidOv, name); ok {
 			return id
 		}
-		id := int32(len(child.lNames))
 		if child.lidOv == c.lidOv {
 			child.lidOv = &symOv{prev: c.lidOv, m: make(map[string]int32, 4)}
 		}
+		id := child.lNames.push(name)
 		child.lidOv.m[name] = id
-		child.lNames = append(child.lNames, name)
 		return id
 	}
 	internR := func(name string) int32 {
 		if id, ok := lookupSym(child.rid, child.ridOv, name); ok {
 			return id
 		}
-		id := int32(len(child.rNames))
 		if child.ridOv == c.ridOv {
 			child.ridOv = &symOv{prev: c.ridOv, m: make(map[string]int32, 4)}
 		}
+		id := child.rNames.push(name)
 		child.ridOv.m[name] = id
-		child.rNames = append(child.rNames, name)
 		return id
 	}
 
@@ -100,23 +106,11 @@ func (c *Compiled) Extend(dL, dE, dR []Pair) *Compiled {
 	// row c as arc b.
 	rArcs := dedupeDelta(dR, &c.rOut, internR, internR, true)
 
-	nL, nR := len(child.lNames), len(child.rNames)
-	if len(lArcs) > 0 {
-		child.lOut = extendCSR(&c.lOut, nL, lArcs, false)
-		child.lIn = extendCSR(&c.lIn, nL, lArcs, true)
-	} else {
-		child.lOut, child.lIn = c.lOut, c.lIn
-	}
-	if len(eArcs) > 0 {
-		child.eOut = extendCSR(&c.eOut, nL, eArcs, false)
-	} else {
-		child.eOut = c.eOut
-	}
-	if len(rArcs) > 0 {
-		child.rOut = extendCSR(&c.rOut, nR, rArcs, false)
-	} else {
-		child.rOut = c.rOut
-	}
+	nL, nR := child.lNames.n, child.rNames.n
+	child.lOut = c.lOut.extend(nL, lArcs, false)
+	child.lIn = c.lIn.extend(nL, lArcs, true)
+	child.eOut = c.eOut.extend(nL, eArcs, false)
+	child.rOut = c.rOut.extend(nR, rArcs, false)
 	return child
 }
 
@@ -199,82 +193,110 @@ func rowHas(row []int32, v int32) bool {
 	return false
 }
 
-// extendCSR lays the delta over a parent graph in per-row form over n
-// nodes: untouched rows alias the parent's storage (cap-clamped, so
-// they can never be grown in place), touched rows get fresh storage
-// holding the parent row followed by the delta arcs in delta order —
-// the same per-row order a cold build's stable counting sort
-// produces. rev swaps each arc's endpoints (the reverse graph).
-//
-// Invariant: every row of a rows-form table has cap == len. A flat
-// parent's rows are clamped as they are sliced out; an extended
-// parent already satisfies it (its touched rows are re-clamped
-// below), so a chained Extend bulk-copies the header table — the
-// dominant per-step cost on a long chain — instead of re-clamping
-// row by row.
-func extendCSR(parent *csr, n int, arcs []iarc, rev bool) csr {
-	rows := make([][]int32, n)
-	if parent.rows != nil {
-		copy(rows, parent.rows)
-	} else {
-		for i := 0; i+1 < len(parent.off); i++ {
-			lo, hi := parent.off[i], parent.off[i+1]
-			rows[i] = parent.arcs[lo:hi:hi]
-		}
+// extend returns the graph with arcs added, over n rows (n >= c.n).
+// With no arcs the graph is shared as is: rows past its node count read
+// empty anyway. Otherwise re-laid are exactly the pages holding an
+// arc's source row plus the pages n adds rows to (the tail, and any
+// page past it); every other page is the parent's. The directory is
+// copied only when a full page changes or the tail fills up. rev swaps
+// each arc's endpoints (the reverse graph).
+func (c *csr) extend(n int, arcs []iarc, rev bool) csr {
+	if len(arcs) == 0 {
+		return *c
 	}
-	// Every row starts at cap == len, so the first append per touched
-	// row copies it out of the shared storage and later appends grow
-	// the private copy — copy-on-write without tracking touched sets.
-	src := func(a iarc) int32 {
+	bySrc := make([]iarc, len(arcs))
+	for i, a := range arcs {
 		if rev {
-			return a.v
+			a.u, a.v = a.v, a.u
 		}
-		return a.u
+		bySrc[i] = a
 	}
-	for _, a := range arcs {
-		s, d := a.u, a.v
-		if rev {
-			s, d = a.v, a.u
+	// Group by source row, keeping delta order inside a row: each row's
+	// new arcs then follow its parent arcs in delta order, the order a
+	// cold build's stable counting sort produces.
+	slices.SortStableFunc(bySrc, func(a, b iarc) int { return cmp.Compare(a.u, b.u) })
+
+	out := csr{pages: c.pages, n: n, m: c.m + len(arcs)}
+	np := (n + pageMask) >> pageShift
+	grow := np // the first page n adds rows to
+	if n > c.n {
+		grow = c.n >> pageShift
+	}
+	// Walk the pages to re-lay in ascending order: those with delta arcs
+	// merged with the growing ones.
+	copied := false
+	for i := 0; i < len(bySrc) || grow < np; {
+		p := grow
+		if i < len(bySrc) {
+			p = min(p, int(bySrc[i].u>>pageShift))
 		}
-		rows[s] = append(rows[s], d)
+		j := i
+		for j < len(bySrc) && int(bySrc[j].u>>pageShift) == p {
+			j++
+		}
+		page := relay(c.page(p), p, n, bySrc[i:j])
+		i = j
+		if p >= grow {
+			grow = p + 1
+		}
+		if p == n>>pageShift {
+			out.tail = page
+			continue
+		}
+		if !copied {
+			copied = true
+			out.pages = make([][]int32, n>>pageShift)
+			copy(out.pages, c.pages)
+		}
+		out.pages[p] = page
 	}
-	// Re-clamp the touched rows to restore the invariant for the next
-	// link of the chain.
-	for _, a := range arcs {
-		s := src(a)
-		row := rows[s]
-		rows[s] = row[:len(row):len(row)]
+	if n&pageMask != 0 && out.tail == nil {
+		out.tail = c.tail
 	}
-	return csr{rows: rows, m: parent.m + len(arcs)}
+	return out
 }
 
-// flatten returns the graph in flat off/arcs form over n nodes,
-// rebuilding the two arrays from the row table when the graph is
-// delta-extended, and padding the offset table when the graph was
-// aliased from a parent with fewer interned nodes (the delta added
-// symbols but no arcs to this relation — trailing rows are empty,
-// exactly as a cold build lays them). The snapshot codec serializes
-// through it so a persisted extended artifact is byte-identical to
-// the cold-compiled equivalent.
-func (c *csr) flatten(n int) csr {
-	if c.rows == nil {
-		if len(c.off) == n+1 {
-			return *c
-		}
-		off := make([]int32, n+1)
-		copy(off, c.off)
-		for i := len(c.off); i <= n; i++ {
-			off[i] = int32(len(c.arcs))
-		}
-		return csr{off: off, arcs: c.arcs, m: c.m}
+// relay re-lays page p of a graph over n rows in one exact-size
+// allocation: each row's arcs on old (nil when p is new) followed by
+// its arcs in delta, in delta order. delta's sources all lie on page p,
+// in ascending order. The rows between two touched rows move as one
+// block, their offsets shifted by a constant.
+func relay(old []int32, p, n int, delta []iarc) []int32 {
+	base := int32(p << pageShift)
+	rows := min(pageRows, n-int(base))
+	oldRows, oldArcs := 0, 0
+	if len(old) > 0 {
+		oldRows, oldArcs = int(old[0])-1, len(old)-int(old[0])
 	}
-	off := make([]int32, n+1)
-	arcs := make([]int32, 0, c.m)
-	for i := 0; i < n; i++ {
-		arcs = append(arcs, c.row(int32(i))...)
-		off[i+1] = int32(len(arcs))
+	page := make([]int32, rows+1+oldArcs+len(delta))
+	at := int32(rows + 1) // next free arc slot
+	next := 0             // first row not laid yet
+	// lay lays rows [next, to) as old has them: its rows as one block,
+	// rows past its end empty.
+	lay := func(to int) {
+		if hi := min(to, oldRows); hi > next {
+			shift := at - old[next]
+			for r := next; r < hi; r++ {
+				page[r] = old[r] + shift
+			}
+			at += int32(copy(page[at:], old[old[next]:old[hi]]))
+			next = hi
+		}
+		for ; next < to; next++ {
+			page[next] = at
+		}
 	}
-	return csr{off: off, arcs: arcs, m: len(arcs)}
+	for k := 0; k < len(delta); {
+		r := int(delta[k].u - base)
+		lay(r + 1)
+		for ; k < len(delta) && delta[k].u-base == int32(r); k++ {
+			page[at] = delta[k].v
+			at++
+		}
+	}
+	lay(rows)
+	page[rows] = at
+	return page
 }
 
 // StructuralEqual reports whether two artifacts compile the same
@@ -304,10 +326,10 @@ func (c *Compiled) StructuralEqual(o *Compiled) error {
 		base    map[string]int32
 		overlay *symOv
 	}{
-		{"L", c, c.lNames, c.lid, c.lidOv},
-		{"R", c, c.rNames, c.rid, c.ridOv},
-		{"L", o, o.lNames, o.lid, o.lidOv},
-		{"R", o, o.rNames, o.rid, o.ridOv},
+		{"L", c, c.lNames.flat(), c.lid, c.lidOv},
+		{"R", c, c.rNames.flat(), c.rid, c.ridOv},
+		{"L", o, o.lNames.flat(), o.lid, o.lidOv},
+		{"R", o, o.rNames.flat(), o.rid, o.ridOv},
 	} {
 		for i, name := range side.names {
 			if id, ok := lookupSym(side.base, side.overlay, name); !ok || id != int32(i) {
@@ -315,11 +337,11 @@ func (c *Compiled) StructuralEqual(o *Compiled) error {
 			}
 		}
 	}
-	oToCL, err := tableBijection("L", o.lNames, c.lNames, c.lid, c.lidOv)
+	oToCL, err := tableBijection("L", o.lNames.flat(), c.lNames.n, c.lid, c.lidOv)
 	if err != nil {
 		return err
 	}
-	oToCR, err := tableBijection("R", o.rNames, c.rNames, c.rid, c.ridOv)
+	oToCR, err := tableBijection("R", o.rNames.flat(), c.rNames.n, c.rid, c.ridOv)
 	if err != nil {
 		return err
 	}
@@ -327,7 +349,7 @@ func (c *Compiled) StructuralEqual(o *Compiled) error {
 	cToOL := invertIDs(oToCL)
 	cToOR := invertIDs(oToCR)
 
-	nL, nR := len(c.lNames), len(c.rNames)
+	nL, nR := c.lNames.n, c.rNames.n
 	graphs := []struct {
 		name       string
 		a, b       *csr
@@ -362,9 +384,9 @@ func (c *Compiled) StructuralEqual(o *Compiled) error {
 // overlay) symbol maps of the other artifact, failing when a name is
 // missing or the table sizes differ — same length plus total
 // resolution of unique names is a bijection.
-func tableBijection(tag string, names, otherNames []string, base map[string]int32, overlay *symOv) ([]int32, error) {
-	if len(names) != len(otherNames) {
-		return nil, fmt.Errorf("core: %s-table size %d != %d", tag, len(otherNames), len(names))
+func tableBijection(tag string, names []string, otherN int, base map[string]int32, overlay *symOv) ([]int32, error) {
+	if len(names) != otherN {
+		return nil, fmt.Errorf("core: %s-table size %d != %d", tag, otherN, len(names))
 	}
 	out := make([]int32, len(names))
 	for id, name := range names {

@@ -9,9 +9,11 @@
 package core_test
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -260,15 +262,182 @@ func TestExtendCodecIdentity(t *testing.T) {
 	}
 }
 
+// pagedQuery is a random database over n nodes in both domains, wide
+// enough to span several pages of every table: a random forest in L,
+// identity plus random cross arcs in E, random pairs in R, a few pairs
+// repeated.
+func pagedQuery(rng *rand.Rand, n int) core.Query {
+	name := func(i int) string { return fmt.Sprintf("p%d", i) }
+	q := core.Query{Source: name(0)}
+	for i := 1; i < n; i++ {
+		q.L = append(q.L, core.P(name(rng.Intn(i)), name(i)))
+		if rng.Intn(4) == 0 {
+			q.L = append(q.L, core.P(name(i), name(rng.Intn(n))))
+		}
+	}
+	for i := 0; i < n; i++ {
+		q.E = append(q.E, core.P(name(i), name(i)))
+		if rng.Intn(3) == 0 {
+			q.E = append(q.E, core.P(name(i), name(rng.Intn(n))))
+		}
+		q.R = append(q.R, core.P(name(rng.Intn(n)), name(rng.Intn(n))))
+	}
+	for _, rel := range []*[]core.Pair{&q.L, &q.E, &q.R} {
+		for k := 0; k < 8; k++ {
+			*rel = append(*rel, (*rel)[rng.Intn(len(*rel))])
+		}
+	}
+	rng.Shuffle(len(q.L), func(i, j int) { q.L[i], q.L[j] = q.L[j], q.L[i] })
+	return q
+}
+
+// TestExtendAcrossPages drives Extend chains whose deltas cross page
+// boundaries every way a paged table can: arcs from rows on full pages
+// of the parent, growth inside the tail page, a tail that fills into a
+// full page, and deltas adding several pages of fresh nodes at once.
+// Every link must match a cold compile structurally, answer the same,
+// and encode to bytes its decode reproduces; the parent must stay
+// intact.
+func TestExtendAcrossPages(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		q := pagedQuery(rng, 700+rng.Intn(400))
+		cut := func(p []core.Pair, k int) ([]core.Pair, []core.Pair) { return p[:k], p[k:] }
+		// A base of a few pages, then deltas of 1, a few, hundreds and
+		// the rest of each relation.
+		var base core.Query
+		var rest core.Query
+		base.L, rest.L = cut(q.L, len(q.L)/3)
+		base.E, rest.E = cut(q.E, len(q.E)/3)
+		base.R, rest.R = cut(q.R, len(q.R)/3)
+		acc := base
+		comp := core.Compile(base.L, base.E, base.R)
+		for step, size := range []int{1, 3, 40, 300, 1 << 30} {
+			take := func(p *[]core.Pair) []core.Pair {
+				k := min(size, len(*p))
+				d := (*p)[:k]
+				*p = (*p)[k:]
+				return d
+			}
+			dL, dE, dR := take(&rest.L), take(&rest.E), take(&rest.R)
+			before := comp.AppendBinary(nil)
+			next := comp.Extend(dL, dE, dR)
+			if !bytes.Equal(comp.AppendBinary(nil), before) {
+				t.Fatalf("seed %d step %d: Extend modified its parent", seed, step)
+			}
+			acc.L = append(acc.L[:len(acc.L):len(acc.L)], dL...)
+			acc.E = append(acc.E[:len(acc.E):len(acc.E)], dE...)
+			acc.R = append(acc.R[:len(acc.R):len(acc.R)], dR...)
+			cold := core.Compile(acc.L, acc.E, acc.R)
+			label := fmt.Sprintf("seed %d step %d (%d L-nodes)", seed, step, cold.NumL())
+			if err := next.StructuralEqual(cold); err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			enc := next.AppendBinary(nil)
+			dec, _, err := core.DecodeCompiled(enc)
+			if err != nil {
+				t.Fatalf("%s: decode: %v", label, err)
+			}
+			if !bytes.Equal(dec.AppendBinary(nil), enc) {
+				t.Fatalf("%s: decode does not reproduce the encoding", label)
+			}
+			for _, src := range []string{q.Source, acc.L[len(acc.L)-1].To, "absent-from-everything"} {
+				want, werr := cold.Solve(src, core.Multiple, core.Integrated, core.Options{})
+				got, gerr := next.Solve(src, core.Multiple, core.Integrated, core.Options{})
+				checkSame(t, label+" src="+src, want, werr, got, gerr)
+			}
+			comp = next
+		}
+		if cold := core.Compile(q.L, q.E, q.R); comp.Flatten().StructuralEqual(cold) != nil {
+			t.Fatalf("seed %d: the flattened chain diverges from the cold compile", seed)
+		}
+	}
+}
+
+// TestExtendSiblings extends one parent four times at once, with
+// different fresh symbols and arcs, while the parent answers queries —
+// the way racing appends and in-flight queries could meet. Each sibling
+// must keep its own names and rows, whichever claimed the parent's last
+// name page first, and the parent neither. The parent is itself
+// extended, so its last name pages have room to grow in place — exactly
+// what all but one sibling must not do.
+func TestExtendSiblings(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	q := pagedQuery(rng, 600)
+	q.L = append(q.L, core.P("p1", "mid"))
+	q.E = append(q.E, core.P("mid", "mid"))
+	q.R = append(q.R, core.P("mid", "p1"))
+	n := len(q.L) - 1
+	parent := core.Compile(q.L[:n], q.E[:len(q.E)-1], q.R[:len(q.R)-1]).Extend(q.L[n:], q.E[len(q.E)-1:], q.R[len(q.R)-1:])
+	before := parent.AppendBinary(nil)
+	want, werr := parent.Solve("p0", core.Multiple, core.Integrated, core.Options{})
+
+	type sibling struct {
+		dL, dE, dR []core.Pair
+		c          *core.Compiled
+	}
+	sibs := make([]*sibling, 4)
+	for k := range sibs {
+		sib := &sibling{}
+		for i := 0; i < 3; i++ {
+			fresh := fmt.Sprintf("s%d-%d", k, i)
+			old := fmt.Sprintf("p%d", rng.Intn(600))
+			sib.dL = append(sib.dL, core.P(old, fresh))
+			sib.dE = append(sib.dE, core.P(fresh, fresh))
+			sib.dR = append(sib.dR, core.P(fresh, old))
+		}
+		sibs[k] = sib
+	}
+	var wg sync.WaitGroup
+	for _, sib := range sibs {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			sib.c = parent.Extend(sib.dL, sib.dE, sib.dR)
+		}()
+		go func() {
+			defer wg.Done()
+			got, gerr := parent.Solve("p0", core.Multiple, core.Integrated, core.Options{})
+			if (gerr == nil) != (werr == nil) || (gerr == nil && !reflect.DeepEqual(got, want)) {
+				t.Error("the parent answered differently while being extended")
+			}
+		}()
+	}
+	wg.Wait()
+	if !bytes.Equal(parent.AppendBinary(nil), before) {
+		t.Fatal("extending a parent four times modified it")
+	}
+	for k, sib := range sibs {
+		cold := core.Compile(append(q.L[:len(q.L):len(q.L)], sib.dL...), append(q.E[:len(q.E):len(q.E)], sib.dE...), append(q.R[:len(q.R):len(q.R)], sib.dR...))
+		if err := sib.c.StructuralEqual(cold); err != nil {
+			t.Fatalf("sibling %d diverges from its cold compile: %v", k, err)
+		}
+		src := sib.dL[0].From
+		want, werr := cold.Solve(src, core.Basic, core.Integrated, core.Options{})
+		got, gerr := sib.c.Solve(src, core.Basic, core.Integrated, core.Options{})
+		checkSame(t, fmt.Sprintf("sibling %d", k), want, werr, got, gerr)
+	}
+}
+
 // FuzzExtendAgainstCompile lets the fuzzer hunt for a (regime, seed,
-// split) combination where Extend and Compile disagree.
+// split) combination where Extend and Compile disagree. The high bits
+// of kind tile the instance into up to 64 disjoint prefixed copies, so
+// the database spans several pages of every table and the splits land
+// on and across page boundaries.
 func FuzzExtendAgainstCompile(f *testing.F) {
 	f.Add(uint8(0), int64(1), uint8(40), uint8(80), uint8(120))
 	f.Add(uint8(1), int64(2), uint8(0), uint8(255), uint8(128))
 	f.Add(uint8(2), int64(3), uint8(200), uint8(10), uint8(90))
 	f.Add(uint8(3), int64(4), uint8(255), uint8(255), uint8(255))
+	f.Add(uint8(254), int64(5), uint8(100), uint8(170), uint8(30))
 	f.Fuzz(func(t *testing.T, kind uint8, seed int64, cl, ce, cr uint8) {
 		q := workload.RandomRegime(workload.RegimeKind(kind%4), seed, 2)
+		tiled := q
+		for i := 1; i <= int(kind>>2); i++ {
+			c := prefixQuery(q, fmt.Sprintf("t%d:", i))
+			tiled.L, tiled.E, tiled.R = append(tiled.L, c.L...), append(tiled.E, c.E...), append(tiled.R, c.R...)
+		}
+		q = tiled
 		base, delta := splitQuery(q,
 			float64(cl)/255, float64(ce)/255, float64(cr)/255)
 		cold := core.Compile(q.L, q.E, q.R)

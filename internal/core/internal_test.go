@@ -57,16 +57,17 @@ func TestBuildInternsSeparateDomains(t *testing.T) {
 		Source: "n",
 	}
 	in := build(q)
-	if len(in.c.lNames) != 2 || in.nL != 2 {
-		t.Fatalf("L domain = %v", in.c.lNames)
+	lNames, rNames := in.c.lNames.flat(), in.c.rNames.flat()
+	if len(lNames) != 2 || in.nL != 2 {
+		t.Fatalf("L domain = %v", lNames)
 	}
-	if len(in.c.rNames) != 2 {
-		t.Fatalf("R domain = %v", in.c.rNames)
+	if len(rNames) != 2 {
+		t.Fatalf("R domain = %v", rNames)
 	}
 	// Same constant, two nodes — the paper's "two distinct associated
 	// nodes" requirement.
-	if in.c.lNames[0] != "n" || in.c.rNames[0] != "n" {
-		t.Fatalf("interning order wrong: %v / %v", in.c.lNames, in.c.rNames)
+	if lNames[0] != "n" || rNames[0] != "n" {
+		t.Fatalf("interning order wrong: %v / %v", lNames, rNames)
 	}
 }
 
@@ -82,7 +83,7 @@ func TestBuildDedupesFacts(t *testing.T) {
 		t.Fatal("duplicate facts not collapsed")
 	}
 	rx := int32(-1)
-	for id, n := range in.c.rNames {
+	for id, n := range in.c.rNames.flat() {
 		if n == "x" {
 			rx = int32(id)
 		}
@@ -109,7 +110,7 @@ func TestFlaggedBFSShortcutFlagsAndIX(t *testing.T) {
 	in := build(q)
 	firstIdx, flagged, ix, _ := in.flaggedBFS()
 	var cID int32 = -1
-	for v, n := range in.c.lNames {
+	for v, n := range in.c.lNames.flat() {
 		if n == "c" {
 			cID = int32(v)
 		}
@@ -177,7 +178,7 @@ func TestStep1AgreesWithOracleProperty(t *testing.T) {
 // classifyAcrossArtifactForms is TestStep1AgreesWithOracleProperty's
 // last case. Classification reads the artifact's own G_L rows, so it
 // must not matter how the artifact came to be: a cold compile, an
-// Extend chain (rows-form tables), its flattened form and its decoded
+// Extend chain (re-laid pages), its flattened form and its decoded
 // snapshot give every node the same class, first index and index set —
 // through in.lOut exactly what the on-demand Digraph view and the
 // brute-force oracle say — for a source in the database and for a

@@ -87,12 +87,12 @@ type instance struct {
 	c *Compiled
 
 	// nL and nR are the effective domain sizes for this run. nL is
-	// len(c.lNames) plus one when the source is a virtual node (a
+	// c.lNames.n plus one when the source is a virtual node (a
 	// constant occurring in no relation), so every n-dependent bound
 	// and charge matches a build that interned the source.
 	nL, nR int
 
-	src     int32  // source L-node (may be the virtual id len(c.lNames))
+	src     int32  // source L-node (may be the virtual id c.lNames.n)
 	srcName string // the source constant, for the virtual node's name
 
 	retrievals int64 // tuple retrievals charged so far
@@ -119,23 +119,21 @@ func (in *instance) rOut(y int32) []int32 { return in.c.rOut.row(y) }
 // lName resolves an L-node id to its constant, covering the virtual
 // source node.
 func (in *instance) lName(v int32) string {
-	if int(v) < len(in.c.lNames) {
-		return in.c.lNames[v]
+	if int(v) < in.c.lNames.n {
+		return in.c.lNames.at(v)
 	}
 	return in.srcName
 }
 
-// lNamesFull returns the L-domain name table for this run, appending
-// the virtual source when the run has one. Callers receive a slice
-// they may keep: it is either the shared immutable table or a fresh
-// copy.
+// lNamesFull returns the L-domain name table for this run as a fresh
+// slice the caller may keep, with the virtual source appended when the
+// run has one.
 func (in *instance) lNamesFull() []string {
-	if in.nL == len(in.c.lNames) {
-		return in.c.lNames
+	out := in.c.lNames.flat()
+	if in.nL > len(out) {
+		out = append(out, in.srcName)
 	}
-	out := make([]string, 0, in.nL)
-	out = append(out, in.c.lNames...)
-	return append(out, in.srcName)
+	return out
 }
 
 // ctxPollStride bounds how many charge calls may pass between two
@@ -238,7 +236,7 @@ func (in *instance) lGraph() *graph.Digraph {
 func (in *instance) answerNames(set *denseSet) []string {
 	out := make([]string, 0, set.size())
 	for _, id := range set.members() {
-		out = append(out, in.c.rNames[id])
+		out = append(out, in.c.rNames.at(id))
 	}
 	sort.Strings(out)
 	return out

@@ -7,31 +7,43 @@ import (
 
 // residentGroundTruth recomputes a flat artifact's resident-byte
 // estimate from first principles: it asserts the artifact really is
-// in flat form (no Extend chain, no symbol overlays, no row-form
-// graphs) and then walks every table with the estimator's published
-// constants written out literally, independent of ResidentBytes'
-// own traversal.
+// in flat form (no Extend chain, at most one symbol-overlay link per
+// domain) and then walks every page of every table with the
+// estimator's published constants written out literally, independent
+// of the totals ResidentBytes reads.
 func residentGroundTruth(t *testing.T, c *Compiled) int64 {
 	t.Helper()
 	if c.depth != 0 {
 		t.Fatalf("ground truth needs a flat artifact, got depth %d", c.depth)
 	}
-	if c.lidOv != nil || c.ridOv != nil {
-		t.Fatal("ground truth needs a flat artifact, got symbol overlays")
-	}
 	var b int64
-	for _, names := range [][]string{c.lNames, c.rNames} {
-		b += int64(len(names)) * 16 // string headers
-		for _, s := range names {
-			b += int64(len(s))
+	for _, tab := range []*names{&c.lNames, &c.rNames} {
+		pages := tab.pages
+		if len(tab.tail) > 0 {
+			pages = append(pages[:len(pages):len(pages)], tab.tail)
+		}
+		b += int64(len(pages)) * 24 // page headers
+		for _, p := range pages {
+			for _, s := range p {
+				b += 16 + int64(len(s)) // string header and characters
+			}
 		}
 	}
 	b += int64(len(c.lid)+len(c.rid)) * 48 // interning map entries
-	for _, g := range []*csr{&c.lOut, &c.lIn, &c.eOut, &c.rOut} {
-		if g.rows != nil {
-			t.Fatal("ground truth needs a flat artifact, got a row-form graph")
+	for _, ov := range []*symOv{c.lidOv, c.ridOv} {
+		if ov != nil && ov.prev != nil {
+			t.Fatal("ground truth needs a flat artifact, got an overlay chain")
 		}
-		b += int64(len(g.off)+len(g.arcs)) * 4
+		if ov != nil {
+			b += int64(len(ov.m))*48 + 24
+		}
+	}
+	for _, g := range []*csr{&c.lOut, &c.lIn, &c.eOut, &c.rOut} {
+		for _, p := range append(g.pages[:len(g.pages):len(g.pages)], g.tail) {
+			if p != nil {
+				b += 24 + int64(len(p))*4 // page header, offsets and arcs
+			}
+		}
 	}
 	return b
 }

@@ -27,11 +27,12 @@ type ShardOpts struct {
 	Shards int
 }
 
-// factRope is a chunked fact list: each Extend appends one chunk (an
-// O(chunks) outer copy, never an O(shard) pair copy — the pair slices
-// themselves are shared with the parent artifact), and readers
-// materialize the flat form only when a rebuild or merge actually
-// needs it.
+// factRope is a chunked fact list: each Extend appends one chunk, and
+// readers materialize the flat form only when a rebuild or merge
+// actually needs it. Chunk sizes halve (at least) from the front, like
+// the digits of a binary counter, so a rope of n facts holds O(log n)
+// chunks and an append copies O(log n) chunk headers plus, amortized,
+// O(log n) pairs per appended fact — never the shard.
 type factRope [][]Pair
 
 // flat materializes the rope. A single-chunk rope returns its chunk
@@ -57,20 +58,21 @@ func (fr factRope) count() int {
 }
 
 // appendChunk returns a rope covering base plus chunk without growing
-// base's backing array in place (parents share ropes with children).
+// base's backing arrays in place (parents share ropes with children):
+// the chunk goes on the end, and the last two chunks merge into a fresh
+// one for as long as the last is no shorter than the one before it.
 func appendChunk(base factRope, chunk []Pair) factRope {
 	if len(chunk) == 0 {
 		return base
 	}
 	out := make(factRope, 0, len(base)+1)
-	out = append(out, base...)
-	return append(out, chunk)
+	out = append(append(out, base...), chunk)
+	for k := len(out) - 1; k > 0 && len(out[k]) >= len(out[k-1]); k-- {
+		merged := make([]Pair, 0, len(out[k-1])+len(out[k]))
+		out = append(out[:k-1], append(append(merged, out[k-1]...), out[k]...))
+	}
+	return out
 }
-
-// shardChunkFold bounds a shard's total chunk count: past it the ropes
-// collapse to single chunks, so the per-append outer copy stays O(1)
-// amortized over a long append stream.
-const shardChunkFold = 256
 
 // shard is one region shard: the facts that landed in it (as chunked
 // ropes, kept so a bridging append can merge or rebuild this shard
@@ -115,7 +117,7 @@ type ShardedCompiled struct {
 	lOv, rOv       *symOv
 	redirect       []int32
 	// ovDepth counts overlay links; past routeFoldDepth an Extend folds
-	// the chains into fresh base maps so lookups stay O(1) amortized.
+	// the chains (see maybeFoldRoutes) so lookups stay O(1) amortized.
 	ovDepth int
 	// ovOwnedL/ovOwnedR mark whether the head overlay link was created
 	// by this artifact's own Extend (writable) or inherited from the
@@ -125,8 +127,8 @@ type ShardedCompiled struct {
 
 // routeFoldDepth bounds the router overlay chains: each Extend adds at
 // most one link per side, and a genuine lookup miss probes every link,
-// so a long-running append stream folds the chain back into the base
-// maps once it reaches this depth.
+// so a long-running append stream folds the chain once it reaches this
+// depth.
 const routeFoldDepth = 64
 
 // ShardExtendStats reports what one sharded Extend did: which live
@@ -351,12 +353,13 @@ func (sc *ShardedCompiled) ropes(slots []int) (l, e, r factRope) {
 	return l, e, r
 }
 
-// FactCounts reports the per-relation sizes of Facts without
-// materializing them.
+// FactCounts reports the per-relation sizes of the database: the live
+// shards' deduplicated arc counts, exact on every artifact form. (Facts
+// may repeat a pair the input repeated; the counts never do.)
 func (sc *ShardedCompiled) FactCounts() (l, e, r int) {
 	for _, i := range sc.LiveSlots() {
-		sh := sc.shards[i]
-		l, e, r = l+sh.l.count(), e+sh.e.count(), r+sh.r.count()
+		al, ae, ar := sc.shards[i].comp.Arcs()
+		l, e, r = l+al, e+ae, r+ar
 	}
 	return l, e, r
 }
@@ -465,9 +468,10 @@ func (sc *ShardedCompiled) ShardInfos() []ShardInfo {
 	var out []ShardInfo
 	for _, i := range sc.LiveSlots() {
 		sh := sc.shards[i]
+		l, e, r := sh.comp.Arcs()
 		out = append(out, ShardInfo{
 			Slot:          i,
-			Facts:         sh.nfacts,
+			Facts:         l + e + r,
 			LNodes:        sh.comp.NumL(),
 			RNodes:        sh.comp.NumR(),
 			DeltaDepth:    sh.comp.DeltaDepth(),
@@ -724,11 +728,6 @@ func (sc *ShardedCompiled) extendShard(slot int, dl, de, dr []Pair, maxFrac floa
 			stats.Fallbacks++
 		}
 	}
-	if len(next.l)+len(next.e)+len(next.r) > shardChunkFold {
-		next.l = factRope{next.l.flat()}
-		next.e = factRope{next.e.flat()}
-		next.r = factRope{next.r.flat()}
-	}
 	sc.shards[slot] = next
 }
 
@@ -757,27 +756,21 @@ func (sc *ShardedCompiled) routeFresh(lNames, rNames []string, slot int32) {
 	}
 }
 
-// maybeFoldRoutes folds over-long router overlay chains into fresh
-// base maps — O(symbols), amortized across the routeFoldDepth appends
-// that grew the chain.
+// maybeFoldRoutes folds over-long router overlay chains with the same
+// fold Flatten applies to a Compiled's symbol overlays: at most one
+// link per side, the base maps rebuilt only once that link outgrows an
+// eighth of them — so the cost is the symbols routed since the last
+// rebuild, not the router's size.
 func (sc *ShardedCompiled) maybeFoldRoutes() {
 	if sc.ovDepth <= routeFoldDepth {
 		return
 	}
-	fold := func(base map[string]int32, ov *symOv) map[string]int32 {
-		out := make(map[string]int32, len(base))
-		for name, slot := range base {
-			out[name] = slot
-		}
-		for ; ov != nil; ov = ov.prev {
-			for name, slot := range ov.m {
-				out[name] = slot
-			}
-		}
-		return out
-	}
-	sc.routeL = fold(sc.routeL, sc.lOv)
-	sc.routeR = fold(sc.routeR, sc.rOv)
-	sc.lOv, sc.rOv = nil, nil
+	sc.routeL, sc.lOv = foldSyms(sc.routeL, sc.lOv)
+	sc.routeR, sc.rOv = foldSyms(sc.routeR, sc.rOv)
 	sc.ovDepth = 0
+	for _, ov := range []*symOv{sc.lOv, sc.rOv} {
+		if ov != nil {
+			sc.ovDepth++
+		}
+	}
 }

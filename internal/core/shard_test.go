@@ -121,13 +121,26 @@ func TestCompileShardedAgainstMonolithic(t *testing.T) {
 func TestCompileShardedMultiRegion(t *testing.T) {
 	for seed := int64(1); seed <= 2; seed++ {
 		whole, sources := multiRegion(seed*100, 6, 2)
+		// Repeat a pair of every relation: relations are sets, so the
+		// fact counts must not see the repeats.
+		whole.L = append(whole.L, whole.L[0])
+		whole.E = append(whole.E, whole.E[0])
+		whole.R = append(whole.R, whole.R[0])
 		mono := core.Compile(whole.L, whole.E, whole.R)
+		wl, we, wr := mono.Arcs()
 		for _, shards := range []int{1, 3, 4, 16} {
 			sc := core.CompileSharded(whole.L, whole.E, whole.R, core.ShardOpts{Shards: shards})
 			label := fmt.Sprintf("seed=%d/k=%d", seed, shards)
-			if nl, ne, nr := sc.FactCounts(); nl != len(whole.L) || ne != len(whole.E) || nr != len(whole.R) {
+			if nl, ne, nr := sc.FactCounts(); nl != wl || ne != we || nr != wr {
 				t.Fatalf("%s: shards hold %d/%d/%d facts, database has %d/%d/%d",
-					label, nl, ne, nr, len(whole.L), len(whole.E), len(whole.R))
+					label, nl, ne, nr, wl, we, wr)
+			}
+			facts := 0
+			for _, info := range sc.ShardInfos() {
+				facts += info.Facts
+			}
+			if facts != wl+we+wr {
+				t.Fatalf("%s: ShardInfos count %d facts, database has %d", label, facts, wl+we+wr)
 			}
 			// Facts is the same database: it compiles to the same artifact.
 			fl, fe, fr := sc.Facts()

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 )
 
 // This file is the binary codec for the Compiled artifact, the piece
@@ -22,40 +24,87 @@ var ErrBadArtifact = errors.New("core: malformed compiled artifact")
 // AppendBinary serializes the artifact onto buf and returns the
 // extended slice: generation, both symbol tables, then the four CSR
 // graphs (offsets and arcs as uvarints; every value is non-negative).
-// A delta-extended artifact is flattened through the same layout —
-// snapshots never know (or care) how the artifact was built, and an
-// encode/decode round trip of an extended artifact is exact.
+// The graphs go out in flat CSR layout whatever their pages look like,
+// padded to the domain size — snapshots never know (or care) how the
+// artifact was built, and an encode/decode round trip of an extended
+// artifact is exact.
 func (c *Compiled) AppendBinary(buf []byte) []byte {
+	w := bytes.NewBuffer(buf)
+	c.WriteBinary(w) // writing to a bytes.Buffer cannot fail
+	return w.Bytes()
+}
+
+// encodeChunk is how many encoded bytes WriteBinary buffers per write.
+const encodeChunk = 64 << 10
+
+// WriteBinary streams the AppendBinary encoding to w through a bounded
+// buffer, so a large artifact is never held encoded in memory whole.
+func (c *Compiled) WriteBinary(w io.Writer) error {
+	buf := make([]byte, 0, encodeChunk)
+	var err error
+	flush := func(atLeast int) {
+		if len(buf) >= atLeast {
+			if err == nil {
+				_, err = w.Write(buf)
+			}
+			buf = buf[:0]
+		}
+	}
 	buf = binary.AppendUvarint(buf, c.Generation)
-	buf = appendStringTable(buf, c.lNames)
-	buf = appendStringTable(buf, c.rNames)
-	nL, nR := len(c.lNames), len(c.rNames)
+	for _, t := range []*names{&c.lNames, &c.rNames} {
+		buf = binary.AppendUvarint(buf, uint64(t.n))
+		for p := 0; p <= len(t.pages); p++ {
+			for _, s := range t.page(p) {
+				buf = binary.AppendUvarint(buf, uint64(len(s)))
+				buf = append(buf, s...)
+			}
+			flush(encodeChunk)
+		}
+	}
+	nL, nR := c.lNames.n, c.rNames.n
 	for _, gn := range []struct {
 		g *csr
 		n int
 	}{{&c.lOut, nL}, {&c.lIn, nL}, {&c.eOut, nL}, {&c.rOut, nR}} {
-		flat := gn.g.flatten(gn.n)
-		buf = appendInt32s(buf, flat.off)
-		buf = appendInt32s(buf, flat.arcs)
+		buf = binary.AppendUvarint(buf, uint64(gn.n+1))
+		buf = binary.AppendUvarint(buf, 0)
+		at := 0
+		for x := 0; x < gn.n; x++ {
+			at += len(gn.g.row(int32(x)))
+			buf = binary.AppendUvarint(buf, uint64(at))
+			if x&pageMask == pageMask {
+				flush(encodeChunk)
+			}
+		}
+		buf = binary.AppendUvarint(buf, uint64(gn.g.m))
+		for x := 0; x < gn.n; x++ {
+			for _, v := range gn.g.row(int32(x)) {
+				buf = binary.AppendUvarint(buf, uint64(v))
+			}
+			if x&pageMask == pageMask {
+				flush(encodeChunk)
+			}
+		}
 	}
-	return buf
+	flush(0)
+	return err
 }
 
 // DecodeCompiled decodes an artifact produced by AppendBinary from
 // the front of data, returning the remaining bytes. The interning
 // maps are reconstructed from the decoded name tables, so the result
 // is behaviorally identical to the Compile output it was encoded from
-// (per-node adjacency order is preserved by the CSR layout).
+// (per-node adjacency order is preserved by the CSR layout). The
+// decoded flat arrays become the pages as they are.
 func DecodeCompiled(data []byte) (*Compiled, []byte, error) {
 	r := &byteCursor{data: data}
 	c := &Compiled{Generation: r.uvarint()}
-	c.lNames = r.stringTable()
-	c.rNames = r.stringTable()
-	nL, nR := len(c.lNames), len(c.rNames)
+	lNames := r.stringTable()
+	rNames := r.stringTable()
+	nL, nR := len(lNames), len(rNames)
 	for i, g := range []*csr{&c.lOut, &c.lIn, &c.eOut, &c.rOut} {
-		g.off = r.int32s()
-		g.arcs = r.int32s()
-		g.m = len(g.arcs)
+		off := r.int32s()
+		m := r.uvarint()
 		if r.err != nil {
 			break
 		}
@@ -66,65 +115,58 @@ func DecodeCompiled(data []byte) (*Compiled, []byte, error) {
 		case 3: // rOut: R-node -> R-nodes
 			nodes, dom = nR, nR
 		}
-		if err := validateCSR(g, nodes, dom); err != nil {
+		if err := validateOffsets(off, nodes, m); err != nil {
 			return nil, nil, err
+		}
+		if m > uint64(len(r.rest())) {
+			return nil, nil, fmt.Errorf("%w: %d arcs longer than the payload", ErrBadArtifact, m)
+		}
+		// The arcs decode straight into the pages, in row order.
+		*g = layCSR(off)
+		for p := 0; p < (nodes+pageMask)>>pageShift; p++ {
+			page := g.page(p)
+			for k := page[0]; int(k) < len(page) && r.err == nil; k++ {
+				v := r.uvarint()
+				if v >= uint64(dom) {
+					return nil, nil, fmt.Errorf("%w: arc id %d outside domain %d", ErrBadArtifact, v, dom)
+				}
+				page[k] = int32(v)
+			}
 		}
 	}
 	if r.err != nil {
 		return nil, nil, fmt.Errorf("%w: %v", ErrBadArtifact, r.err)
 	}
+	c.lNames, c.rNames = pagedNames(lNames), pagedNames(rNames)
 	c.lid = make(map[string]int32, nL)
-	for i, name := range c.lNames {
+	for i, name := range lNames {
 		c.lid[name] = int32(i)
 	}
 	c.rid = make(map[string]int32, nR)
-	for i, name := range c.rNames {
+	for i, name := range rNames {
 		c.rid[name] = int32(i)
 	}
 	return c, r.rest(), nil
 }
 
-// validateCSR checks the structural invariants row() indexes by:
-// len(off) == nodes+1, offsets non-decreasing and ending at
-// len(arcs), and every arc id inside its domain. A corrupted payload
-// must fail here, not panic in a solver.
-func validateCSR(g *csr, nodes, domain int) error {
-	if len(g.off) != nodes+1 {
-		return fmt.Errorf("%w: %d offsets for %d nodes", ErrBadArtifact, len(g.off), nodes)
+// validateOffsets checks the structural invariants row() indexes by,
+// before any page is laid: one offset per node plus one, non-decreasing
+// from 0 to the arc count m. Arc ids are checked against their domain
+// as they decode. A corrupted payload must fail here, not panic in a
+// solver.
+func validateOffsets(off []int32, nodes int, m uint64) error {
+	if len(off) != nodes+1 {
+		return fmt.Errorf("%w: %d offsets for %d nodes", ErrBadArtifact, len(off), nodes)
 	}
-	if nodes >= 0 && len(g.off) > 0 {
-		if g.off[0] != 0 || int(g.off[nodes]) != len(g.arcs) {
-			return fmt.Errorf("%w: offset bounds [%d..%d] over %d arcs", ErrBadArtifact, g.off[0], g.off[nodes], len(g.arcs))
-		}
+	if off[0] != 0 || uint64(off[nodes]) != m {
+		return fmt.Errorf("%w: offset bounds [%d..%d] over %d arcs", ErrBadArtifact, off[0], off[nodes], m)
 	}
-	for i := 1; i < len(g.off); i++ {
-		if g.off[i] < g.off[i-1] {
+	for i := 1; i < len(off); i++ {
+		if off[i] < off[i-1] {
 			return fmt.Errorf("%w: decreasing offset at node %d", ErrBadArtifact, i)
 		}
 	}
-	for _, a := range g.arcs {
-		if a < 0 || int(a) >= domain {
-			return fmt.Errorf("%w: arc id %d outside domain %d", ErrBadArtifact, a, domain)
-		}
-	}
 	return nil
-}
-
-func appendStringTable(buf []byte, names []string) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(names)))
-	for _, s := range names {
-		buf = binary.AppendUvarint(buf, uint64(len(s)))
-		buf = append(buf, s...)
-	}
-	return buf
-}
-
-func appendInt32s(buf []byte, vals []int32) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(vals)))
-	for _, v := range vals {
-		buf = binary.AppendUvarint(buf, uint64(uint32(v)))
-	}
-	return buf
 }
 
 // byteCursor is a tiny error-latching reader over a byte slice; the

@@ -33,13 +33,8 @@ func (p *Proof) String() string {
 // databases.
 func Witness(q Query, answer string) (*Proof, error) {
 	in := build(q)
-	var target int32 = -1
-	for id, name := range in.c.rNames {
-		if name == answer {
-			target = int32(id)
-		}
-	}
-	if target < 0 {
+	target, ok := lookupSym(in.c.rid, in.c.ridOv, answer)
+	if !ok {
 		return nil, fmt.Errorf("core: %q does not occur in the R/E domain", answer)
 	}
 	// rUp is the inverse of the descent adjacency: rUp[b] = nodes one
@@ -90,7 +85,7 @@ func Witness(q Query, answer string) (*Proof, error) {
 	s := *goal
 	for {
 		lRev = append(lRev, in.lName(s.x))
-		rRev = append(rRev, in.c.rNames[s.y])
+		rRev = append(rRev, in.c.rNames.at(s.y))
 		p, ok := parent[s]
 		if !ok {
 			break
@@ -107,7 +102,7 @@ func Witness(q Query, answer string) (*Proof, error) {
 	// Identify the E arc used.
 	for _, y := range in.eOut(goal.x) {
 		if y == goal.y {
-			proof.Crossing.To = in.c.rNames[y]
+			proof.Crossing.To = in.c.rNames.at(y)
 			break
 		}
 	}

@@ -1,7 +1,10 @@
 package durable
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -218,8 +221,9 @@ func TestCorruptionDropsLaterSegments(t *testing.T) {
 	}
 }
 
-// TestSnapshotRoundtripAndGC: snapshot + tail replay, artifact
-// preserved only when current, old segments and snapshots collected.
+// TestSnapshotRoundtripAndGC: snapshot + tail replay, the snapshot's
+// artifact kept and the tail exposed so the two compile the recovered
+// database, old segments and snapshots collected.
 func TestSnapshotRoundtripAndGC(t *testing.T) {
 	dir := t.TempDir()
 	st, _ := mustOpen(t, dir, Options{Fsync: FsyncAlways})
@@ -249,16 +253,21 @@ func TestSnapshotRoundtripAndGC(t *testing.T) {
 	if !info.SnapshotLoaded || info.Generation != 2 || info.ReplayedRecords != 0 {
 		t.Fatalf("snapshot-only recovery: %+v", info)
 	}
-	if info.Compiled == nil || info.Compiled.Generation != 2 {
-		t.Fatal("snapshot artifact lost or stale")
+	if art, err := info.Artifact(); err != nil || art == nil || art.Generation != 2 {
+		t.Fatalf("snapshot artifact lost or stale: %v", err)
 	}
 	if len(info.L) != len(l) || len(info.E) != len(e) || len(info.R) != len(r) {
 		t.Fatalf("snapshot facts: %d/%d/%d, want %d/%d/%d", len(info.L), len(info.E), len(info.R), len(l), len(e), len(r))
 	}
+	if len(info.TailL)+len(info.TailE)+len(info.TailR) != 0 {
+		t.Fatalf("snapshot-only recovery reports a tail: %+v", info)
+	}
 
-	// Tail past the snapshot invalidates the artifact.
+	// A tail past the snapshot: the artifact is the snapshot's, and
+	// extended by the tail it compiles the recovered database.
 	st2, _ := mustOpen(t, dir, Options{Fsync: FsyncAlways})
-	appendAll(t, st2, mkRecord(3, 2))
+	tail := mkRecord(3, 2)
+	appendAll(t, st2, tail)
 	if err := st2.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -266,8 +275,15 @@ func TestSnapshotRoundtripAndGC(t *testing.T) {
 	if info2.Generation != 3 || info2.ReplayedRecords != 1 {
 		t.Fatalf("snapshot+tail recovery: %+v", info2)
 	}
-	if info2.Compiled != nil {
-		t.Fatal("stale artifact must be dropped when a tail was replayed")
+	if !reflect.DeepEqual(info2.TailL, tail.L) || !reflect.DeepEqual(info2.TailE, tail.E) || !reflect.DeepEqual(info2.TailR, tail.R) {
+		t.Fatalf("tail %v/%v/%v, want the replayed record %+v", info2.TailL, info2.TailE, info2.TailR, tail)
+	}
+	art, err := info2.Artifact()
+	if err != nil || art == nil || art.Generation != 2 {
+		t.Fatalf("snapshot artifact behind a tail lost or stale: %v", err)
+	}
+	if err := art.Extend(info2.TailL, info2.TailE, info2.TailR).StructuralEqual(core.Compile(info2.L, info2.E, info2.R)); err != nil {
+		t.Fatalf("snapshot artifact plus tail does not compile the recovered facts: %v", err)
 	}
 
 	// GC: only segments >= floor and at most two snapshots remain.
@@ -275,6 +291,96 @@ func TestSnapshotRoundtripAndGC(t *testing.T) {
 	for _, seq := range seqs {
 		if seq < floor {
 			t.Fatalf("segment %d below floor %d survived GC", seq, floor)
+		}
+	}
+}
+
+// bufferedSnapshotFile is the reference for the snapshot file format:
+// the file a snapshot made when the whole payload was encoded into one
+// buffer (the artifact through AppendBinary) and then framed.
+func bufferedSnapshotFile(snap Snapshot) []byte {
+	idx := make(map[string]uint64)
+	var names []string
+	rels := [][]core.Pair{snap.L, snap.E, snap.R}
+	for _, rel := range rels {
+		for _, p := range rel {
+			for _, s := range []string{p.From, p.To} {
+				if _, ok := idx[s]; !ok {
+					idx[s] = uint64(len(names))
+					names = append(names, s)
+				}
+			}
+		}
+	}
+	payload := binary.AppendUvarint(nil, snap.Gen)
+	payload = binary.AppendUvarint(payload, uint64(len(names)))
+	for _, s := range names {
+		payload = binary.AppendUvarint(payload, uint64(len(s)))
+		payload = append(payload, s...)
+	}
+	for _, rel := range rels {
+		payload = binary.AppendUvarint(payload, uint64(len(rel)))
+		for _, p := range rel {
+			payload = binary.AppendUvarint(payload, idx[p.From])
+			payload = binary.AppendUvarint(payload, idx[p.To])
+		}
+	}
+	if snap.Compiled != nil {
+		payload = snap.Compiled.AppendBinary(append(payload, 1))
+	} else {
+		payload = append(payload, 0)
+	}
+	frame := fileHeader(snapMagic)
+	frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(payload))
+	frame = binary.LittleEndian.AppendUint64(frame, uint64(len(payload)))
+	return append(frame, payload...)
+}
+
+// TestSnapshotFileStreamed: a snapshot streamed to disk is byte-identical
+// to the buffered framing of the same snapshot, with and without an
+// artifact, the artifact large enough to cross the stream's chunks and
+// extended (so its pages are not the flat form it encodes to); and it
+// loads back to the same facts and artifact.
+func TestSnapshotFileStreamed(t *testing.T) {
+	var l, e, r []core.Pair
+	for g := uint64(1); g <= 400; g++ {
+		rec := mkRecord(g, 20)
+		l, e, r = append(l, rec.L...), append(e, rec.E...), append(r, rec.R...)
+	}
+	comp := core.Compile(l[:len(l)/2], e, r).Extend(l[len(l)/2:], nil, nil)
+	comp.Generation = 400
+	for _, snap := range []Snapshot{
+		{Gen: 400, L: l, E: e, R: r, Compiled: comp},
+		{Gen: 400, L: l, E: e, R: r},
+		{Gen: 1},
+	} {
+		dir := t.TempDir()
+		if err := writeSnapshotFile(dir, snap); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, snapshotName(snap.Gen))
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := bufferedSnapshotFile(snap)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("artifact=%v: streamed file (%d B) differs from the buffered framing (%d B)", snap.Compiled != nil, len(got), len(want))
+		}
+		loaded, err := loadSnapshotFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := loaded.decodeArtifact(); err != nil {
+			t.Fatal(err)
+		}
+		if len(loaded.L) != len(snap.L) || (snap.Compiled != nil) != (loaded.Compiled != nil) {
+			t.Fatalf("loaded %d L facts, artifact=%v", len(loaded.L), loaded.Compiled != nil)
+		}
+		if snap.Compiled != nil {
+			if err := loaded.Compiled.StructuralEqual(snap.Compiled); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 }

@@ -1,10 +1,12 @@
 package durable
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -60,27 +62,25 @@ func parseSnapshotGen(name string) (uint64, bool) {
 	return gen, err == nil
 }
 
-// encodeSnapshotPayload serializes a snapshot. Facts are interned:
-// one table of every distinct constant, then each relation as pairs
-// of table indexes. Decoding therefore allocates one string per
-// distinct constant instead of two per fact — the difference between
-// replaying a long log and loading its snapshot.
+// writeSnapshotPayload streams a snapshot's payload to w and flushes
+// it. Facts are interned: one table of every distinct constant, then
+// each relation as pairs of table indexes. Decoding therefore
+// allocates one string per distinct constant instead of two per fact —
+// the difference between replaying a long log and loading its
+// snapshot.
 //
 //	uvarint gen
 //	uvarint |names| | names (uvarint len | bytes)
 //	3 × relation: uvarint count | count × (uvarint fromIdx | uvarint toIdx)
 //	1 byte hasCompiled | [compiled artifact (core codec)]
-func encodeSnapshotPayload(snap Snapshot) []byte {
+func writeSnapshotPayload(w *bufio.Writer, snap Snapshot) error {
 	idx := make(map[string]uint64)
 	var names []string
-	intern := func(s string) uint64 {
-		if i, ok := idx[s]; ok {
-			return i
+	intern := func(s string) {
+		if _, ok := idx[s]; !ok {
+			idx[s] = uint64(len(names))
+			names = append(names, s)
 		}
-		i := uint64(len(names))
-		idx[s] = i
-		names = append(names, s)
-		return i
 	}
 	rels := [][]core.Pair{snap.L, snap.E, snap.R}
 	for _, rel := range rels {
@@ -89,27 +89,31 @@ func encodeSnapshotPayload(snap Snapshot) []byte {
 			intern(p.To)
 		}
 	}
-	buf := make([]byte, 0, 1024)
-	buf = binary.AppendUvarint(buf, snap.Gen)
-	buf = binary.AppendUvarint(buf, uint64(len(names)))
+	// bufio.Writer errors are sticky: Flush reports the first one.
+	var vbuf [binary.MaxVarintLen64]byte
+	uvarint := func(v uint64) { w.Write(binary.AppendUvarint(vbuf[:0], v)) }
+	uvarint(snap.Gen)
+	uvarint(uint64(len(names)))
 	for _, s := range names {
-		buf = binary.AppendUvarint(buf, uint64(len(s)))
-		buf = append(buf, s...)
+		uvarint(uint64(len(s)))
+		w.WriteString(s)
 	}
 	for _, rel := range rels {
-		buf = binary.AppendUvarint(buf, uint64(len(rel)))
+		uvarint(uint64(len(rel)))
 		for _, p := range rel {
-			buf = binary.AppendUvarint(buf, idx[p.From])
-			buf = binary.AppendUvarint(buf, idx[p.To])
+			uvarint(idx[p.From])
+			uvarint(idx[p.To])
 		}
 	}
 	if snap.Compiled != nil {
-		buf = append(buf, 1)
-		buf = snap.Compiled.AppendBinary(buf)
+		w.WriteByte(1)
+		if err := snap.Compiled.WriteBinary(w); err != nil {
+			return err
+		}
 	} else {
-		buf = append(buf, 0)
+		w.WriteByte(0)
 	}
-	return buf
+	return w.Flush()
 }
 
 func decodeSnapshotPayload(data []byte) (*Snapshot, error) {
@@ -159,29 +163,40 @@ func decodeSnapshotPayload(data []byte) (*Snapshot, error) {
 
 // writeSnapshotFile writes the snapshot atomically: temp file, fsync,
 // rename, directory fsync. A crash mid-write leaves at most a stale
-// .tmp that the next load ignores.
+// .tmp that the next load ignores. The payload streams to the file
+// behind a zeroed CRC/length slot, which is filled in once the payload
+// is written, so a checkpoint never holds the encoded snapshot in
+// memory.
 func writeSnapshotFile(dir string, snap Snapshot) error {
-	payload := encodeSnapshotPayload(snap)
-	frame := make([]byte, 0, headerLen+12+len(payload))
-	frame = append(frame, fileHeader(snapMagic)...)
-	frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(payload))
-	frame = binary.LittleEndian.AppendUint64(frame, uint64(len(payload)))
-	frame = append(frame, payload...)
-
 	tmp := filepath.Join(dir, snapshotName(snap.Gen)+".tmp")
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(frame); err != nil {
+	fail := func(err error) error {
 		f.Close()
 		os.Remove(tmp)
 		return err
 	}
+	var slot [12]byte // uint32 CRC | uint64 payload length
+	if _, err := f.Write(append(fileHeader(snapMagic), slot[:]...)); err != nil {
+		return fail(err)
+	}
+	crc := crc32.NewIEEE()
+	if err := writeSnapshotPayload(bufio.NewWriterSize(io.MultiWriter(f, crc), 64<<10), snap); err != nil {
+		return fail(err)
+	}
+	end, err := f.Seek(0, io.SeekCurrent)
+	if err != nil {
+		return fail(err)
+	}
+	binary.LittleEndian.PutUint32(slot[0:4], crc.Sum32())
+	binary.LittleEndian.PutUint64(slot[4:12], uint64(end-headerLen-int64(len(slot))))
+	if _, err := f.WriteAt(slot[:], headerLen); err != nil {
+		return fail(err)
+	}
 	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
+		return fail(err)
 	}
 	if err := f.Close(); err != nil {
 		os.Remove(tmp)

@@ -21,9 +21,11 @@ type RecoveryInfo struct {
 	// L, E, R are the recovered fact slices (snapshot facts plus
 	// replayed deltas, duplicate-free by the write-side contract).
 	L, E, R []core.Pair
-	// Compiled is the snapshot's CSR artifact when it is still current
-	// for Generation (no tail was replayed past it); nil otherwise.
-	Compiled *core.Compiled
+	// TailL, TailE, TailR are the replayed WAL tail: the suffixes of L,
+	// E and R past the snapshot's facts (sub-slices, not copies). The
+	// snapshot's artifact (see Artifact) extended by them compiles the
+	// recovered database.
+	TailL, TailE, TailR []core.Pair
 	// SnapshotLoaded and SnapshotGeneration describe the snapshot used.
 	SnapshotLoaded     bool
 	SnapshotGeneration uint64
@@ -39,6 +41,25 @@ type RecoveryInfo struct {
 	// discarded because they followed that cut.
 	TruncatedBytes  int64
 	DroppedSegments int
+
+	snap *Snapshot // the snapshot loaded, holding its still-encoded artifact
+}
+
+// Artifact returns the loaded snapshot's compiled artifact, for
+// generation SnapshotGeneration — nil when no snapshot was loaded or it
+// carries none. The artifact is decoded here, on first use, so a caller
+// that compiles the recovered facts its own way (several shards) never
+// pays for it. The bytes sit behind the snapshot frame's CRC, so a
+// decode failure is an encoding incompatibility, reported as ErrCorrupt.
+// Not safe for concurrent use.
+func (ri *RecoveryInfo) Artifact() (*core.Compiled, error) {
+	if ri.snap == nil {
+		return nil, nil
+	}
+	if err := ri.snap.decodeArtifact(); err != nil {
+		return nil, err
+	}
+	return ri.snap.Compiled, nil
 }
 
 // Store is an open durable directory: the active WAL for appends plus
@@ -104,7 +125,8 @@ func scanSegment(path string) (recs []scannedRec, goodLen, total int64, err erro
 // valid snapshot, replay the WAL tail in generation order, truncate
 // any invalid suffix, and leave the log ready for appends. tr, when
 // armed, receives "load-snapshot" and "replay" child spans so startup
-// cost is traceable.
+// cost is traceable. The snapshot's artifact stays encoded until
+// RecoveryInfo.Artifact asks for it.
 func Open(dir string, opts Options, tr *obs.Trace) (*Store, *RecoveryInfo, error) {
 	opts = opts.withDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -123,6 +145,7 @@ func Open(dir string, opts Options, tr *obs.Trace) (*Store, *RecoveryInfo, error
 		info.SnapshotGeneration = snap.Gen
 		info.Generation = snap.Gen
 		info.L, info.E, info.R = snap.L, snap.E, snap.R
+		info.snap = snap
 		ls.Set("generation", int64(snap.Gen))
 		ls.Set("facts", int64(len(snap.L)+len(snap.E)+len(snap.R)))
 	}
@@ -182,16 +205,10 @@ func Open(dir string, opts Options, tr *obs.Trace) (*Store, *RecoveryInfo, error
 	rs.Set("segments", int64(info.ReplayedSegments))
 	rs.Set("truncated_bytes", info.TruncatedBytes)
 	tr.End(rs, 0)
-
-	// A replayed tail past the snapshot invalidates its artifact, so
-	// the deferred decode is only paid when the artifact is current.
-	if snap != nil && info.Generation == snap.Gen {
-		da := tr.Start("decode-artifact", 0)
-		if err := snap.decodeArtifact(); err != nil {
-			return nil, nil, err
-		}
-		info.Compiled = snap.Compiled
-		tr.End(da, 0)
+	if snap != nil {
+		info.TailL = info.L[len(snap.L):]
+		info.TailE = info.E[len(snap.E):]
+		info.TailR = info.R[len(snap.R):]
 	}
 
 	w, err := openWAL(dir, opts, activeSeq, activeSize)

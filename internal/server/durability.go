@@ -17,8 +17,8 @@ import (
 // the service takes traffic (the hot path reads s.dur without a lock on
 // that basis), so the first query finds the artifact ready. The whole
 // recovery runs under a "recover" span (see RecoverySpan) whose
-// "load-snapshot", "replay" and "compile" children carry sizes and
-// durations.
+// "load-snapshot", "replay", "decode-artifact", "delta-compile" and
+// "compile" children carry sizes and durations.
 //
 // A directory written by an incompatible format version fails with
 // durable.ErrIncompatibleVersion rather than misparsing.
@@ -40,16 +40,30 @@ func (s *Service) Open(dir string) (*durable.RecoveryInfo, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The snapshot's artifact is current only when no tail was replayed
-	// past it (durable.Open already nils it otherwise), and it is one
-	// Compiled over the whole database — the one-shard form. Adopted, it
-	// makes recovery skip the compile entirely; otherwise the artifact
-	// is compiled here, once, from the recovered facts. An empty
+	// The snapshot's artifact is one Compiled over the snapshot's facts —
+	// the one-shard form. Adopted, it makes recovery skip the compile:
+	// the WAL tail is applied to it with one sharded Extend, exactly as
+	// the appends that wrote the tail were. Otherwise — several shards,
+	// no artifact, or a tail past DeltaMaxFrac, which that Extend would
+	// rebuild cold anyway — the artifact is compiled here, once, from
+	// the recovered facts, and the snapshot's is never decoded. An empty
 	// directory recovers nothing, and New's empty artifact stands.
 	art := s.current()
 	if info.Generation > 0 {
-		if info.Compiled != nil && s.cfg.Shards <= 1 {
-			art = core.SingleShard(info.Compiled, info.L, info.E, info.R)
+		var snapArt *core.Compiled
+		tail := len(info.TailL) + len(info.TailE) + len(info.TailR)
+		fits := tail == 0 || s.cfg.DeltaMaxFrac > 0 && float64(tail) <= s.cfg.DeltaMaxFrac*float64(len(info.L)+len(info.E)+len(info.R))
+		if s.cfg.Shards <= 1 && info.SnapshotLoaded && fits {
+			da := tr.Start("decode-artifact", 0)
+			snapArt, err = info.Artifact()
+			tr.End(da, 0)
+			if err != nil {
+				st.Close()
+				return nil, err
+			}
+		}
+		if snapArt != nil {
+			art = s.adoptSnapshot(snapArt, info, tr)
 		} else {
 			cs := tr.Start("compile", 0)
 			art = core.CompileSharded(info.L, info.E, info.R, core.ShardOpts{Shards: s.cfg.Shards})
@@ -67,6 +81,28 @@ func (s *Service) Open(dir string) (*durable.RecoveryInfo, error) {
 	s.recoveryReplayed.Store(int64(info.ReplayedRecords))
 	s.recoverSpan = tr.Finish(0)
 	return info, nil
+}
+
+// adoptSnapshot wraps the snapshot's artifact as the one-shard artifact
+// and extends it by the replayed WAL tail under a "delta-compile" span,
+// accounted like an append's roll (a delta compile; a full compile if
+// the Extend rebuilt).
+func (s *Service) adoptSnapshot(snapArt *core.Compiled, info *durable.RecoveryInfo, tr *obs.Trace) *core.ShardedCompiled {
+	tl, te, trr := info.TailL, info.TailE, info.TailR
+	sl, se, sr := len(info.L)-len(tl), len(info.E)-len(te), len(info.R)-len(trr)
+	art := core.SingleShard(snapArt, info.L[:sl:sl], info.E[:se:se], info.R[:sr:sr])
+	if len(tl)+len(te)+len(trr) == 0 {
+		return art
+	}
+	sp := tr.Start("delta-compile", 0)
+	art, st := art.Extend(tl, te, trr, s.cfg.DeltaMaxFrac)
+	sp.Set("added", int64(len(tl)+len(te)+len(trr)))
+	sp.Set("rebuilt", int64(st.Rebuilt))
+	tr.End(sp, 0)
+	s.compiles.Add(int64(st.DeltaExtended + st.Rebuilt))
+	s.deltaCompiles.Add(int64(st.DeltaExtended))
+	s.fullCompiles.Add(int64(st.Rebuilt))
+	return art
 }
 
 // RecoverySpan returns the finished "recover" span tree from Open

@@ -143,8 +143,20 @@ func TestServiceModel(t *testing.T) {
 					}
 				case "crash": // abandoned without Close: the tail is in the WAL only
 					var info *durable.RecoveryInfo
-					if svc, info = open(); info.ReplayedRecords == 0 || info.Compiled != nil {
-						t.Fatalf("%s: %d records replayed, snapshot artifact kept=%v", st.name, info.ReplayedRecords, info.Compiled != nil)
+					if svc, info = open(); info.ReplayedRecords == 0 {
+						t.Fatalf("%s: no records replayed", st.name)
+					}
+					// One shard adopts the snapshot's artifact and extends it by
+					// the tail: one delta compile, no cold one, and the result
+					// compiles exactly the recovered facts.
+					if shards <= 1 {
+						s := svc.Stats()
+						if s.Compiles != 1 || s.DeltaCompile.DeltaCompiles != 1 || svc.RecoverySpan().Find("delta-compile") == nil || svc.RecoverySpan().Find("compile") != nil {
+							t.Fatalf("%s: recovery did not extend the snapshot artifact by the tail: %d compiles, %+v", st.name, s.Compiles, s.DeltaCompile)
+						}
+						if err := svc.current().ShardArtifact(0).StructuralEqual(core.Compile(info.L, info.E, info.R)); err != nil {
+							t.Fatalf("%s: recovered artifact: %v", st.name, err)
+						}
 					}
 				case "restart": // Close snapshots; one shard adopts that artifact uncompiled
 					if err := svc.Close(context.Background()); err != nil {

@@ -305,22 +305,25 @@ func TestCrashRecoveryMatrix(t *testing.T) {
 }
 
 // TestRecoveryInfoShape pins the RecoveryInfo bookkeeping and the
-// recover span for the snapshot-plus-tail path, and that a warm
+// recover span for the snapshot-plus-tail path — the snapshot's
+// artifact extended by the tail, equal to a cold compile of the
+// recovered facts and answering as the oracle does — and that a warm
 // snapshot (no tail) hands its compiled artifact straight to the
 // first query.
 func TestRecoveryInfoShape(t *testing.T) {
-	q := workload.RandomRegime(workload.KindRegular, 7, 2)
-	batches := batchesFor(q, 4)
+	q := workload.Tree(2, 6)
+	batches := batchesFor(q, 8)
+	snap := len(batches) - 1 // a one-batch tail, well inside DeltaMaxFrac
 	dir := t.TempDir()
 
 	svc := durableService(t, dir)
-	for _, b := range batches[:2] {
+	for _, b := range batches[:snap] {
 		mustAppend(t, svc, b)
 	}
 	if err := svc.Checkpoint(); err != nil {
 		t.Fatalf("Checkpoint: %v", err)
 	}
-	for _, b := range batches[2:] {
+	for _, b := range batches[snap:] {
 		mustAppend(t, svc, b)
 	}
 
@@ -330,27 +333,52 @@ func TestRecoveryInfoShape(t *testing.T) {
 		t.Fatalf("Open: %v", err)
 	}
 	defer rec.Close(context.Background())
-	if !info.SnapshotLoaded || info.SnapshotGeneration != 2 {
-		t.Fatalf("snapshot: loaded=%v gen=%d, want loaded at gen 2", info.SnapshotLoaded, info.SnapshotGeneration)
+	if !info.SnapshotLoaded || info.SnapshotGeneration != uint64(snap) {
+		t.Fatalf("snapshot: loaded=%v gen=%d, want loaded at gen %d", info.SnapshotLoaded, info.SnapshotGeneration, snap)
 	}
-	if info.ReplayedRecords != len(batches)-2 || info.Generation != uint64(len(batches)) {
+	if info.ReplayedRecords != len(batches)-snap || info.Generation != uint64(len(batches)) {
 		t.Fatalf("replay: %d records to gen %d, want %d to %d",
-			info.ReplayedRecords, info.Generation, len(batches)-2, len(batches))
+			info.ReplayedRecords, info.Generation, len(batches)-snap, len(batches))
 	}
-	if info.Compiled != nil {
-		t.Fatal("compiled artifact kept despite a replayed tail")
+	tailFacts := 0
+	for _, b := range batches[snap:] {
+		tailFacts += len(b.L) + len(b.E) + len(b.R)
+	}
+	if got := len(info.TailL) + len(info.TailE) + len(info.TailR); got != tailFacts {
+		t.Fatalf("tail holds %d facts, the replayed batches %d", got, tailFacts)
+	}
+	if err := rec.current().ShardArtifact(0).StructuralEqual(core.Compile(info.L, info.E, info.R)); err != nil {
+		t.Fatalf("recovered artifact diverges from a cold compile of the recovered facts: %v", err)
+	}
+	exact := oracle.Solver(arcs(info.L), arcs(info.E), arcs(info.R))
+	for _, src := range querySources(q) {
+		got, err := rec.Query(context.Background(), QueryRequest{Source: src})
+		if err != nil {
+			t.Fatalf("recovered query %q: %v", src, err)
+		}
+		if !reflect.DeepEqual(got.Answers, nonNilAnswers(exact(src))) {
+			t.Fatalf("query %q: recovered answers %v, oracle %v", src, got.Answers, exact(src))
+		}
 	}
 	span := rec.RecoverySpan()
 	if span == nil || span.Name != "recover" {
 		t.Fatalf("recover span missing: %+v", span)
 	}
-	if span.Find("load-snapshot") == nil || span.Find("replay") == nil || span.Find("compile") == nil {
-		t.Fatalf("recover span lacks load-snapshot/replay/compile children: %+v", span)
+	for _, child := range []string{"load-snapshot", "replay", "decode-artifact", "delta-compile"} {
+		if span.Find(child) == nil {
+			t.Fatalf("recover span lacks a %s child: %+v", child, span)
+		}
 	}
-	if n := span.Find("replay").Attrs["records"]; n != int64(len(batches)-2) {
-		t.Fatalf("replay span records=%d, want %d", n, len(batches)-2)
+	if span.Find("compile") != nil {
+		t.Fatalf("recovery compiled cold despite the snapshot artifact: %+v", span)
 	}
-	if st := rec.Stats(); !st.Durable || st.RecoveryReplayedRecords != int64(len(batches)-2) {
+	if st := rec.Stats(); st.Compiles != 1 || st.DeltaCompile.DeltaCompiles != 1 || st.DeltaCompile.FullCompiles != 0 {
+		t.Fatalf("recovery accounting: %d compiles, %+v; want one delta compile", st.Compiles, st.DeltaCompile)
+	}
+	if n := span.Find("replay").Attrs["records"]; n != int64(len(batches)-snap) {
+		t.Fatalf("replay span records=%d, want %d", n, len(batches)-snap)
+	}
+	if st := rec.Stats(); !st.Durable || st.RecoveryReplayedRecords != int64(len(batches)-snap) {
 		t.Fatalf("stats: durable=%v replayed=%d", st.Durable, st.RecoveryReplayedRecords)
 	}
 
@@ -364,15 +392,37 @@ func TestRecoveryInfoShape(t *testing.T) {
 	if err != nil {
 		t.Fatalf("warm Open: %v", err)
 	}
-	defer warm.Close(context.Background())
-	if winfo.ReplayedRecords != 0 || winfo.Compiled == nil {
-		t.Fatalf("warm open: %d replayed, compiled=%v; want 0 with artifact", winfo.ReplayedRecords, winfo.Compiled != nil)
+	if art, err := winfo.Artifact(); winfo.ReplayedRecords != 0 || art == nil || err != nil {
+		t.Fatalf("warm open: %d replayed, artifact=%v (%v); want 0 with artifact", winfo.ReplayedRecords, art != nil, err)
 	}
 	if _, err := warm.Query(context.Background(), QueryRequest{Source: q.Source}); err != nil {
 		t.Fatalf("warm query: %v", err)
 	}
-	if n := warm.Stats().Compiles; n != 0 || warm.RecoverySpan().Find("compile") != nil {
+	if n := warm.Stats().Compiles; n != 0 || warm.RecoverySpan().Find("compile") != nil || warm.RecoverySpan().Find("delta-compile") != nil {
 		t.Fatalf("warm open compiled (%d) despite the snapshot artifact", n)
+	}
+
+	// A tail past DeltaMaxFrac would make the Extend rebuild anyway, so
+	// recovery compiles the recovered facts cold and never decodes the
+	// snapshot's artifact.
+	var big FactsRequest
+	for i := 0; i < len(q.L); i++ {
+		big = mergeFacts(big, chainFacts("big", i))
+	}
+	mustAppend(t, warm, big) // then abandoned: the tail is in the WAL only
+	large := New(Config{Workers: 2})
+	linfo, err := large.Open(dir)
+	if err != nil {
+		t.Fatalf("Open after a large tail: %v", err)
+	}
+	defer large.Close(context.Background())
+	span = large.RecoverySpan()
+	if st := large.Stats(); linfo.ReplayedRecords != 1 || st.DeltaCompile.FullCompiles != 1 || st.Compiles != 1 ||
+		span.Find("compile") == nil || span.Find("decode-artifact") != nil || span.Find("delta-compile") != nil {
+		t.Fatalf("large tail: %d replayed, %+v, span %+v; want one cold compile and no decode", linfo.ReplayedRecords, st.DeltaCompile, span)
+	}
+	if err := large.current().ShardArtifact(0).StructuralEqual(core.Compile(linfo.L, linfo.E, linfo.R)); err != nil {
+		t.Fatalf("large tail: %v", err)
 	}
 }
 
