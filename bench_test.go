@@ -302,10 +302,10 @@ func appendLink(q core.Query, i int) (dL, dE, dR []core.Pair) {
 
 // BenchmarkExtend measures the delta compile of one 1-link append on
 // same-generation trees of about 10k and about 100k facts, chained the
-// way the serving layer chains them (collapsed every 8 links, the
-// default -max-resident-compiled) and restarted from the cold artifact
-// every 256 appends so the database stays its size. B/op is the
-// O(delta) claim: it must not grow with the database.
+// way the serving layer chains them (the symbol tables folding
+// themselves every 8 links) and restarted from the cold artifact every
+// 256 appends so the database stays its size. B/op is the O(delta)
+// claim: it must not grow with the database.
 func BenchmarkExtend(b *testing.B) {
 	for _, size := range []struct {
 		name  string
@@ -320,27 +320,9 @@ func BenchmarkExtend(b *testing.B) {
 				if i%256 == 0 {
 					c = cold
 				}
-				if c = c.Extend(appendLink(q, i)); c.DeltaDepth() == 8 {
-					c = c.Flatten()
-				}
+				c = c.Extend(appendLink(q, i))
 			}
 		})
-	}
-}
-
-// BenchmarkFlatten measures collapsing a depth-8 chain of 1-link
-// appends on a same-generation tree of about 100k facts: the serving
-// layer's collapse at its default depth cap. It must cost what the
-// chain added, not the database.
-func BenchmarkFlatten(b *testing.B) {
-	q := workload.Tree(3, 9)
-	chain := core.Compile(q.L, q.E, q.R)
-	for i := 0; i < 8; i++ {
-		chain = chain.Extend(appendLink(q, i))
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		chain.Flatten()
 	}
 }
 

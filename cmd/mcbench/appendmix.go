@@ -40,14 +40,6 @@ type appendmixResult struct {
 	OracleQueries int `json:"oracle_queries"`
 	Divergence    int `json:"divergence"`
 	StructChecks  int `json:"struct_checks"`
-	// FlattenNs is the cost of collapsing the end-state Extend chain
-	// into a self-contained artifact (core.Flatten) — the operation the
-	// serving layer's retention policy pays when a chain hits its cap.
-	// ChainBytes and FlatBytes are the ResidentBytes estimates before
-	// and after, the memory the collapse reclaims.
-	FlattenNs  int64 `json:"flatten_ns"`
-	ChainBytes int64 `json:"chain_bytes"`
-	FlatBytes  int64 `json:"flat_bytes"`
 }
 
 // appendmixStep is one append of the seeded mix: mostly fresh chain
@@ -161,20 +153,6 @@ func runAppendmixProbe(base, appends, rounds int, out io.Writer) (*appendmixResu
 			res.StructChecks++
 			al, ae, ar := fullComp.Arcs()
 			res.FinalFacts = al + ae + ar
-
-			// Flatten probe: collapsing the full Extend chain must yield
-			// an artifact structurally identical to the cold recompile,
-			// and its timing and the before/after memory estimates size
-			// the retention policy's collapse cost.
-			res.ChainBytes = deltaComp.ResidentBytes()
-			start := time.Now()
-			flat := deltaComp.Flatten()
-			res.FlattenNs = time.Since(start).Nanoseconds()
-			res.FlatBytes = flat.ResidentBytes()
-			if err := flat.StructuralEqual(fullComp); err != nil {
-				return nil, fmt.Errorf("appendmix: flattened artifact diverges after %d appends: %w", appends, err)
-			}
-			res.StructChecks++
 			sources := []string{n(0), n(baseN / 2), n(baseN + appends/2), n(baseN + appends), "absent-from-mix"}
 			for _, src := range sources {
 				for _, s := range []core.Strategy{core.Basic, core.Multiple, core.Recurring} {
@@ -204,6 +182,5 @@ func runAppendmixProbe(base, appends, rounds int, out io.Writer) (*appendmixResu
 	fmt.Fprintf(out, "  full recompile: %12.0f ns/append\n", res.FullNsPerAppend)
 	fmt.Fprintf(out, "  delta compile:  %12.0f ns/append\n", res.DeltaNsPerAppend)
 	fmt.Fprintf(out, "  speedup:        %12.2fx\n", res.Speedup)
-	fmt.Fprintf(out, "  flatten:        %12d ns (chain %d B -> flat %d B)\n", res.FlattenNs, res.ChainBytes, res.FlatBytes)
 	return res, nil
 }

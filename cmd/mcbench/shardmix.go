@@ -205,8 +205,8 @@ func runShardmixProbe(shards, base, appends, rounds int, out io.Writer) (*shardm
 		return nil, fmt.Errorf("shardmix: %d of %d oracle queries diverged between monolithic and sharded artifacts", res.Divergence, res.OracleQueries)
 	}
 
-	// Batch fan-out timing on flattened artifacts (both at depth 0, so
-	// the comparison isolates the fan-out, not chain-walking costs):
+	// Batch fan-out timing on flattened artifacts (both folded, so the
+	// comparison isolates the fan-out, not overlay-chain walks):
 	// the monolithic artifact answers the batch sequentially, the
 	// sharded one with one worker per live shard.
 	monoFlat := mono.Flatten()

@@ -161,8 +161,6 @@ func run(args []string, stdout io.Writer, ready chan<- net.Addr) error {
 	fsyncInterval := fs.Duration("fsync-interval", 100*time.Millisecond, "background sync period under -fsync interval")
 	snapshotEvery := fs.Int("snapshot-every", 50_000, "snapshot once this many facts have been appended since the last one (0 = only on shutdown)")
 	deltaMaxFrac := fs.Float64("delta-max-frac", 0.25, "delta-compile appends up to this fraction of the shard they land in; larger appends rebuild that shard inside the append (negative: every append rebuilds)")
-	maxResident := fs.Int("max-resident-compiled", 8, "collapse the delta chain once it pins this many compiled generations (negative disables the cap)")
-	maxCompiledBytes := fs.Int64("max-compiled-bytes", 256<<20, "collapse the delta chain once its pinned-bytes estimate crosses this (negative disables the byte trigger)")
 	shards := fs.Int("shards", 1, "number of region shards the compiled artifact is partitioned into: queries route to one shard, appends roll only touched shards (<=1 = one shard)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -180,10 +178,7 @@ func run(args []string, stdout io.Writer, ready chan<- net.Addr) error {
 		FsyncInterval:  *fsyncInterval,
 		SnapshotEvery:  *snapshotEvery,
 		DeltaMaxFrac:   *deltaMaxFrac,
-
-		MaxResidentCompiled: *maxResident,
-		MaxCompiledBytes:    *maxCompiledBytes,
-		Shards:              *shards,
+		Shards:         *shards,
 	})
 	if *dataDir != "" {
 		// Recover before listening: a port that answers implies a

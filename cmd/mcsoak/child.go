@@ -235,10 +235,9 @@ func (d *driver) sampleMemory(ctx context.Context, started time.Time, every time
 		}
 		d.mu.Lock()
 		d.memSamples = append(d.memSamples, harness.MemorySample{
-			ElapsedSeconds:   time.Since(started).Seconds(),
-			HeapInuseBytes:   st.Memory.HeapInuseBytes,
-			CompiledBytes:    st.Memory.CompiledBytes,
-			ResidentCompiled: st.Memory.ResidentCompiled,
+			ElapsedSeconds: time.Since(started).Seconds(),
+			HeapInuseBytes: st.Memory.HeapInuseBytes,
+			CompiledBytes:  st.Memory.CompiledBytes,
 		})
 		d.mu.Unlock()
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"maps"
 	"sync"
 	"sync/atomic"
 )
@@ -254,19 +255,13 @@ type Compiled struct {
 
 	lNames names
 	rNames names
-	lid    map[string]int32
-	rid    map[string]int32
-	// lidOv and ridOv are the delta overlays: symbols interned by
-	// Extend and not yet folded into the base maps, as an immutable
-	// chain of small maps. The base maps above are shared read-only
-	// across a whole extend chain (concurrent queries on the parent may
-	// be probing them), so a delta generation interns its new constants
-	// into a fresh link instead of rehashing the base — and instead of
-	// copying the accumulated overlay, which would make a long append
-	// chain quadratic. Flatten folds the chain into one link. nil on a
-	// cold-compiled artifact.
-	lidOv *symOv
-	ridOv *symOv
+	// lid and rid intern the two domains' names to ids. Extend adds the
+	// delta's new symbols to an overlay link of its own, folding the
+	// links once there are MaxOverlayLinks of them, so concurrent
+	// queries on the parent keep probing maps nothing writes to (see
+	// symTable).
+	lid symTable
+	rid symTable
 
 	// lOut and lIn are the magic graph G_L, the artifact's only copy of
 	// it: per-query classification (method auto-selection, the SCC
@@ -275,10 +270,6 @@ type Compiled struct {
 	lIn  csr // reverse of lOut
 	eOut csr // G_E arcs: L-node -> R-nodes
 	rOut csr // descent arcs: rOut[c] = {b : (b, c) in R}
-
-	// depth counts Extend steps since the last full Compile (see
-	// DeltaDepth).
-	depth int
 }
 
 // Compile interns the three database relations into graph form once.
@@ -288,26 +279,25 @@ type Compiled struct {
 // result is shared freely: Solve and its siblings bind a source to it
 // without touching the tables.
 func Compile(L, E, R []Pair) *Compiled {
-	c := &Compiled{
-		lid: make(map[string]int32, len(L)),
-		rid: make(map[string]int32, len(R)),
-	}
+	c := &Compiled{}
+	lid := make(map[string]int32, len(L))
+	rid := make(map[string]int32, len(R))
 	var lNames, rNames []string
 	internL := func(name string) int32 {
-		if id, ok := c.lid[name]; ok {
+		if id, ok := lid[name]; ok {
 			return id
 		}
 		id := int32(len(lNames))
-		c.lid[name] = id
+		lid[name] = id
 		lNames = append(lNames, name)
 		return id
 	}
 	internR := func(name string) int32 {
-		if id, ok := c.rid[name]; ok {
+		if id, ok := rid[name]; ok {
 			return id
 		}
 		id := int32(len(rNames))
-		c.rid[name] = id
+		rid[name] = id
 		rNames = append(rNames, name)
 		return id
 	}
@@ -345,6 +335,7 @@ func Compile(L, E, R []Pair) *Compiled {
 		}
 	}
 	nL, nR := len(lNames), len(rNames)
+	c.lid, c.rid = symTable{base: lid}, symTable{base: rid}
 	c.lNames, c.rNames = pagedNames(lNames), pagedNames(rNames)
 	c.lOut = buildCSR(nL, lArcs, false)
 	c.lIn = buildCSR(nL, lArcs, true)
@@ -366,69 +357,107 @@ func (c *Compiled) Arcs() (l, e, r int) {
 	return c.lOut.m, c.eOut.m, c.rOut.m
 }
 
-// symOv is one link of the overlay chain: the symbols one Extend
-// generation interned (or a fold of several), plus the previous link.
-// Links are immutable once their Extend returns, so siblings branch
-// freely and in-flight queries on any ancestor stay safe — a name is
-// interned in exactly one link (or the base), so there is no shadowing
-// and walk order is a pure lookup-cost concern.
+// MaxOverlayLinks bounds a symTable's overlay chain: the Extend that
+// adds a link past it folds the chain at once, so a lookup miss probes
+// at most this many maps beyond the base.
+const MaxOverlayLinks = 8
+
+// symTable maps the names of one symbol domain to int32s: ids in a
+// Compiled, home slots in the shard router. It grows append-only. The
+// base map and every overlay link are immutable once the Extend that
+// built them returns, so an artifact shares them with everything
+// extended from it; a child adds its new names to a link of its own
+// (see add). A name lives in exactly one map, so there is no shadowing
+// and the probe order is a pure lookup-cost concern.
+type symTable struct {
+	base map[string]int32
+	ov   *symOv // newest link first; nil when every name is in base
+}
+
+// symOv is one overlay link: the names one Extend added, or a fold of
+// several links, and the link before it.
 type symOv struct {
 	prev *symOv
 	m    map[string]int32
 }
 
-// lookupSym resolves name in a possibly-overlaid symbol table: the
-// shared base map first (the common case, O(1)), then the overlay
-// chain newest-first — symbols interned by recent deltas sit near the
-// head, and a genuine miss costs one probe per link, bounded by the
-// serving layer's chain-depth cap.
-func lookupSym(base map[string]int32, overlay *symOv, name string) (int32, bool) {
-	if id, ok := base[name]; ok {
-		return id, true
+// lookup resolves name: the base map first (the common case, O(1)),
+// then the links newest-first, where recently added names sit.
+func (t *symTable) lookup(name string) (int32, bool) {
+	if v, ok := t.base[name]; ok {
+		return v, true
 	}
-	for ov := overlay; ov != nil; ov = ov.prev {
-		if id, ok := ov.m[name]; ok {
-			return id, true
+	for ov := t.ov; ov != nil; ov = ov.prev {
+		if v, ok := ov.m[name]; ok {
+			return v, true
 		}
 	}
 	return 0, false
 }
 
-// foldSyms folds an overlay chain into at most one link over base, so
-// a lookup probes at most two maps. The link holds the union of the
-// chain's maps; once it outgrows an eighth of base, the base map is
-// rebuilt with everything instead, which amortizes to O(1) per symbol.
-// Neither input is modified.
-func foldSyms(base map[string]int32, ov *symOv) (map[string]int32, *symOv) {
-	if ov == nil {
-		return base, nil
+// links counts the overlay links.
+func (t *symTable) links() int {
+	n := 0
+	for ov := t.ov; ov != nil; ov = ov.prev {
+		n++
 	}
-	size := 0
-	for l := ov; l != nil; l = l.prev {
-		size += len(l.m)
-	}
-	if size <= len(base)/8 {
-		if ov.prev == nil {
-			return base, ov
-		}
-		m := make(map[string]int32, size)
-		for l := ov; l != nil; l = l.prev {
-			for name, id := range l.m {
-				m[name] = id
+	return n
+}
+
+// add maps name, which t does not hold, to v. t started this Extend as
+// a copy of parent, whose links may be shared with siblings: the first
+// name an Extend adds opens a link the child owns, and a link past
+// MaxOverlayLinks folds the whole chain into one the child owns (or
+// into a fresh base, and then a fresh link).
+func (t *symTable) add(parent *symTable, name string, v int32) {
+	if t.ov == nil || t.ov == parent.ov {
+		t.ov = &symOv{prev: t.ov, m: make(map[string]int32, 4)}
+		if t.links() > MaxOverlayLinks {
+			if *t = t.fold(); t.ov == nil {
+				t.ov = &symOv{m: make(map[string]int32, 4)}
 			}
 		}
-		return base, &symOv{m: m}
 	}
-	out := make(map[string]int32, len(base)+size)
-	for name, id := range base {
-		out[name] = id
+	t.ov.m[name] = v
+}
+
+// fold returns t with its overlay chain folded into at most one link,
+// so a lookup probes at most two maps. The link holds the union of the
+// chain's maps; once it outgrows an eighth of the base, the base is
+// rebuilt with everything instead, which amortizes to O(1) per name.
+// An already folded t comes back unchanged (same link pointer), and no
+// map of t is modified.
+func (t symTable) fold() symTable {
+	size := 0
+	for ov := t.ov; ov != nil; ov = ov.prev {
+		size += len(ov.m)
 	}
-	for l := ov; l != nil; l = l.prev {
-		for name, id := range l.m {
-			out[name] = id
+	if size <= len(t.base)/8 {
+		if t.ov == nil || t.ov.prev == nil {
+			return t
 		}
+		m := make(map[string]int32, size)
+		for ov := t.ov; ov != nil; ov = ov.prev {
+			maps.Copy(m, ov.m)
+		}
+		return symTable{base: t.base, ov: &symOv{m: m}}
 	}
-	return out, nil
+	base := make(map[string]int32, len(t.base)+size)
+	maps.Copy(base, t.base)
+	for ov := t.ov; ov != nil; ov = ov.prev {
+		maps.Copy(base, ov.m)
+	}
+	return symTable{base: base}
+}
+
+// residentBytes is the table's storage: every map entry, plus the link
+// overhead of each overlay map.
+func (t *symTable) residentBytes() int64 {
+	b := int64(len(t.base)) * mapEntryBytes
+	for ov := t.ov; ov != nil; ov = ov.prev {
+		b += int64(len(ov.m))*mapEntryBytes + sliceHeaderBytes
+	}
+	return b
 }
 
 // bind attaches a source constant to the compiled instance, producing
@@ -438,7 +467,7 @@ func foldSyms(base map[string]int32, ov *symOv) (map[string]int32, *symOv) {
 // interned fresh — so bind never mutates the shared artifact.
 func (c *Compiled) bind(source string) *instance {
 	in := &instance{c: c, srcName: source, nL: c.lNames.n, nR: c.rNames.n}
-	if id, ok := lookupSym(c.lid, c.lidOv, source); ok {
+	if id, ok := c.lid.lookup(source); ok {
 		in.src = id
 	} else {
 		in.src = int32(c.lNames.n)

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
 )
@@ -41,8 +42,9 @@ func allocBytes(runs int, f func(i int)) int64 {
 // TestExtendCostIsDelta pins that a 1-link Extend allocates in
 // proportion to the delta and the pages it touches, not to the
 // database: the same append costs the same few pages whether the
-// artifact holds about 10k facts or about 100k. The appends run as the
-// serving layer runs them, a chain collapsed every 8 links.
+// artifact holds about 10k facts or about 100k. The average includes
+// the folds the symbol tables run on themselves every MaxOverlayLinks
+// links.
 func TestExtendCostIsDelta(t *testing.T) {
 	const budget = 128 << 10
 	var cost []int64
@@ -50,11 +52,7 @@ func TestExtendCostIsDelta(t *testing.T) {
 		q := forestDB(n, 1)
 		c := Compile(q.L, q.E, q.R)
 		l, e, r := c.Arcs()
-		b := allocBytes(64, func(i int) {
-			if c = c.Extend(linkDelta(i, n)); c.DeltaDepth() == 8 {
-				c = c.Flatten()
-			}
-		})
+		b := allocBytes(64, func(i int) { c = c.Extend(linkDelta(i, n)) })
 		t.Logf("%d facts: %d B per 1-link Extend", l+e+r, b)
 		if b > budget {
 			t.Errorf("%d facts: a 1-link Extend allocates %d B, budget %d", l+e+r, b, budget)
@@ -66,15 +64,16 @@ func TestExtendCostIsDelta(t *testing.T) {
 	}
 }
 
-// TestFlattenCostIsChain pins that collapsing a chain costs what the
-// chain added: a depth-8 chain of 1-link appends on about 100k facts
-// flattens within a small allocation budget, to depth 0 with at most
-// one overlay link per symbol domain.
+// TestFlattenCostIsChain pins that folding a chain costs what the chain
+// added, whether Extend runs the fold on its own every MaxOverlayLinks
+// links or Flatten runs it now: a depth-8 chain of 1-link appends on
+// about 100k facts flattens within a small allocation budget, to at
+// most one overlay link per symbol domain.
 func TestFlattenCostIsChain(t *testing.T) {
 	const n, budget = 34_000, 256 << 10
 	q := forestDB(n, 2)
 	chain := Compile(q.L, q.E, q.R)
-	for i := 0; i < 8; i++ {
+	for i := 0; i < MaxOverlayLinks; i++ {
 		chain = chain.Extend(linkDelta(i, n))
 	}
 	var flat *Compiled
@@ -83,15 +82,71 @@ func TestFlattenCostIsChain(t *testing.T) {
 	if b > budget {
 		t.Errorf("Flatten of a depth-%d chain allocates %d B, budget %d", chain.DeltaDepth(), b, budget)
 	}
-	if flat.DeltaDepth() != 0 {
-		t.Errorf("DeltaDepth = %d after Flatten", flat.DeltaDepth())
-	}
-	for _, ov := range []*symOv{flat.lidOv, flat.ridOv} {
-		if ov != nil && ov.prev != nil {
-			t.Errorf("Flatten left an overlay chain of more than one link")
-		}
+	if flat.DeltaDepth() > 1 {
+		t.Errorf("DeltaDepth = %d after Flatten, want at most 1", flat.DeltaDepth())
 	}
 	if err := flat.StructuralEqual(chain); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestExtendChainStaysBounded runs 2,000 one-link appends on about 100k
+// facts through one artifact and through a 4-shard one, with no
+// Flatten anywhere: after every step each symbol table, the router's
+// included, holds at most MaxOverlayLinks overlay links, and each Extend
+// stays within TestExtendCostIsDelta's budget on average, folds
+// included. At the end both chains answer every probe exactly as the
+// cold compile of the same facts does, retrieval counts included, and
+// the monolithic one is structurally that compile.
+func TestExtendChainStaysBounded(t *testing.T) {
+	const n, steps, budget = 34_000, 2_000, 128 << 10
+	q := forestDB(n, 2)
+	l, e, r := q.L, q.E, q.R
+	for i := 0; i < steps; i++ {
+		dL, dE, dR := linkDelta(i, n)
+		l, e, r = append(l, dL...), append(e, dE...), append(r, dR...)
+	}
+	cold := Compile(l, e, r)
+
+	mono := Compile(q.L, q.E, q.R)
+	b := allocBytes(steps, func(i int) {
+		if mono = mono.Extend(linkDelta(i, n)); mono.DeltaDepth() > MaxOverlayLinks {
+			t.Fatalf("step %d: %d overlay links", i, mono.DeltaDepth())
+		}
+	})
+	t.Logf("%d B per 1-link Extend over %d steps", b, steps)
+	if b > budget {
+		t.Errorf("a 1-link Extend allocates %d B on average over %d steps, budget %d", b, steps, budget)
+	}
+	if err := mono.StructuralEqual(cold); err != nil {
+		t.Fatal(err)
+	}
+
+	sc := CompileSharded(q.L, q.E, q.R, ShardOpts{Shards: 4})
+	for i := 0; i < steps; i++ {
+		dL, dE, dR := linkDelta(i, n)
+		var st ShardExtendStats
+		if sc, st = sc.Extend(dL, dE, dR, 0.25); st.DeltaExtended != 1 || st.Rebuilt != 0 {
+			t.Fatalf("step %d: %+v, want one delta Extend", i, st)
+		}
+		if d, links := sc.MaxDeltaDepth(), max(sc.routeL.links(), sc.routeR.links()); d > MaxOverlayLinks || links > MaxOverlayLinks {
+			t.Fatalf("step %d: %d overlay links in a shard, %d in the router", i, d, links)
+		}
+	}
+
+	for _, src := range []string{q.Source, "v4242", "fresh0", fmt.Sprintf("fresh%d", steps-1), "absent"} {
+		for _, a := range []interface {
+			Solve(string, Strategy, Mode, Options) (*Result, error)
+		}{mono, sc} {
+			want, werr := cold.Solve(src, Multiple, Integrated, Options{})
+			got, gerr := a.Solve(src, Multiple, Integrated, Options{})
+			if werr != nil || gerr != nil {
+				t.Fatalf("%s: %T: %v; cold: %v", src, a, gerr, werr)
+			}
+			if !reflect.DeepEqual(got.Answers, want.Answers) || got.Stats != want.Stats {
+				t.Fatalf("%s: %T answers %d names %+v, cold %d names %+v",
+					src, a, len(got.Answers), got.Stats, len(want.Answers), want.Stats)
+			}
+		}
 	}
 }

@@ -13,12 +13,13 @@ import (
 // for every node the delta does not reach, so only the touched rows
 // need re-laying. Concretely:
 //
-//   - symbol tables grow append-only: new constants intern into a
-//     small overlay map, the base maps (shared with the parent, which
-//     concurrent queries may still be probing) are never rehashed, and
-//     the paged name tables append past the parent's length — in place
-//     along a chain, onto a private copy of the last page for a second
-//     child of one parent;
+//   - symbol tables grow append-only: new constants go into a small
+//     overlay link the child owns, the shared maps (which concurrent
+//     queries on the parent may still be probing) are never written,
+//     and a chain of links folds itself once it reaches MaxOverlayLinks
+//     (see symTable); the paged name tables append past the parent's
+//     length — in place along a chain, onto a private copy of the last
+//     page for a second child of one parent;
 //   - CSR adjacency is re-laid per page: the child copies the page
 //     directory and re-lays only the pages holding a delta arc's source
 //     row (plus the last page when new nodes extend it); every other
@@ -36,12 +37,11 @@ import (
 // and the mcbench -appendmix probe enforce it together with
 // observational identity (same sorted answers, same Stats).
 
-// DeltaDepth reports how many Extend steps separate this artifact
-// from its last full Compile or Flatten (0 for a cold-compiled,
-// decoded or flattened one). Serving layers bound the chain: each step
-// adds an overlay link that lookups walk, and a periodic Flatten folds
-// the links.
-func (c *Compiled) DeltaDepth() int { return c.depth }
+// DeltaDepth reports the longer of the two symbol tables' overlay
+// chains: the links Extend steps that added symbols have left unfolded,
+// at most MaxOverlayLinks (0 for a cold-compiled or decoded artifact, at
+// most 1 after Flatten).
+func (c *Compiled) DeltaDepth() int { return max(c.lid.links(), c.rid.links()) }
 
 // Extend returns a new artifact covering the parent's relations plus
 // the delta, reusing everything the delta does not touch. The parent
@@ -54,7 +54,9 @@ func (c *Compiled) DeltaDepth() int { return c.depth }
 // Compile's deduplication, so Extend is idempotent over re-sent
 // deltas. The cost is O(delta) in real work plus one page directory
 // copy per touched table and one re-laid page per touched page — no
-// hashing, sorting or copying over the parent's facts.
+// hashing, sorting or copying over the parent's facts — plus, on every
+// MaxOverlayLinks-th Extend that adds symbols, a symbol-table fold
+// (see symTable.fold).
 func (c *Compiled) Extend(dL, dE, dR []Pair) *Compiled {
 	child := &Compiled{
 		Generation: c.Generation,
@@ -62,35 +64,25 @@ func (c *Compiled) Extend(dL, dE, dR []Pair) *Compiled {
 		rNames:     c.rNames,
 		lid:        c.lid,
 		rid:        c.rid,
-		lidOv:      c.lidOv,
-		ridOv:      c.ridOv,
-		depth:      c.depth + 1,
 	}
-	// The parent's name pages and overlay links are immutable: the
-	// child's names go past the parent's length (see names.push), and
-	// its first new symbol per domain prepends a fresh overlay link, so
-	// two siblings extended from one parent never see each other's
-	// symbols.
+	// The parent's name pages and symbol maps are immutable: the child's
+	// names go past the parent's length (see names.push) and into
+	// overlay links of its own (see symTable.add), so two siblings
+	// extended from one parent never see each other's symbols.
 	internL := func(name string) int32 {
-		if id, ok := lookupSym(child.lid, child.lidOv, name); ok {
+		if id, ok := child.lid.lookup(name); ok {
 			return id
 		}
-		if child.lidOv == c.lidOv {
-			child.lidOv = &symOv{prev: c.lidOv, m: make(map[string]int32, 4)}
-		}
 		id := child.lNames.push(name)
-		child.lidOv.m[name] = id
+		child.lid.add(&c.lid, name, id)
 		return id
 	}
 	internR := func(name string) int32 {
-		if id, ok := lookupSym(child.rid, child.ridOv, name); ok {
+		if id, ok := child.rid.lookup(name); ok {
 			return id
 		}
-		if child.ridOv == c.ridOv {
-			child.ridOv = &symOv{prev: c.ridOv, m: make(map[string]int32, 4)}
-		}
 		id := child.rNames.push(name)
-		child.ridOv.m[name] = id
+		child.rid.add(&c.rid, name, id)
 		return id
 	}
 
@@ -320,28 +312,26 @@ func (c *Compiled) StructuralEqual(o *Compiled) error {
 	// path. With that established, same-length tables whose names all
 	// resolve across artifacts form a bijection.
 	for _, side := range []struct {
-		tag     string
-		a       *Compiled
-		names   []string
-		base    map[string]int32
-		overlay *symOv
+		tag   string
+		names []string
+		syms  *symTable
 	}{
-		{"L", c, c.lNames.flat(), c.lid, c.lidOv},
-		{"R", c, c.rNames.flat(), c.rid, c.ridOv},
-		{"L", o, o.lNames.flat(), o.lid, o.lidOv},
-		{"R", o, o.rNames.flat(), o.rid, o.ridOv},
+		{"L", c.lNames.flat(), &c.lid},
+		{"R", c.rNames.flat(), &c.rid},
+		{"L", o.lNames.flat(), &o.lid},
+		{"R", o.rNames.flat(), &o.rid},
 	} {
 		for i, name := range side.names {
-			if id, ok := lookupSym(side.base, side.overlay, name); !ok || id != int32(i) {
+			if id, ok := side.syms.lookup(name); !ok || id != int32(i) {
 				return fmt.Errorf("core: %s symbol %q resolves to %d (ok=%v), table says %d", side.tag, name, id, ok, i)
 			}
 		}
 	}
-	oToCL, err := tableBijection("L", o.lNames.flat(), c.lNames.n, c.lid, c.lidOv)
+	oToCL, err := tableBijection("L", o.lNames.flat(), c.lNames.n, &c.lid)
 	if err != nil {
 		return err
 	}
-	oToCR, err := tableBijection("R", o.rNames.flat(), c.rNames.n, c.rid, c.ridOv)
+	oToCR, err := tableBijection("R", o.rNames.flat(), c.rNames.n, &c.rid)
 	if err != nil {
 		return err
 	}
@@ -380,17 +370,17 @@ func (c *Compiled) StructuralEqual(o *Compiled) error {
 	return nil
 }
 
-// tableBijection maps each id of the names table into the (base,
-// overlay) symbol maps of the other artifact, failing when a name is
-// missing or the table sizes differ — same length plus total
-// resolution of unique names is a bijection.
-func tableBijection(tag string, names []string, otherN int, base map[string]int32, overlay *symOv) ([]int32, error) {
+// tableBijection maps each id of the names table into the symbol table
+// of the other artifact, failing when a name is missing or the table
+// sizes differ — same length plus total resolution of unique names is
+// a bijection.
+func tableBijection(tag string, names []string, otherN int, syms *symTable) ([]int32, error) {
 	if len(names) != otherN {
 		return nil, fmt.Errorf("core: %s-table size %d != %d", tag, otherN, len(names))
 	}
 	out := make([]int32, len(names))
 	for id, name := range names {
-		cid, ok := lookupSym(base, overlay, name)
+		cid, ok := syms.lookup(name)
 		if !ok {
 			return nil, fmt.Errorf("core: %s symbol %q present in one artifact only", tag, name)
 		}

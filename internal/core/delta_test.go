@@ -121,8 +121,8 @@ func TestExtendEdgeCases(t *testing.T) {
 		if err := ext.StructuralEqual(cold); err != nil {
 			t.Fatalf("empty delta diverges: %v", err)
 		}
-		if ext.DeltaDepth() != 1 {
-			t.Fatalf("DeltaDepth = %d, want 1", ext.DeltaDepth())
+		if ext.DeltaDepth() != 0 {
+			t.Fatalf("DeltaDepth = %d, want 0: an empty delta adds no overlay link", ext.DeltaDepth())
 		}
 	})
 	t.Run("duplicate-delta", func(t *testing.T) {
@@ -175,7 +175,8 @@ func TestExtendOntoHub(t *testing.T) {
 // TestExtendChain extends the same artifact many times in sequence —
 // the serving layer's rolling-artifact shape — and checks structural
 // identity against a cold compile at every step, and that each link
-// starts at its parent's Generation for the caller to restamp.
+// starts at its parent's Generation for the caller to restamp. Each link
+// adds at most one overlay link per symbol table.
 func TestExtendChain(t *testing.T) {
 	q := workload.RandomRegime(workload.KindMultiple, 7, 3)
 	base, rest := splitQuery(q, 0.3, 0.3, 0.3)
@@ -200,8 +201,8 @@ func TestExtendChain(t *testing.T) {
 			t.Fatalf("step %d: Extend changed Generation %d -> %d", i, comp.Generation, next.Generation)
 		}
 		next.Generation++
-		if next.DeltaDepth() != i+1 {
-			t.Fatalf("step %d: DeltaDepth = %d, want %d", i, next.DeltaDepth(), i+1)
+		if d := next.DeltaDepth(); d > i+1 {
+			t.Fatalf("step %d: DeltaDepth = %d, want at most %d", i, d, i+1)
 		}
 		accL = append(accL, dL...)
 		accE = append(accE, dE...)
@@ -420,20 +421,25 @@ func TestExtendSiblings(t *testing.T) {
 }
 
 // FuzzExtendAgainstCompile lets the fuzzer hunt for a (regime, seed,
-// split) combination where Extend and Compile disagree. The high bits
-// of kind tile the instance into up to 64 disjoint prefixed copies, so
-// the database spans several pages of every table and the splits land
-// on and across page boundaries.
+// split) combination where Extend and Compile disagree. Bit 2 of kind
+// applies the delta one pair per Extend: a chain of hundreds of links
+// on the larger seeds, which run every symbol table through many folds
+// and must never leave more than 8 overlay links. The bits above it
+// tile the instance into up to 32 disjoint prefixed copies, so the
+// database spans several pages of every table and the splits land on
+// and across page boundaries.
 func FuzzExtendAgainstCompile(f *testing.F) {
 	f.Add(uint8(0), int64(1), uint8(40), uint8(80), uint8(120))
 	f.Add(uint8(1), int64(2), uint8(0), uint8(255), uint8(128))
 	f.Add(uint8(2), int64(3), uint8(200), uint8(10), uint8(90))
 	f.Add(uint8(3), int64(4), uint8(255), uint8(255), uint8(255))
 	f.Add(uint8(254), int64(5), uint8(100), uint8(170), uint8(30))
+	f.Add(uint8(5), int64(6), uint8(0), uint8(0), uint8(0))
+	f.Add(uint8(255), int64(7), uint8(0), uint8(30), uint8(0))
 	f.Fuzz(func(t *testing.T, kind uint8, seed int64, cl, ce, cr uint8) {
 		q := workload.RandomRegime(workload.RegimeKind(kind%4), seed, 2)
 		tiled := q
-		for i := 1; i <= int(kind>>2); i++ {
+		for i := 1; i <= int(kind>>3); i++ {
 			c := prefixQuery(q, fmt.Sprintf("t%d:", i))
 			tiled.L, tiled.E, tiled.R = append(tiled.L, c.L...), append(tiled.E, c.E...), append(tiled.R, c.R...)
 		}
@@ -441,7 +447,22 @@ func FuzzExtendAgainstCompile(f *testing.F) {
 		base, delta := splitQuery(q,
 			float64(cl)/255, float64(ce)/255, float64(cr)/255)
 		cold := core.Compile(q.L, q.E, q.R)
-		ext := core.Compile(base.L, base.E, base.R).Extend(delta.L, delta.E, delta.R)
+		ext := core.Compile(base.L, base.E, base.R)
+		if kind&4 == 0 {
+			ext = ext.Extend(delta.L, delta.E, delta.R)
+		} else {
+			// One pair per Extend, relation by relation: the order a cold
+			// compile sees the concatenated facts in.
+			for r, rel := range [][]core.Pair{delta.L, delta.E, delta.R} {
+				for i := range rel {
+					var d [3][]core.Pair
+					d[r] = rel[i : i+1]
+					if ext = ext.Extend(d[0], d[1], d[2]); ext.DeltaDepth() > 8 {
+						t.Fatalf("kind=%d seed=%d: %d overlay links after %d pairs", kind, seed, ext.DeltaDepth(), i+1)
+					}
+				}
+			}
+		}
 		if err := ext.StructuralEqual(cold); err != nil {
 			t.Fatalf("kind=%d seed=%d split=(%d,%d,%d): %v", kind%4, seed, cl, ce, cr, err)
 		}

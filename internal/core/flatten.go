@@ -1,42 +1,35 @@
 package core
 
-// This file is the chain-collapse layer: Flatten folds an Extend
-// chain's symbol overlays back to the shape a cold Compile has, and
-// ResidentBytes estimates how much storage an artifact keeps reachable
-// — the two pieces a serving layer needs to keep a long-running
-// append-heavy process memory-bounded. The paged tables need no
-// collapse: a child shares its parent's unchanged pages and owns its
-// re-laid ones, so it never pins an ancestor's replaced pages. What an
-// Extend chain does accumulate is one overlay link per generation per
-// symbol domain, each a map every lookup miss walks; Flatten folds them.
+// This file holds Flatten, the unconditional form of the fold every
+// symbol table applies to itself inside Extend, and ResidentBytes, the
+// artifact's storage estimate. The paged tables need no collapse: a
+// child shares its parent's unchanged pages and owns its re-laid ones,
+// so it never pins an ancestor's replaced pages. What an Extend chain
+// accumulates is overlay links, at most MaxOverlayLinks per symbol
+// domain before Extend folds them itself.
 
-// Flatten collapses a delta-extended artifact into a self-contained
-// one: the symbol-overlay chains are folded into at most one link per
-// domain (or into fresh base maps, once that link outgrows an eighth
-// of them), so nothing in the result keeps an ancestor's overlay links
-// reachable, and the pages are kept as they are. Generation is
-// preserved; DeltaDepth resets to 0, re-arming a serving layer's
-// chain-depth budget.
+// Flatten returns the artifact with both symbol tables folded now
+// rather than when their chains next reach MaxOverlayLinks: at most one
+// overlay link per domain (or none, once that link would outgrow an
+// eighth of the base map), so nothing in the result keeps an ancestor's
+// links reachable. The pages are kept as they are, and Generation is
+// preserved.
 //
 // The result is StructuralEqual to the receiver (identical symbol
 // tables and per-row adjacency — Flatten renumbers nothing), and
 // therefore to the cold Compile over the same database up to delta
-// interning order, exactly like the chain it replaces. The receiver is
-// not modified and stays fully usable: in-flight queries keep
-// evaluating the chain while its flattened replacement is published.
-//
-// An artifact at depth 0 (cold-compiled, decoded, or previously
-// flattened) is returned as-is. Cost is what the chain added: the
-// overlay entries since the last base rebuild, plus that rebuild,
-// amortized O(1) per symbol — never a pass over the rows.
+// interning order. The receiver is not modified and stays fully usable.
+// An artifact already folded (cold-compiled, decoded, or flattened) is
+// returned as-is. Cost is what the chain added: the overlay entries
+// since the last base rebuild, plus that rebuild, amortized O(1) per
+// symbol — never a pass over the rows.
 func (c *Compiled) Flatten() *Compiled {
-	if c.depth == 0 {
+	lid, rid := c.lid.fold(), c.rid.fold()
+	if lid.ov == c.lid.ov && rid.ov == c.rid.ov {
 		return c
 	}
 	f := *c
-	f.depth = 0
-	f.lid, f.lidOv = foldSyms(c.lid, c.lidOv)
-	f.rid, f.ridOv = foldSyms(c.rid, c.ridOv)
+	f.lid, f.rid = lid, rid
 	return &f
 }
 
@@ -60,22 +53,17 @@ const sliceHeaderBytes = 24
 // directories, offsets, arcs). It is a deterministic count of the
 // artifact's own structure, not a heap measurement, and costs
 // O(overlay links): every table keeps its totals as it grows. It
-// equals a walk of the tables the artifact holds, with one bias, in
-// the direction a retention policy wants: cold pages — slices of one
-// flat array per graph — are counted at their visible length, so the
-// array's copy of a page an Extend has since re-laid is not counted
-// while the array lives. On a cold artifact the estimate is exact.
+// equals a walk of the tables the artifact holds, with one bias, an
+// undercount: cold pages — slices of one flat array per graph — are
+// counted at their visible length, so the array's copy of a page an
+// Extend has since re-laid is not counted while the array lives. On a
+// cold artifact the estimate is exact.
 func (c *Compiled) ResidentBytes() int64 {
 	if c == nil {
 		return 0
 	}
 	b := c.lNames.residentBytes() + c.rNames.residentBytes()
-	b += int64(len(c.lid)+len(c.rid)) * mapEntryBytes
-	for _, ov := range []*symOv{c.lidOv, c.ridOv} {
-		for ; ov != nil; ov = ov.prev {
-			b += int64(len(ov.m))*mapEntryBytes + sliceHeaderBytes
-		}
-	}
+	b += c.lid.residentBytes() + c.rid.residentBytes()
 	for _, g := range []*csr{&c.lOut, &c.lIn, &c.eOut, &c.rOut} {
 		b += g.residentBytes()
 	}

@@ -1,9 +1,9 @@
-// Flatten property suite: collapsing an Extend chain must produce an
+// Flatten property suite: folding an Extend chain must produce an
 // artifact structurally identical to both the chain and a cold
 // Compile over the concatenated relations, observationally identical
-// to the chain for every method, self-contained (DeltaDepth 0, codec
-// layout matching the chain's), and cheaper by the ResidentBytes
-// estimate than the chain it replaces.
+// to the chain for every method, folded (at most one overlay link per
+// symbol table, codec layout matching the chain's), and no larger by
+// the ResidentBytes estimate than the chain it replaces.
 package core_test
 
 import (
@@ -46,7 +46,7 @@ func buildChain(q core.Query, steps int) (*core.Compiled, core.Query) {
 
 // TestFlattenAgainstChain is the property test: over every regime
 // kind, flattening a multi-step chain preserves structure against
-// both the chain and a cold compile, resets DeltaDepth, preserves
+// both the chain and a cold compile, folds DeltaDepth to at most 1, preserves
 // Generation and the relation tags, and answers every method/source
 // combination identically.
 func TestFlattenAgainstChain(t *testing.T) {
@@ -73,8 +73,8 @@ func TestFlattenAgainstChain(t *testing.T) {
 			if err := flat.StructuralEqual(cold); err != nil {
 				t.Fatalf("%s: flattened artifact diverges from cold compile: %v", label, err)
 			}
-			if flat.DeltaDepth() != 0 {
-				t.Fatalf("%s: DeltaDepth = %d after Flatten, want 0", label, flat.DeltaDepth())
+			if flat.DeltaDepth() > 1 {
+				t.Fatalf("%s: DeltaDepth = %d after Flatten, want at most 1", label, flat.DeltaDepth())
 			}
 			if flat.Generation != chain.Generation {
 				t.Fatalf("%s: Flatten changed Generation %d -> %d", label, chain.Generation, flat.Generation)
@@ -97,9 +97,9 @@ func TestFlattenAgainstChain(t *testing.T) {
 	}
 }
 
-// TestFlattenSelfContained checks the collapse contracts that make
-// Flatten usable as a retention mechanism: a self-contained artifact
-// is returned as-is, the flattened artifact keeps working after the
+// TestFlattenSelfContained checks the fold's contracts: an already
+// folded artifact is returned as-is, the flattened artifact keeps
+// working after the
 // chain is dropped, it can seed a fresh Extend chain, its encoding is
 // byte-identical to the chain's, and the byte estimate shrinks.
 func TestFlattenSelfContained(t *testing.T) {
@@ -124,8 +124,8 @@ func TestFlattenSelfContained(t *testing.T) {
 		if err := ext.StructuralEqual(cold); err != nil {
 			t.Fatalf("Extend after Flatten diverges: %v", err)
 		}
-		if ext.DeltaDepth() != 1 {
-			t.Fatalf("DeltaDepth after Extend-of-flat = %d, want 1", ext.DeltaDepth())
+		if d := ext.DeltaDepth(); d < 1 || d > flat.DeltaDepth()+1 {
+			t.Fatalf("DeltaDepth after Extend-of-flat = %d, want one link over the flat artifact's %d", d, flat.DeltaDepth())
 		}
 	})
 	t.Run("codec-identity", func(t *testing.T) {
@@ -156,7 +156,7 @@ func TestFlattenSelfContained(t *testing.T) {
 	t.Run("estimate-grows-with-chain", func(t *testing.T) {
 		// Each Extend link adds overlay maps and re-laid rows, so the
 		// estimate must be monotone along a chain built from disjoint
-		// deltas — the signal the server's byte threshold keys on.
+		// deltas.
 		comp := core.Compile(nil, nil, nil)
 		prev := comp.ResidentBytes()
 		for i := 0; i < 5; i++ {

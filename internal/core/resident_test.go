@@ -7,15 +7,12 @@ import (
 
 // residentGroundTruth recomputes a flat artifact's resident-byte
 // estimate from first principles: it asserts the artifact really is
-// in flat form (no Extend chain, at most one symbol-overlay link per
-// domain) and then walks every page of every table with the
-// estimator's published constants written out literally, independent
-// of the totals ResidentBytes reads.
+// in flat form (at most one symbol-overlay link per domain) and then
+// walks every page of every table with the estimator's published
+// constants written out literally, independent of the totals
+// ResidentBytes reads.
 func residentGroundTruth(t *testing.T, c *Compiled) int64 {
 	t.Helper()
-	if c.depth != 0 {
-		t.Fatalf("ground truth needs a flat artifact, got depth %d", c.depth)
-	}
 	var b int64
 	for _, tab := range []*names{&c.lNames, &c.rNames} {
 		pages := tab.pages
@@ -29,13 +26,13 @@ func residentGroundTruth(t *testing.T, c *Compiled) int64 {
 			}
 		}
 	}
-	b += int64(len(c.lid)+len(c.rid)) * 48 // interning map entries
-	for _, ov := range []*symOv{c.lidOv, c.ridOv} {
-		if ov != nil && ov.prev != nil {
+	for _, syms := range []*symTable{&c.lid, &c.rid} {
+		if syms.links() > 1 {
 			t.Fatal("ground truth needs a flat artifact, got an overlay chain")
 		}
-		if ov != nil {
-			b += int64(len(ov.m))*48 + 24
+		b += int64(len(syms.base)) * 48 // interning map entries
+		if syms.ov != nil {
+			b += int64(len(syms.ov.m))*48 + 24
 		}
 	}
 	for _, g := range []*csr{&c.lOut, &c.lIn, &c.eOut, &c.rOut} {
@@ -52,8 +49,7 @@ func residentGroundTruth(t *testing.T, c *Compiled) int64 {
 // across seeded instances: on a flat artifact (cold compile, and a
 // Flatten of any Extend chain) the estimate must equal the recomputed
 // ground-truth walk, and the flat estimate must never exceed the
-// chain's estimate — the direction a retention policy relies on when
-// it collapses a chain to get back under budget.
+// chain's estimate.
 func TestResidentBytesExactOnFlat(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -64,7 +60,7 @@ func TestResidentBytesExactOnFlat(t *testing.T) {
 			t.Fatalf("seed %d: cold estimate %d, ground truth %d", seed, got, want)
 		}
 
-		// Build a chain over a random split, then collapse it.
+		// Build a chain over a random split, then flatten it.
 		cut := func(p []Pair) ([]Pair, []Pair) {
 			k := rng.Intn(len(p) + 1)
 			return p[:k], p[k:]

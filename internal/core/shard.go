@@ -15,10 +15,9 @@ import (
 // can ever touch is contained in a's weak component, which lives
 // whole inside one shard. Every query therefore routes to exactly one
 // shard — smaller symbol tables, hotter caches — and maintenance is
-// per-shard: an append delta-compiles only the shards it touches, an
-// append that bridges regions merges the affected shards (and only
-// them), and chain collapse runs shard by shard instead of forcing a
-// whole-database Flatten.
+// per-shard: an append delta-compiles only the shards it touches, and
+// an append that bridges regions merges the affected shards (and only
+// them).
 
 // ShardOpts tunes CompileSharded.
 type ShardOpts struct {
@@ -106,30 +105,14 @@ type ShardedCompiled struct {
 	// so slot indexes stay stable for routing and metrics.
 	shards []*shard
 
-	// routeL/routeR map each symbol name to its home slot; the overlay
-	// chains hold symbols interned by Extend, append-only, exactly like
-	// a Compiled's symbol overlays (a name is routed in exactly one
-	// link, so there is no shadowing). redirect folds merges: a lookup
-	// yields a slot, and redirect[slot] is the live shard that absorbed
-	// it — merges re-point one array entry instead of rewriting every
-	// symbol's route.
-	routeL, routeR map[string]int32
-	lOv, rOv       *symOv
+	// routeL/routeR map each symbol name to its home slot, grown by
+	// Extend exactly like a Compiled's symbol tables (see symTable).
+	// redirect folds merges: a lookup yields a slot, and redirect[slot]
+	// is the live shard that absorbed it — merges re-point one array
+	// entry instead of rewriting every symbol's route.
+	routeL, routeR symTable
 	redirect       []int32
-	// ovDepth counts overlay links; past routeFoldDepth an Extend folds
-	// the chains (see maybeFoldRoutes) so lookups stay O(1) amortized.
-	ovDepth int
-	// ovOwnedL/ovOwnedR mark whether the head overlay link was created
-	// by this artifact's own Extend (writable) or inherited from the
-	// parent (shared read-only, so a fresh link must be prepended).
-	ovOwnedL, ovOwnedR bool
 }
-
-// routeFoldDepth bounds the router overlay chains: each Extend adds at
-// most one link per side, and a genuine lookup miss probes every link,
-// so a long-running append stream folds the chain once it reaches this
-// depth.
-const routeFoldDepth = 64
 
 // ShardExtendStats reports what one sharded Extend did: which live
 // slots were touched (ascending, deduplicated), how many of those
@@ -243,15 +226,15 @@ func CompileSharded(L, E, R []Pair, opts ShardOpts) *ShardedCompiled {
 
 	sc := &ShardedCompiled{
 		shards:   make([]*shard, k),
-		routeL:   make(map[string]int32, nL),
-		routeR:   make(map[string]int32, len(rNames)),
+		routeL:   symTable{base: make(map[string]int32, nL)},
+		routeR:   symTable{base: make(map[string]int32, len(rNames))},
 		redirect: make([]int32, k),
 	}
 	for id, name := range lNames {
-		sc.routeL[name] = compSlot[wcc.Comp[id]]
+		sc.routeL.base[name] = compSlot[wcc.Comp[id]]
 	}
 	for id, name := range rNames {
-		sc.routeR[name] = compSlot[wcc.Comp[nL+id]]
+		sc.routeR.base[name] = compSlot[wcc.Comp[nL+id]]
 	}
 	// Distribute facts in relation order, so each shard's Compile sees
 	// its facts in the same relative order the monolithic build would.
@@ -288,12 +271,12 @@ func SingleShard(c *Compiled, L, E, R []Pair) *ShardedCompiled {
 // identical on every shard. A one-slot artifact has no router, so
 // everything routes to slot 0.
 func (sc *ShardedCompiled) ShardOf(source string) int {
-	return sc.slotOf(sc.routeL, sc.lOv, source)
+	return sc.slotOf(&sc.routeL, source)
 }
 
 // slotOf routes one symbol of either domain.
-func (sc *ShardedCompiled) slotOf(route map[string]int32, ov *symOv, name string) int {
-	if slot, ok := lookupSym(route, ov, name); ok {
+func (sc *ShardedCompiled) slotOf(route *symTable, name string) int {
+	if slot, ok := route.lookup(name); ok {
 		return int(sc.redirect[slot])
 	}
 	return 0
@@ -305,15 +288,15 @@ func (sc *ShardedCompiled) slotOf(route map[string]int32, ov *symOv, name string
 // nothing — a pair naming a symbol its shard has never seen is novel.
 func (sc *ShardedCompiled) Novel(dL, dE, dR []Pair) (nL, nE, nR []Pair) {
 	type symFn func(*Compiled, string) (int32, bool)
-	lsym := func(c *Compiled, s string) (int32, bool) { return lookupSym(c.lid, c.lidOv, s) }
-	rsym := func(c *Compiled, s string) (int32, bool) { return lookupSym(c.rid, c.ridOv, s) }
+	lsym := func(c *Compiled, s string) (int32, bool) { return c.lid.lookup(s) }
+	rsym := func(c *Compiled, s string) (int32, bool) { return c.rid.lookup(s) }
 	var probe rowProbe
-	// The arguments mirror dedupeDelta's; route and ov pick the shard.
-	novel := func(delta []Pair, route map[string]int32, ov *symOv, graph func(*Compiled) *csr, from, to symFn, rev bool) []Pair {
+	// The arguments mirror dedupeDelta's; route picks the shard.
+	novel := func(delta []Pair, route *symTable, graph func(*Compiled) *csr, from, to symFn, rev bool) []Pair {
 		out := make([]Pair, 0, len(delta))
 		seen := make(map[Pair]struct{}, len(delta))
 		for _, p := range delta {
-			c := sc.shards[sc.slotOf(route, ov, p.From)].comp
+			c := sc.shards[sc.slotOf(route, p.From)].comp
 			u, okU := from(c, p.From)
 			v, okV := to(c, p.To)
 			if rev {
@@ -330,9 +313,9 @@ func (sc *ShardedCompiled) Novel(dL, dE, dR []Pair) (nL, nE, nR []Pair) {
 		}
 		return out
 	}
-	nL = novel(dL, sc.routeL, sc.lOv, func(c *Compiled) *csr { return &c.lOut }, lsym, lsym, false)
-	nE = novel(dE, sc.routeL, sc.lOv, func(c *Compiled) *csr { return &c.eOut }, lsym, rsym, false)
-	nR = novel(dR, sc.routeR, sc.rOv, func(c *Compiled) *csr { return &c.rOut }, rsym, rsym, true)
+	nL = novel(dL, &sc.routeL, func(c *Compiled) *csr { return &c.lOut }, lsym, lsym, false)
+	nE = novel(dE, &sc.routeL, func(c *Compiled) *csr { return &c.eOut }, lsym, rsym, false)
+	nR = novel(dR, &sc.routeR, func(c *Compiled) *csr { return &c.rOut }, rsym, rsym, true)
 	return nL, nE, nR
 }
 
@@ -410,17 +393,18 @@ func (sc *ShardedCompiled) LiveSlots() []int {
 // route to).
 func (sc *ShardedCompiled) ShardArtifact(i int) *Compiled { return sc.shards[i].comp }
 
-// SetShardArtifact swaps slot i's artifact, for a retention policy
-// collapsing one shard's Extend chain (c must compile the same facts
-// — typically ShardArtifact(i).Flatten()). Only safe before the
-// ShardedCompiled is published: afterwards it is shared read-only.
+// SetShardArtifact swaps slot i's artifact for c, which must compile
+// the same facts (typically ShardArtifact(i).Flatten()). Only safe
+// before the ShardedCompiled is published: afterwards it is shared
+// read-only.
 func (sc *ShardedCompiled) SetShardArtifact(i int, c *Compiled) {
 	sh := *sc.shards[i]
 	sh.comp = c
 	sc.shards[i] = &sh
 }
 
-// MaxDeltaDepth reports the deepest per-shard Extend chain.
+// MaxDeltaDepth reports the longest overlay chain of any live shard's
+// symbol tables (see Compiled.DeltaDepth), at most MaxOverlayLinks.
 func (sc *ShardedCompiled) MaxDeltaDepth() int {
 	depth := 0
 	for _, i := range sc.LiveSlots() {
@@ -443,12 +427,7 @@ func (sc *ShardedCompiled) ResidentBytes() int64 {
 		b += int64(sh.nfacts) * 2 * stringHeaderBytes
 		b += int64(len(sh.l)+len(sh.e)+len(sh.r)) * sliceHeaderBytes
 	}
-	b += int64(len(sc.routeL)+len(sc.routeR)) * mapEntryBytes
-	for _, ov := range []*symOv{sc.lOv, sc.rOv} {
-		for ; ov != nil; ov = ov.prev {
-			b += int64(len(ov.m))*mapEntryBytes + sliceHeaderBytes
-		}
-	}
+	b += sc.routeL.residentBytes() + sc.routeR.residentBytes()
 	b += int64(len(sc.redirect)) * 4
 	return b
 }
@@ -491,8 +470,8 @@ func (sc *ShardedCompiled) ShardInfos() []ShardInfo {
 // endpoints ever split across shards) is preserved. Per group:
 //
 //   - one live shard touched, delta within maxFrac of the resulting
-//     shard: the shard's artifact rolls forward with Compiled.Extend —
-//     cost O(shard), not O(database), which is the point of sharding;
+//     shard: the shard's artifact rolls forward with Compiled.Extend,
+//     at a cost of O(delta) plus the pages the delta touches;
 //   - one live shard touched, delta too large (a bulk load into one
 //     region): the shard alone is cold-rebuilt, scoped to its facts;
 //   - several live shards touched (the delta bridges regions): the
@@ -516,10 +495,7 @@ func (sc *ShardedCompiled) Extend(dL, dE, dR []Pair, maxFrac float64) (*ShardedC
 		shards:     append([]*shard(nil), sc.shards...),
 		routeL:     sc.routeL,
 		routeR:     sc.routeR,
-		lOv:        sc.lOv,
-		rOv:        sc.rOv,
 		redirect:   append([]int32(nil), sc.redirect...),
-		ovDepth:    sc.ovDepth,
 	}
 	var stats ShardExtendStats
 	if len(dL)+len(dE)+len(dR) == 0 {
@@ -541,7 +517,7 @@ func (sc *ShardedCompiled) Extend(dL, dE, dR []Pair, maxFrac float64) (*ShardedC
 	freshR := make(map[string]int)
 	var freshLOrder, freshROrder []string
 	resolveL := func(name string) int {
-		if slot, ok := lookupSym(child.routeL, child.lOv, name); ok {
+		if slot, ok := child.routeL.lookup(name); ok {
 			return int(child.redirect[slot])
 		}
 		if n, ok := freshL[name]; ok {
@@ -554,7 +530,7 @@ func (sc *ShardedCompiled) Extend(dL, dE, dR []Pair, maxFrac float64) (*ShardedC
 		return n
 	}
 	resolveR := func(name string) int {
-		if slot, ok := lookupSym(child.routeR, child.rOv, name); ok {
+		if slot, ok := child.routeR.lookup(name); ok {
 			return int(child.redirect[slot])
 		}
 		if n, ok := freshR[name]; ok {
@@ -688,7 +664,13 @@ func (sc *ShardedCompiled) Extend(dL, dE, dR []Pair, maxFrac float64) (*ShardedC
 			stats.Rebuilt++
 			touched[target] = true
 		}
-		child.routeFresh(gp.freshL, gp.freshR, int32(target))
+		// Route the group's fresh symbols to their slot.
+		for _, name := range gp.freshL {
+			child.routeL.add(&sc.routeL, name, int32(target))
+		}
+		for _, name := range gp.freshR {
+			child.routeR.add(&sc.routeR, name, int32(target))
+		}
 	}
 	for slot, f := range pending {
 		if f != nil {
@@ -701,7 +683,6 @@ func (sc *ShardedCompiled) Extend(dL, dE, dR []Pair, maxFrac float64) (*ShardedC
 		stats.Touched = append(stats.Touched, i)
 	}
 	sort.Ints(stats.Touched)
-	child.maybeFoldRoutes()
 	return child, stats
 }
 
@@ -729,48 +710,4 @@ func (sc *ShardedCompiled) extendShard(slot int, dl, de, dr []Pair, maxFrac floa
 		}
 	}
 	sc.shards[slot] = next
-}
-
-// routeFresh routes a group's fresh symbols to their slot via the
-// overlay chains, prepending at most one new link per Extend.
-func (sc *ShardedCompiled) routeFresh(lNames, rNames []string, slot int32) {
-	if len(lNames) > 0 {
-		if sc.lOv == nil || !sc.ovOwnedL {
-			sc.lOv = &symOv{prev: sc.lOv, m: make(map[string]int32, len(lNames))}
-			sc.ovOwnedL = true
-			sc.ovDepth++
-		}
-		for _, name := range lNames {
-			sc.lOv.m[name] = slot
-		}
-	}
-	if len(rNames) > 0 {
-		if sc.rOv == nil || !sc.ovOwnedR {
-			sc.rOv = &symOv{prev: sc.rOv, m: make(map[string]int32, len(rNames))}
-			sc.ovOwnedR = true
-			sc.ovDepth++
-		}
-		for _, name := range rNames {
-			sc.rOv.m[name] = slot
-		}
-	}
-}
-
-// maybeFoldRoutes folds over-long router overlay chains with the same
-// fold Flatten applies to a Compiled's symbol overlays: at most one
-// link per side, the base maps rebuilt only once that link outgrows an
-// eighth of them — so the cost is the symbols routed since the last
-// rebuild, not the router's size.
-func (sc *ShardedCompiled) maybeFoldRoutes() {
-	if sc.ovDepth <= routeFoldDepth {
-		return
-	}
-	sc.routeL, sc.lOv = foldSyms(sc.routeL, sc.lOv)
-	sc.routeR, sc.rOv = foldSyms(sc.routeR, sc.rOv)
-	sc.ovDepth = 0
-	for _, ov := range []*symOv{sc.lOv, sc.rOv} {
-		if ov != nil {
-			sc.ovDepth++
-		}
-	}
 }

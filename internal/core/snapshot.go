@@ -138,15 +138,17 @@ func DecodeCompiled(data []byte) (*Compiled, []byte, error) {
 		return nil, nil, fmt.Errorf("%w: %v", ErrBadArtifact, r.err)
 	}
 	c.lNames, c.rNames = pagedNames(lNames), pagedNames(rNames)
-	c.lid = make(map[string]int32, nL)
-	for i, name := range lNames {
-		c.lid[name] = int32(i)
-	}
-	c.rid = make(map[string]int32, nR)
-	for i, name := range rNames {
-		c.rid[name] = int32(i)
-	}
+	c.lid, c.rid = symTable{base: indexNames(lNames)}, symTable{base: indexNames(rNames)}
 	return c, r.rest(), nil
+}
+
+// indexNames maps each name to its position in names.
+func indexNames(names []string) map[string]int32 {
+	m := make(map[string]int32, len(names))
+	for i, name := range names {
+		m[name] = int32(i)
+	}
+	return m
 }
 
 // validateOffsets checks the structural invariants row() indexes by,

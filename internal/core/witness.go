@@ -33,7 +33,7 @@ func (p *Proof) String() string {
 // databases.
 func Witness(q Query, answer string) (*Proof, error) {
 	in := build(q)
-	target, ok := lookupSym(in.c.rid, in.c.ridOv, answer)
+	target, ok := in.c.rid.lookup(answer)
 	if !ok {
 		return nil, fmt.Errorf("core: %q does not occur in the R/E domain", answer)
 	}

@@ -196,21 +196,6 @@ var invariants = []invariant{
 		n := get("mc_snapshot_failures_total")
 		return n == 0, fmt.Sprintf("failures=%g", n)
 	}},
-	{"chain collapses <= delta compiles", func(get, _ func(string) float64) (bool, string) {
-		c, d := get("mc_chain_collapses_total"), get("mc_delta_compiles_total")
-		return c <= d, fmt.Sprintf("collapses=%g delta=%g", c, d)
-	}},
-	{"resident compiled within configured cap", func(get, _ func(string) float64) (bool, string) {
-		// mc_resident_compiled is DeltaDepth+1, and the collapse fires
-		// when a fresh extend reaches the cap — so depth stays < cap and
-		// resident stays <= cap. A cap of 0 in the scrape means the
-		// server disabled it (negative config); nothing to assert.
-		r, limit := get("mc_resident_compiled"), get("mc_max_resident_compiled")
-		if limit <= 0 {
-			return true, "cap disabled"
-		}
-		return r <= limit, fmt.Sprintf("resident=%g cap=%g", r, limit)
-	}},
 }
 
 // CheckInvariants evaluates every metric-consistency rule against a
@@ -297,10 +282,9 @@ type OracleCheck struct {
 // MemorySample is one periodic scrape of the server's /v1/stats
 // memory block during a soak.
 type MemorySample struct {
-	ElapsedSeconds   float64 `json:"elapsed_seconds"`
-	HeapInuseBytes   int64   `json:"heap_inuse_bytes"`
-	CompiledBytes    int64   `json:"compiled_bytes"`
-	ResidentCompiled int     `json:"resident_compiled"`
+	ElapsedSeconds float64 `json:"elapsed_seconds"`
+	HeapInuseBytes int64   `json:"heap_inuse_bytes"`
+	CompiledBytes  int64   `json:"compiled_bytes"`
 }
 
 // MemoryCheck folds a soak's memory samples into the watermarks the
@@ -314,7 +298,6 @@ type MemoryCheck struct {
 	HeapMidBytes     int64 `json:"heap_mid_bytes"`
 	HeapLateBytes    int64 `json:"heap_late_bytes"`
 	CompiledMaxBytes int64 `json:"compiled_max_bytes"`
-	ResidentMax      int   `json:"resident_max"`
 }
 
 // MakeMemoryCheck computes the watermarks from raw samples. Fewer
@@ -326,9 +309,6 @@ func MakeMemoryCheck(samples []MemorySample) *MemoryCheck {
 	for _, s := range samples {
 		if s.CompiledBytes > mc.CompiledMaxBytes {
 			mc.CompiledMaxBytes = s.CompiledBytes
-		}
-		if s.ResidentCompiled > mc.ResidentMax {
-			mc.ResidentMax = s.ResidentCompiled
 		}
 	}
 	n := len(samples)
@@ -497,9 +477,9 @@ func (r *SoakReport) Summary(w io.Writer) {
 		fmt.Fprintf(w, "  recovery failure: %s\n", f)
 	}
 	if m := r.Memory; m != nil && m.Samples > 0 {
-		fmt.Fprintf(w, "memory: %d samples, heap mid=%.1fMiB late=%.1fMiB, compiled max=%.1fMiB, resident max=%d\n",
+		fmt.Fprintf(w, "memory: %d samples, heap mid=%.1fMiB late=%.1fMiB, compiled max=%.1fMiB\n",
 			m.Samples, float64(m.HeapMidBytes)/(1<<20), float64(m.HeapLateBytes)/(1<<20),
-			float64(m.CompiledMaxBytes)/(1<<20), m.ResidentMax)
+			float64(m.CompiledMaxBytes)/(1<<20))
 	}
 	for _, d := range r.Oracle.Details {
 		fmt.Fprintf(w, "  divergence: %s\n", d)

@@ -75,9 +75,6 @@ func consistentMetrics() map[string]float64 {
 		"mc_batch_requests_total":         5,
 		"mc_inflight_queries":             0,
 		"mc_snapshot_failures_total":      0,
-		"mc_chain_collapses_total":        2,
-		"mc_resident_compiled":            3,
-		"mc_max_resident_compiled":        8,
 		"mc_query_retrievals_count":       90,
 		`mc_queries_by_method_total{strategy="basic",mode="integrated"}`:     50,
 		`mc_queries_by_method_total{strategy="recurring",mode="integrated"}`: 40,
@@ -108,8 +105,6 @@ func TestCheckInvariantsCatchSkew(t *testing.T) {
 		{"batch samples above batches", func(m map[string]float64) { m["mc_batch_duration_seconds_count"] = 6 }},
 		{"stuck inflight", func(m map[string]float64) { m["mc_inflight_queries"] = 2 }},
 		{"snapshot failure", func(m map[string]float64) { m["mc_snapshot_failures_total"] = 1 }},
-		{"collapses above delta compiles", func(m map[string]float64) { m["mc_chain_collapses_total"] = 7 }},
-		{"resident above cap", func(m map[string]float64) { m["mc_resident_compiled"] = 9 }},
 	}
 	for _, tc := range cases {
 		m := consistentMetrics()
@@ -211,10 +206,9 @@ func memSamples(n int, heap func(i int) int64) []MemorySample {
 	out := make([]MemorySample, n)
 	for i := range out {
 		out[i] = MemorySample{
-			ElapsedSeconds:   float64(i),
-			HeapInuseBytes:   heap(i),
-			CompiledBytes:    1 << 20,
-			ResidentCompiled: 3,
+			ElapsedSeconds: float64(i),
+			HeapInuseBytes: heap(i),
+			CompiledBytes:  1 << 20,
 		}
 	}
 	return out
@@ -226,8 +220,8 @@ func TestMakeMemoryCheck(t *testing.T) {
 	if mc.Samples != 16 || mc.HeapMidBytes != 100 || mc.HeapLateBytes != 100 {
 		t.Fatalf("flat heap folded wrong: %+v", mc)
 	}
-	if mc.CompiledMaxBytes != 1<<20 || mc.ResidentMax != 3 {
-		t.Fatalf("compiled/resident maxima wrong: %+v", mc)
+	if mc.CompiledMaxBytes != 1<<20 {
+		t.Fatalf("compiled maximum wrong: %+v", mc)
 	}
 	// Monotone growth: late watermark well above mid.
 	mc = MakeMemoryCheck(memSamples(16, func(i int) int64 { return int64(100 * (i + 1)) }))

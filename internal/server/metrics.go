@@ -201,7 +201,6 @@ func (s *Service) WriteMetrics(w io.Writer) error {
 		{"mc_full_compiles_total", "Cold builds of a shard (with one shard, of the whole database), by appends and start-up.", st.DeltaCompile.FullCompiles},
 		{"mc_delta_compiles_total", "Delta Extend builds rolling the artifact across an append.", st.DeltaCompile.DeltaCompiles},
 		{"mc_delta_fallbacks_total", "Appends that rebuilt a shard cold because the delta exceeded the fraction threshold.", st.DeltaCompile.Fallbacks},
-		{"mc_chain_collapses_total", "Extend chains flattened at append time (retention cap, byte budget, or depth bound).", st.Memory.ChainCollapses},
 		{"mc_queries_rejected_total", "Queries fast-failed with ErrClosed during shutdown (excluded from errors and latency).", st.QueriesRejected},
 		{"mc_bad_requests_total", "Queries rejected by validation (excluded from errors and latency).", st.BadRequests},
 		{"mc_cache_hits_total", "Queries answered from the result cache.", st.CacheHits},
@@ -221,8 +220,6 @@ func (s *Service) WriteMetrics(w io.Writer) error {
 		{"mc_snapshots_total", "Snapshots written (checkpoints).", st.Snapshots},
 		{"mc_snapshot_failures_total", "Background checkpoints that failed.", st.SnapshotFailures},
 		{"mc_recovery_replayed_records", "WAL records replayed by the last recovery.", st.RecoveryReplayedRecords},
-		{"mc_resident_compiled", "Compiled-artifact generations the live Extend chain keeps resident.", st.Memory.ResidentCompiled},
-		{"mc_max_resident_compiled", "Configured resident-generation cap (negative = disabled).", st.Memory.MaxResidentCompiled},
 		{"mc_compiled_bytes", "ResidentBytes estimate of the live compiled artifact.", st.Memory.CompiledBytes},
 		{"mc_heap_inuse_bytes", "Runtime heap in use (spans holding live objects).", st.Memory.HeapInuseBytes},
 	}

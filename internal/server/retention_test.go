@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"magiccounting/internal/core"
 )
 
 // appendChainN seeds svc with n disjoint chain links via chainFacts
@@ -38,137 +40,95 @@ func compareAnswers(t *testing.T, label string, got, want *Service, sources []st
 	}
 }
 
-// TestChainCollapseResetsDepth is the retention-cap property: under a
-// long run of small delta appends the chain depth must stay below
-// MaxResidentCompiled (each crossing collapses to a flat artifact),
-// the collapse counter must track every flatten, delta compilation
-// must never stop, and answers must match an unbounded reference.
+// chainSeed is the length of the chain growChain loads in one append.
+const chainSeed = 20
+
+// growChain is the self-bounding run the chain tests share: it loads a
+// chainSeed-link chain in one append, then makes n one-link appends
+// onto the same region, each adding one node and so one symbol per
+// domain. ref gets the same appends with delta compilation off, so it
+// rebuilds on each one. each, when non-nil, sees svc's stats after the
+// k-th one-link append (k from 1). Every append must delta-compile and
+// none may fall back: nothing outside Extend bounds the chain.
+func growChain(t *testing.T, shards, n int, each func(k int, st Stats)) (svc, ref *Service) {
+	t.Helper()
+	svc = New(Config{Workers: 2, Shards: shards})
+	t.Cleanup(func() { svc.Close(context.Background()) })
+	ref = New(Config{Workers: 2, Shards: shards, DeltaMaxFrac: -1})
+	t.Cleanup(func() { ref.Close(context.Background()) })
+	mustAppend(t, svc, bulkChain("g", chainSeed))
+	mustAppend(t, ref, bulkChain("g", chainSeed))
+	for k := 1; k <= n; k++ {
+		mustAppend(t, svc, chainFacts("g", chainSeed+k-1))
+		mustAppend(t, ref, chainFacts("g", chainSeed+k-1))
+		if each != nil {
+			each(k, svc.Stats())
+		}
+	}
+	st := svc.Stats()
+	if dc := st.DeltaCompile; dc.DeltaCompiles != int64(n) || dc.Fallbacks != 0 || st.Compiles != dc.FullCompiles+dc.DeltaCompiles {
+		t.Fatalf("after %d one-link appends: compiles %d, %+v; want %d delta compiles and no fallback", n, st.Compiles, dc, n)
+	}
+	return svc, ref
+}
+
+// boundedDepth is a growChain callback failing once the deepest
+// symbol-table chain holds more than core.MaxOverlayLinks links.
+func boundedDepth(t *testing.T) func(int, Stats) {
+	return func(k int, st Stats) {
+		if d := st.DeltaCompile.ChainDepth; d > core.MaxOverlayLinks {
+			t.Fatalf("append %d: %d overlay links, bound %d", k, d, core.MaxOverlayLinks)
+		}
+	}
+}
+
+// TestChainCollapseResetsDepth is the self-bounding property step by
+// step: each one-link append adds one overlay link, and the append that
+// would add one past core.MaxOverlayLinks folds the chain inside Extend
+// and starts again at one link — the depth walks 1..8, 1..8, ... with
+// no collapse outside Extend, and the answers match the rebuilt
+// reference.
 func TestChainCollapseResetsDepth(t *testing.T) {
-	svc := New(Config{Workers: 2, DeltaMaxFrac: 0.99, MaxResidentCompiled: 4, MaxCompiledBytes: -1})
-	defer svc.Close(context.Background())
-	ref := New(Config{Workers: 2, DeltaMaxFrac: -1, MaxCompiledBytes: -1})
-	defer ref.Close(context.Background())
-
-	appendChainN(t, svc, "seed", 1)
-	appendChainN(t, ref, "seed", 1)
-	// Compile the artifact so the appends below extend it.
-	if _, err := svc.Query(context.Background(), QueryRequest{Source: "seed_n0"}); err != nil {
-		t.Fatalf("warm query: %v", err)
-	}
-
-	const appends = 20
-	for i := 0; i < appends; i++ {
-		req := chainFacts("delta", i)
-		if _, err := svc.AppendFacts(req); err != nil {
-			t.Fatalf("delta append %d: %v", i, err)
+	const appends = 3*core.MaxOverlayLinks + 4
+	svc, ref := growChain(t, 1, appends, func(k int, st Stats) {
+		if d, want := st.DeltaCompile.ChainDepth, (k-1)%core.MaxOverlayLinks+1; d != want {
+			t.Fatalf("append %d: chain depth %d, want %d", k, d, want)
 		}
-		if _, err := ref.AppendFacts(req); err != nil {
-			t.Fatalf("ref append %d: %v", i, err)
+		if st.Memory.ChainCollapses != 0 {
+			t.Fatalf("append %d: %d chain collapses, want 0 (only Extend folds)", k, st.Memory.ChainCollapses)
 		}
-		st := svc.Stats()
-		if st.DeltaCompile.ChainDepth >= 4 {
-			t.Fatalf("append %d: chain depth %d reached the cap 4", i, st.DeltaCompile.ChainDepth)
-		}
-		if st.Memory.ResidentCompiled > 4 {
-			t.Fatalf("append %d: %d resident generations, cap 4", i, st.Memory.ResidentCompiled)
-		}
-	}
-
-	st := svc.Stats()
-	if st.DeltaCompile.DeltaCompiles != appends {
-		t.Fatalf("delta compiles = %d, want %d (the collapse must not break the delta path)", st.DeltaCompile.DeltaCompiles, appends)
-	}
-	// Depth walks 0→3 then collapses on the 4th, so 20 appends force 5.
-	if st.Memory.ChainCollapses != 5 {
-		t.Fatalf("chain collapses = %d, want 5", st.Memory.ChainCollapses)
-	}
-	if st.Memory.CompiledBytes <= 0 {
-		t.Fatalf("compiled bytes estimate = %d, want > 0", st.Memory.CompiledBytes)
-	}
-	if st.Memory.HeapInuseBytes <= 0 {
-		t.Fatalf("heap inuse = %d, want > 0", st.Memory.HeapInuseBytes)
-	}
-
-	sources := []string{"seed_n0", "delta_n0", fmt.Sprintf("delta_n%d", appends-1), "absent"}
-	compareAnswers(t, "retention", svc, ref, sources)
+	})
+	sources := []string{"g_n0", fmt.Sprintf("g_n%d", chainSeed+core.MaxOverlayLinks), fmt.Sprintf("g_n%d", chainSeed+appends), "absent"}
+	compareAnswers(t, "folding chain", svc, ref, sources)
 }
 
-// TestDeltaResumesPastChainCap is the fallback-latch regression: with
-// the retention triggers disabled, appends past maxDeltaChain must
-// collapse at the hard bound and keep delta-compiling — before the
-// fix, depth 256 dropped the artifact and every subsequent append
-// fell back to invalidation with no path home (the cold compile that
-// would reset the depth loses its publish race with the next append).
+// TestDeltaResumesPastChainCap is the fallback-latch regression: 300
+// one-link appends, past the 256-step depth where a hard bound once
+// dropped the artifact and latched every later append onto the
+// fallback, all delta-compile with the depth bounded throughout, and
+// facts on both sides of that mark answer like the reference.
 func TestDeltaResumesPastChainCap(t *testing.T) {
-	svc := New(Config{Workers: 2, DeltaMaxFrac: 0.99, MaxResidentCompiled: -1, MaxCompiledBytes: -1})
-	defer svc.Close(context.Background())
-
-	appendChainN(t, svc, "seed", 1)
-	if _, err := svc.Query(context.Background(), QueryRequest{Source: "seed_n0"}); err != nil {
-		t.Fatalf("warm query: %v", err)
-	}
-
-	appends := maxDeltaChain + 10
-	for i := 0; i < appends; i++ {
-		if _, err := svc.AppendFacts(chainFacts("delta", i)); err != nil {
-			t.Fatalf("append %d: %v", i, err)
-		}
-	}
-
-	st := svc.Stats()
-	if st.DeltaCompile.DeltaCompiles != int64(appends) {
-		t.Fatalf("mc_delta_compiles_total = %d after %d appends, want %d (stopped climbing past the cap)",
-			st.DeltaCompile.DeltaCompiles, appends, appends)
-	}
-	if st.DeltaCompile.Fallbacks != 0 {
-		t.Fatalf("fallbacks = %d, want 0 (depth must collapse, not fall back)", st.DeltaCompile.Fallbacks)
-	}
-	if st.Memory.ChainCollapses != 1 {
-		t.Fatalf("chain collapses = %d, want exactly 1 (at the hard bound)", st.Memory.ChainCollapses)
-	}
-	if st.DeltaCompile.ChainDepth != 10 {
-		t.Fatalf("chain depth = %d, want 10 (reset at %d, then 10 more links)", st.DeltaCompile.ChainDepth, maxDeltaChain)
-	}
-
-	// The collapsed-and-re-extended artifact must still answer
-	// correctly for facts on both sides of the collapse boundary.
-	ref := New(Config{Workers: 2, DeltaMaxFrac: -1})
-	defer ref.Close(context.Background())
-	appendChainN(t, ref, "seed", 1)
-	for i := 0; i < appends; i++ {
-		if _, err := ref.AppendFacts(chainFacts("delta", i)); err != nil {
-			t.Fatalf("ref append %d: %v", i, err)
-		}
-	}
-	sources := []string{"seed_n0", "delta_n0", fmt.Sprintf("delta_n%d", maxDeltaChain-2), fmt.Sprintf("delta_n%d", appends-1)}
-	compareAnswers(t, "past-cap", svc, ref, sources)
+	const appends = 300
+	svc, ref := growChain(t, 1, appends, boundedDepth(t))
+	sources := []string{"g_n0", fmt.Sprintf("g_n%d", chainSeed+254), fmt.Sprintf("g_n%d", chainSeed+appends), "absent"}
+	compareAnswers(t, "past the old cap", svc, ref, sources)
 }
 
-// TestCollapseOnBytes checks the byte trigger: with a 1-byte budget
-// every delta append collapses, publishing a flat artifact each time.
+// TestCollapseOnBytes checks what the retired byte budget guarded:
+// after 300 one-link appends the self-folding artifact's ResidentBytes
+// stay within twice those of the reference's cold compile of the same
+// facts, with no byte cap configured and nothing collapsed.
 func TestCollapseOnBytes(t *testing.T) {
-	svc := New(Config{Workers: 2, DeltaMaxFrac: 0.99, MaxResidentCompiled: -1, MaxCompiledBytes: 1})
-	defer svc.Close(context.Background())
-
-	appendChainN(t, svc, "seed", 1)
-	if _, err := svc.Query(context.Background(), QueryRequest{Source: "seed_n0"}); err != nil {
-		t.Fatalf("warm query: %v", err)
+	const appends = 300
+	svc, ref := growChain(t, 1, appends, boundedDepth(t))
+	// The reference compiles on its first query after the last append.
+	compareAnswers(t, "byte-bounded chain", svc, ref, []string{"g_n0"})
+	got, want := svc.Stats().Memory, ref.Stats().Memory
+	if got.MaxCompiledBytes != 0 || got.ChainCollapses != 0 {
+		t.Fatalf("byte cap %d, %d collapses; want neither", got.MaxCompiledBytes, got.ChainCollapses)
 	}
-	const appends = 5
-	for i := 0; i < appends; i++ {
-		if _, err := svc.AppendFacts(chainFacts("delta", i)); err != nil {
-			t.Fatalf("append %d: %v", i, err)
-		}
-		if depth := svc.Stats().DeltaCompile.ChainDepth; depth != 0 {
-			t.Fatalf("append %d: depth %d, want 0 (1-byte budget collapses every append)", i, depth)
-		}
-	}
-	st := svc.Stats()
-	if st.Memory.ChainCollapses != appends {
-		t.Fatalf("chain collapses = %d, want %d", st.Memory.ChainCollapses, appends)
-	}
-	if st.DeltaCompile.DeltaCompiles != appends {
-		t.Fatalf("delta compiles = %d, want %d", st.DeltaCompile.DeltaCompiles, appends)
+	if want.CompiledBytes <= 0 || got.CompiledBytes > 2*want.CompiledBytes {
+		t.Fatalf("after %d appends the chain holds %d bytes, a cold compile %d; want at most twice", appends, got.CompiledBytes, want.CompiledBytes)
 	}
 }
 
@@ -245,8 +205,9 @@ func TestClockHandClampAfterPurge(t *testing.T) {
 	svc.mu.Unlock()
 }
 
-// TestMemoryMetricsExposition checks the new series reach /metrics
-// with the right names and kinds.
+// TestMemoryMetricsExposition checks the memory series reach /metrics
+// with the right names and kinds, and the retired retention series do
+// not.
 func TestMemoryMetricsExposition(t *testing.T) {
 	svc := New(Config{Workers: 1})
 	defer svc.Close(context.Background())
@@ -260,13 +221,16 @@ func TestMemoryMetricsExposition(t *testing.T) {
 	}
 	out := sb.String()
 	for _, want := range []string{
-		"# TYPE mc_resident_compiled gauge",
 		"# TYPE mc_compiled_bytes gauge",
 		"# TYPE mc_heap_inuse_bytes gauge",
-		"# TYPE mc_chain_collapses_total counter",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("metrics exposition missing %q", want)
+		}
+	}
+	for _, gone := range []string{"collapse", "resident_compiled"} {
+		if strings.Contains(out, gone) {
+			t.Fatalf("metrics exposition still has a %q series", gone)
 		}
 	}
 	if strings.Contains(out, "mc_heap_inuse_bytes 0\n") {

@@ -66,27 +66,10 @@ type Config struct {
 	// inside the append. Zero selects 0.25; negative disables delta
 	// compilation, so every append rebuilds the shards it touches.
 	DeltaMaxFrac float64
-	// MaxResidentCompiled caps how many artifact generations the live
-	// Extend chain may keep resident: each Extend aliases its parent,
-	// so a chain of depth d pins d+1 generations of storage. When a
-	// delta append would exceed the cap, the appender collapses the
-	// extended artifact with core.Flatten — off the write lock, like
-	// the delta compile itself — publishing a self-contained artifact
-	// that frees every ancestor. Zero selects 8; negative disables the
-	// generation cap (the maxDeltaChain hard cap still collapses).
-	MaxResidentCompiled int
-	// MaxCompiledBytes collapses the chain when its ResidentBytes
-	// estimate crosses this many bytes, whatever its depth — deep
-	// chains of small deltas and short chains of huge ones hit the
-	// same wall. Zero selects 256 MiB; negative disables the byte
-	// trigger. Both this and MaxResidentCompiled are enforced per
-	// shard.
-	MaxCompiledBytes int64
 	// Shards is the number of region shards the compiled artifact is
 	// partitioned into (core.CompileSharded): queries route to exactly
-	// one shard, appends roll only the shards they touch, and chain
-	// collapse runs per shard. Values <= 1 select one shard holding the
-	// whole database.
+	// one shard, and appends roll only the shards they touch. Values
+	// <= 1 select one shard holding the whole database.
 	Shards int
 }
 
@@ -103,23 +86,8 @@ func (c Config) withDefaults() Config {
 	if c.DeltaMaxFrac == 0 {
 		c.DeltaMaxFrac = 0.25
 	}
-	if c.MaxResidentCompiled == 0 {
-		c.MaxResidentCompiled = 8
-	}
-	if c.MaxCompiledBytes == 0 {
-		c.MaxCompiledBytes = 256 << 20
-	}
 	return c
 }
-
-// maxDeltaChain is the hard bound on Extend-chain depth, enforced
-// even when Config.MaxResidentCompiled disables the retention cap:
-// every delta generation aliases its parent's storage, so an
-// unbounded chain would pin each generation's re-laid rows (and
-// overlay maps) for the life of the newest artifact. At this depth
-// the appender collapses the chain with core.Flatten and keeps delta
-// compilation going.
-const maxDeltaChain = 256
 
 // cacheKey identifies one cached evaluation. Auto-selected queries
 // cache under their own key so a hit skips even the graph
@@ -219,10 +187,6 @@ type Service struct {
 	deltaCompiles  atomic.Int64
 	fullCompiles   atomic.Int64
 	deltaFallbacks atomic.Int64
-	// chainCollapses counts delta appends whose extended artifact was
-	// flattened before publish (retention cap, byte budget, or the
-	// maxDeltaChain hard bound), one per collapsed shard chain.
-	chainCollapses atomic.Int64
 	deltaHist      *histogram
 	lastAppendSpan atomic.Pointer[obs.Span]
 	// shardMerges counts shards absorbed by bridging appends (a merge
@@ -972,23 +936,15 @@ func (s *Service) invalidateGenerationLocked(gen uint64) {
 // within DeltaMaxFrac of its shard rolls that shard's artifact forward
 // with core.Extend, a larger one (a bulk load, or any delta when delta
 // compilation is disabled) cold-rebuilds that shard alone, and a
-// bridging delta merges just the shards it connects. The caller holds
-// appendMu — and only appendMu — so none of this blocks a query, and
-// art cannot go stale before the publish.
-//
-// A touched shard is then collapsed with core.Flatten whenever its
-// chain would pin more than MaxResidentCompiled generations, its
-// ResidentBytes estimate exceeds MaxCompiledBytes, or its depth
-// reaches the maxDeltaChain hard bound; the published shard is depth
-// 0, so the next append extends it, and every aliased ancestor is
-// freed.
+// bridging delta merges just the shards it connects. Extend bounds its
+// own symbol-table chains, so the result is published as it is. The
+// caller holds appendMu — and only appendMu — so none of this blocks a
+// query, and art cannot go stale before the publish.
 //
 // Accounting: each delta-extended shard is one delta compile, each
 // cold-rebuilt shard one full compile (compiles == full + delta
 // holds), each absorbed shard one merge, and an append that rebuilt a
-// shard because of the threshold one fallback. Collapses only ever
-// fire on a shard this append delta-extended (a rebuilt shard
-// publishes at depth 0), preserving collapses <= delta compiles.
+// shard because of the threshold one fallback.
 func (s *Service) roll(art *core.ShardedCompiled, added int, addL, addE, addR []core.Pair) *core.ShardedCompiled {
 	tr := obs.New("append", 0)
 	sp := tr.Start("delta-compile", 0)
@@ -1012,41 +968,8 @@ func (s *Service) roll(art *core.ShardedCompiled, added int, addL, addE, addR []
 	if st.Fallbacks > 0 {
 		s.deltaFallbacks.Add(1)
 	}
-	for _, slot := range st.Touched {
-		comp := next.ShardArtifact(slot)
-		if comp.DeltaDepth() == 0 || !s.shouldCollapse(comp) {
-			continue
-		}
-		csp := tr.Start("collapse", 0)
-		cstart := time.Now()
-		flat := comp.Flatten()
-		csp.Set("shard", int64(slot))
-		csp.Set("depth", int64(comp.DeltaDepth()))
-		csp.Set("bytes_before", comp.ResidentBytes())
-		csp.Set("bytes_after", flat.ResidentBytes())
-		csp.Set("elapsed_us", time.Since(cstart).Microseconds())
-		tr.End(csp, 0)
-		next.SetShardArtifact(slot, flat)
-		s.chainCollapses.Add(1)
-	}
 	s.lastAppendSpan.Store(tr.Finish(0))
 	return next
-}
-
-// shouldCollapse decides whether a freshly extended shard artifact
-// must be flattened before publish. A chain of depth d keeps d+1
-// generations resident, so the retention cap fires at depth >=
-// MaxResidentCompiled; the byte budget fires on the ResidentBytes
-// estimate; maxDeltaChain fires regardless of configuration.
-func (s *Service) shouldCollapse(next *core.Compiled) bool {
-	depth := next.DeltaDepth()
-	if depth >= maxDeltaChain {
-		return true
-	}
-	if s.cfg.MaxResidentCompiled > 0 && depth >= s.cfg.MaxResidentCompiled {
-		return true
-	}
-	return s.cfg.MaxCompiledBytes > 0 && next.ResidentBytes() > s.cfg.MaxCompiledBytes
 }
 
 // Stats is a point-in-time snapshot of the service counters.
@@ -1088,10 +1011,8 @@ type Stats struct {
 	// DeltaCompile reports the incremental-compilation state (see
 	// AppendFacts and roll).
 	DeltaCompile DeltaCompileStats `json:"delta_compile"`
-	// Memory reports the bounded-memory state: resident artifact
-	// generations, the pinned-bytes estimate, collapse activity, and
-	// the process heap watermark (see roll and the
-	// MaxResidentCompiled/MaxCompiledBytes knobs).
+	// Memory reports the artifact's resident-bytes estimate and the
+	// process heap watermark.
 	Memory MemoryStats `json:"memory"`
 	// Shards reports the per-shard artifact state; nil with a single
 	// shard (Config.Shards <= 1).
@@ -1107,9 +1028,8 @@ type ShardsStats struct {
 	// Merges counts shards absorbed into a neighbor by bridging
 	// appends since startup.
 	Merges int64 `json:"merges"`
-	// MaxDeltaDepth is the deepest per-shard Extend chain in the live
-	// artifact (DeltaCompile.ChainDepth, and Memory.ResidentCompiled
-	// less one).
+	// MaxDeltaDepth is the longest overlay chain of any live shard's
+	// symbol tables (DeltaCompile.ChainDepth).
 	MaxDeltaDepth int `json:"max_delta_depth"`
 	// Shards lists the live slots of the current artifact.
 	Shards []core.ShardInfo `json:"shards"`
@@ -1119,38 +1039,38 @@ type ShardsStats struct {
 type DeltaCompileStats struct {
 	// DeltaCompiles and FullCompiles partition Compiles; Fallbacks
 	// counts appends that rebuilt a shard cold in place of a delta
-	// extend because of the fraction threshold (chain depth never falls
-	// back — it collapses; see MemoryStats.ChainCollapses).
+	// extend because of the fraction threshold.
 	DeltaCompiles int64   `json:"delta_compiles"`
 	FullCompiles  int64   `json:"full_compiles"`
 	Fallbacks     int64   `json:"fallbacks"`
 	MaxFraction   float64 `json:"max_fraction"`
-	// ChainDepth is the deepest shard's Extend depth since its last
-	// full compile (0 when cold-compiled, decoded, or just collapsed).
+	// ChainDepth is the longest overlay chain of any shard's symbol
+	// tables: at most core.MaxOverlayLinks, since Extend folds them
+	// itself (0 when cold-compiled or decoded).
 	ChainDepth int `json:"chain_depth"`
 	// LastAppend is the most recent committed append's span tree.
 	LastAppend *obs.Span `json:"last_append,omitempty"`
 }
 
-// MemoryStats is the bounded-memory block of Stats.
+// MemoryStats is the memory block of Stats.
 type MemoryStats struct {
-	// ResidentCompiled counts the artifact generations the deepest
-	// live Extend chain keeps resident: its depth plus one.
-	ResidentCompiled int `json:"resident_compiled"`
 	// CompiledBytes is the live artifact's ResidentBytes estimate, fact
 	// ropes included.
 	CompiledBytes int64 `json:"compiled_bytes"`
-	// ChainCollapses counts appends whose extended artifact was
-	// flattened before publish.
-	ChainCollapses int64 `json:"chain_collapses"`
 	// HeapInuseBytes is the runtime's heap-in-use watermark (spans
 	// holding live objects, scraped from runtime/metrics) — the field
 	// soak harnesses watch for monotonic growth.
 	HeapInuseBytes int64 `json:"heap_inuse_bytes"`
-	// MaxResidentCompiled and MaxCompiledBytes echo the effective
-	// configuration so a scraper can tell capped from uncapped runs.
-	MaxResidentCompiled int   `json:"max_resident_compiled"`
-	MaxCompiledBytes    int64 `json:"max_compiled_bytes"`
+
+	// Deprecated: always zero; appends no longer collapse the artifact.
+	ChainCollapses int64 `json:"chain_collapses"`
+	// MaxResidentCompiled is core.MaxOverlayLinks, the overlay links a
+	// symbol table holds before Extend folds it.
+	//
+	// Deprecated: it used to echo a configured collapse cap.
+	MaxResidentCompiled int `json:"max_resident_compiled"`
+	// Deprecated: always zero; there is no resident-bytes cap.
+	MaxCompiledBytes int64 `json:"max_compiled_bytes"`
 }
 
 // Close marks the service closed and drains the worker pool: new
@@ -1261,12 +1181,9 @@ func (s *Service) Stats() Stats {
 		},
 
 		Memory: MemoryStats{
-			ResidentCompiled:    depth + 1,
 			CompiledBytes:       art.ResidentBytes(),
-			ChainCollapses:      s.chainCollapses.Load(),
 			HeapInuseBytes:      heapInuseBytes(),
-			MaxResidentCompiled: s.cfg.MaxResidentCompiled,
-			MaxCompiledBytes:    s.cfg.MaxCompiledBytes,
+			MaxResidentCompiled: core.MaxOverlayLinks,
 		},
 
 		Shards: shards,

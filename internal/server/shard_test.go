@@ -24,39 +24,34 @@ func regionFacts(t *testing.T, svc *Service, regions []string, n int) {
 	}
 }
 
-// TestShardedRetentionCollapse pins per-shard chain collapse: with a
-// resident cap, repeated single-region appends flatten only the shard
-// whose chain trips the cap, and the collapse count stays within the
-// delta-compile count (the soak invariant).
+// TestShardedRetentionCollapse pins the self-bounding chain per shard:
+// on a four-shard service, 300 one-link appends onto one region all
+// delta-compile, no shard's symbol tables ever hold more than
+// core.MaxOverlayLinks overlay links, and the answers match both the
+// rebuilt reference and a cold solve of the live facts.
 func TestShardedRetentionCollapse(t *testing.T) {
-	svc := New(Config{Workers: 2, Shards: 2, MaxResidentCompiled: 3})
-	defer svc.Close(context.Background())
-	regionFacts(t, svc, []string{"g0", "g1"}, 12)
-	for i := 12; i < 30; i++ {
-		if _, err := svc.AppendFacts(chainFacts("g0", i)); err != nil {
-			t.Fatalf("append %d: %v", i, err)
+	const appends = 300
+	svc, ref := growChain(t, 4, appends, func(k int, st Stats) {
+		if st.Shards == nil || st.Shards.MaxDeltaDepth != st.DeltaCompile.ChainDepth {
+			t.Fatalf("append %d: shard stats %+v disagree with chain depth %d", k, st.Shards, st.DeltaCompile.ChainDepth)
 		}
-	}
-	st := svc.Stats()
-	if st.Memory.ChainCollapses == 0 {
-		t.Fatal("no chain collapse despite a 3-generation cap and 18 deltas")
-	}
-	if st.Memory.ChainCollapses > st.DeltaCompile.DeltaCompiles {
-		t.Fatalf("collapses %d exceed delta compiles %d", st.Memory.ChainCollapses, st.DeltaCompile.DeltaCompiles)
-	}
-	if st.Memory.ResidentCompiled > st.Memory.MaxResidentCompiled {
-		t.Fatalf("resident %d above cap %d after collapses", st.Memory.ResidentCompiled, st.Memory.MaxResidentCompiled)
-	}
-	resp, err := svc.Query(context.Background(), QueryRequest{Source: "g0_n0", Strategy: "multiple", Mode: "integrated"})
+		for _, sh := range st.Shards.Shards {
+			if sh.DeltaDepth > core.MaxOverlayLinks {
+				t.Fatalf("append %d: shard %d holds %d overlay links, bound %d", k, sh.Slot, sh.DeltaDepth, core.MaxOverlayLinks)
+			}
+		}
+	})
+	compareAnswers(t, "sharded chain", svc, ref, []string{"g_n0", "g_n150", "g_n320", "absent"})
+	resp, err := svc.Query(context.Background(), QueryRequest{Source: "g_n0", Strategy: "multiple", Mode: "integrated"})
 	if err != nil {
-		t.Fatalf("post-collapse query: %v", err)
+		t.Fatalf("query: %v", err)
 	}
-	want, err := core.Compile(svc.current().Facts()).Solve("g0_n0", core.Multiple, core.Integrated, core.Options{})
+	want, err := core.Compile(svc.current().Facts()).Solve("g_n0", core.Multiple, core.Integrated, core.Options{})
 	if err != nil {
 		t.Fatalf("cold solve: %v", err)
 	}
 	if !reflect.DeepEqual(resp.Answers, want.Answers) {
-		t.Fatalf("post-collapse answers diverge: %v != %v", resp.Answers, want.Answers)
+		t.Fatalf("answers diverge from a cold solve: %v != %v", resp.Answers, want.Answers)
 	}
 }
 
@@ -77,6 +72,9 @@ func TestShardedMetricsExposition(t *testing.T) {
 		t.Fatalf("WriteMetrics: %v", err)
 	}
 	out := buf.String()
+	if strings.Contains(out, "collapse") {
+		t.Fatal("sharded /metrics still exposes the retired collapse counter")
+	}
 	for _, series := range []string{
 		"mc_shards 2",
 		"mc_shard_merges_total 0",
