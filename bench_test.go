@@ -256,8 +256,9 @@ func BenchmarkNaiveBaseline(b *testing.B) {
 // database of 1,024 disjoint 32-node chains, so a source reaches a
 // thousandth of it: for a present source and for one that occurs in no
 // relation, on the cold-compiled artifact and on the flattened form of
-// an Extend chain. Time and bytes still grow with the database (the
-// classifier's dense result arrays); allocs/op must not.
+// an Extend chain. The classifier's results and position table are
+// sized by the reached set, so neither time, bytes nor allocs/op grow
+// with the database: about 5 KB per present source, 0.4 KB per absent.
 func BenchmarkChooseMethod(b *testing.B) {
 	var base, delta []core.Pair
 	for c := 0; c < 1024; c++ {

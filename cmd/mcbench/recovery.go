@@ -120,8 +120,9 @@ func runRecoveryProbe(n, rounds int, out io.Writer) (*recoveryResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The snapshot carries what a Service checkpoint would: the
-	// accumulated fact slices plus the compiled artifact.
+	// The snapshot carries what a one-shard Service checkpoint would:
+	// the compiled artifact over the accumulated facts, which it stores
+	// alone.
 	var l, e, r []core.Pair
 	for g := uint64(1); g <= cut; g++ {
 		rec := probeRecord(g)
@@ -131,7 +132,7 @@ func runRecoveryProbe(n, rounds int, out io.Writer) (*recoveryResult, error) {
 	}
 	comp := core.Compile(l, e, r)
 	comp.Generation = cut
-	if err := st.WriteSnapshot(durable.Snapshot{Gen: cut, L: l, E: e, R: r, Compiled: comp}, floor); err != nil {
+	if err := st.WriteSnapshot(durable.Snapshot{Gen: cut, Compiled: comp}, floor); err != nil {
 		return nil, err
 	}
 	if err := buildWAL(st, cut+1, uint64(n)); err != nil {

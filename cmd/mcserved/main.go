@@ -187,8 +187,9 @@ func run(args []string, stdout io.Writer, ready chan<- net.Addr) error {
 		if err != nil {
 			return fmt.Errorf("open data dir %s: %w", *dataDir, err)
 		}
+		st := svc.Stats()
 		fmt.Fprintf(out, "mcserved: recovered %s: generation %d, %d facts (snapshot gen %d, %d wal records replayed, %d bytes truncated)\n",
-			*dataDir, info.Generation, len(info.L)+len(info.E)+len(info.R),
+			*dataDir, info.Generation, st.FactsL+st.FactsE+st.FactsR,
 			info.SnapshotGeneration, info.ReplayedRecords, info.TruncatedBytes)
 		for _, skipped := range info.SkippedSnapshots {
 			fmt.Fprintf(out, "mcserved: skipped corrupt snapshot %s\n", skipped)

@@ -29,7 +29,7 @@ func CheckReducedSets(q Query, rs *ReducedSets, mode Mode) error {
 		}
 	}
 	for v := 0; v < in.nL; v++ {
-		reachable := cls.Class[v] != graph.Unreachable
+		reachable := cls.Pos(int32(v)) >= 0
 		covered := rs.RM[v] || inRC[v]
 		if reachable && !covered {
 			return fmt.Errorf("core: condition (a) violated: magic node %s in neither RM nor RC", in.lName(int32(v)))
@@ -39,22 +39,23 @@ func CheckReducedSets(q Query, rs *ReducedSets, mode Mode) error {
 		}
 	}
 
-	// Condition b: RC-only nodes carry their complete index sets.
-	for v := 0; v < in.nL; v++ {
+	// Condition b: RC-only nodes carry their complete index sets. By
+	// condition a, they are all reached.
+	for p, v := range cls.Reached {
 		if !inRC[v] || rs.RM[v] {
 			continue
 		}
-		if cls.Class[v] == graph.Recurring {
-			return fmt.Errorf("core: condition (b) violated: recurring node %s assigned to RC only (infinite index set)", in.lName(int32(v)))
+		if cls.Class[p] == graph.Recurring {
+			return fmt.Errorf("core: condition (b) violated: recurring node %s assigned to RC only (infinite index set)", in.lName(v))
 		}
-		want := cls.Indices[v]
-		got := multiIndices(rs.RC, int32(v))
+		want := cls.Indices[p]
+		got := multiIndices(rs.RC, v)
 		if len(got) != len(want) {
-			return fmt.Errorf("core: condition (b) violated: node %s has indices %v in RC, wants %v", in.lName(int32(v)), got, want)
+			return fmt.Errorf("core: condition (b) violated: node %s has indices %v in RC, wants %v", in.lName(v), got, want)
 		}
 		for i := range want {
 			if got[i] != want[i] {
-				return fmt.Errorf("core: condition (b) violated: node %s has indices %v in RC, wants %v", in.lName(int32(v)), got, want)
+				return fmt.Errorf("core: condition (b) violated: node %s has indices %v in RC, wants %v", in.lName(v), got, want)
 			}
 		}
 	}
@@ -70,25 +71,11 @@ func CheckReducedSets(q Query, rs *ReducedSets, mode Mode) error {
 // returns the resulting partition, for inspection and testing.
 func (q Query) ReducedSetsFor(strategy Strategy, mode Mode, opts Options) (*ReducedSets, []string, error) {
 	in := build(q)
-	integrated := mode == Integrated
-	var rs *ReducedSets
-	switch strategy {
-	case Basic:
-		rs = in.step1Basic(integrated)
-	case Single:
-		rs = in.step1Single(integrated)
-	case Multiple:
-		rs = in.step1Multiple(integrated)
-	case Recurring:
-		if opts.SCCStep1 {
-			rs = in.step1RecurringSCC(integrated)
-		} else {
-			rs = in.step1RecurringNaive(integrated)
-		}
-	default:
-		return nil, nil, fmt.Errorf("core: unknown strategy %v", strategy)
+	r, err := in.step1(strategy, mode == Integrated, opts.SCCStep1)
+	if err != nil {
+		return nil, nil, err
 	}
-	return rs, in.lNamesFull(), nil
+	return r.dense(in.nL), in.lNamesFull(), nil
 }
 
 // RMClosedUnderSuccessors verifies the invariant the integrated

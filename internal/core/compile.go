@@ -2,7 +2,7 @@ package core
 
 import (
 	"maps"
-	"sync"
+	"slices"
 	"sync/atomic"
 )
 
@@ -357,6 +357,85 @@ func (c *Compiled) Arcs() (l, e, r int) {
 	return c.lOut.m, c.eOut.m, c.rOut.m
 }
 
+// Facts returns the database the artifact compiles, read back from its
+// rows through the name pages: L from lOut and lIn, E from eOut, and R
+// from the descent rows (rOut[c] lists the b with (b, c) in R). Each
+// relation comes out deduplicated and in an order that keeps every row
+// of every graph in place, so Compile over the result lays the graphs
+// out exactly as c does (StructuralEqual holds). The slices are fresh;
+// the names are the artifact's own.
+func (c *Compiled) Facts() (l, e, r []Pair) {
+	return c.appendFacts(nil, nil, nil)
+}
+
+// appendFacts appends Facts' three relations to l, e and r.
+func (c *Compiled) appendFacts(l, e, r []Pair) ([]Pair, []Pair, []Pair) {
+	l = c.appendL(slices.Grow(l, c.lOut.m))
+	e = slices.Grow(e, c.eOut.m)
+	for x := int32(0); int(x) < c.lNames.n; x++ {
+		from := c.lNames.at(x)
+		for _, y := range c.eOut.row(x) {
+			e = append(e, Pair{from, c.rNames.at(y)})
+		}
+	}
+	r = slices.Grow(r, c.rOut.m)
+	for ch := int32(0); int(ch) < c.rNames.n; ch++ {
+		to := c.rNames.at(ch)
+		for _, b := range c.rOut.row(ch) {
+			r = append(r, Pair{c.rNames.at(b), to})
+		}
+	}
+	return l, e, r
+}
+
+// appendL appends G_L's arcs to l in an order that keeps both the lOut
+// and the lIn rows in place. Every artifact's rows were laid from one
+// fact order (Compile's, then each Extend's delta after it), so such
+// an order exists, and a merge finds it: an arc comes next once it
+// heads the unread part of its lOut row and of its lIn row. Should the
+// rows not agree (a payload that decoded but whose lIn is not lOut's
+// reverse), the arcs the merge cannot place follow in lOut row order,
+// so no fact is lost.
+func (c *Compiled) appendL(l []Pair) []Pair {
+	n := c.lNames.n
+	doneOut := make([]int32, n) // arcs of lOut[u] emitted
+	doneIn := make([]int32, n)  // arcs of lIn[v] emitted
+	ready := func(u int32) bool {
+		row := c.lOut.row(u)
+		if int(doneOut[u]) == len(row) {
+			return false
+		}
+		v := row[doneOut[u]]
+		in := c.lIn.row(v)
+		return int(doneIn[v]) < len(in) && in[doneIn[v]] == u
+	}
+	var stack []int32
+	for u := int32(0); int(u) < n; u++ {
+		if ready(u) {
+			stack = append(stack, u)
+		}
+	}
+	for len(stack) > 0 {
+		u := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for ready(u) {
+			v := c.lOut.row(u)[doneOut[u]]
+			l = append(l, Pair{c.lNames.at(u), c.lNames.at(v)})
+			doneOut[u]++
+			doneIn[v]++
+			if in := c.lIn.row(v); int(doneIn[v]) < len(in) && in[doneIn[v]] != u && ready(in[doneIn[v]]) {
+				stack = append(stack, in[doneIn[v]])
+			}
+		}
+	}
+	for u := int32(0); int(u) < n; u++ {
+		for _, v := range c.lOut.row(u)[doneOut[u]:] {
+			l = append(l, Pair{c.lNames.at(u), c.lNames.at(v)})
+		}
+	}
+	return l
+}
+
 // MaxOverlayLinks bounds a symTable's overlay chain: the Extend that
 // adds a link past it folds the chain at once, so a lookup miss probes
 // at most this many maps beyond the base.
@@ -474,41 +553,4 @@ func (c *Compiled) bind(source string) *instance {
 		in.nL++
 	}
 	return in
-}
-
-// pairRows is the pooled scratch behind a run's P_M pair set: one
-// denseSet row per L-node, the dominant per-query allocation once the
-// graphs themselves are compiled. Rows go back to the pool reset but
-// with their backing arrays intact, so a warm query reuses the
-// previous run's capacity instead of growing from nil.
-type pairRows struct {
-	rows []denseSet
-}
-
-var pairRowsPool = sync.Pool{New: func() any { return new(pairRows) }}
-
-// pooledPairSet returns a pairSet sized for this run from the pool.
-// The caller releases it (once) when the derived pairs are consumed.
-func (in *instance) pooledPairSet() *pairSet {
-	pr := pairRowsPool.Get().(*pairRows)
-	if cap(pr.rows) < in.nL {
-		pr.rows = make([]denseSet, in.nL)
-	} else {
-		pr.rows = pr.rows[:in.nL]
-	}
-	return &pairSet{byX: pr.rows, pr: pr}
-}
-
-// release resets the pair set's rows and returns them to the pool.
-// Safe to call on an unpooled or already-released set.
-func (p *pairSet) release() {
-	if p.pr == nil {
-		return
-	}
-	for i := range p.pr.rows {
-		p.pr.rows[i].reset()
-	}
-	pairRowsPool.Put(p.pr)
-	p.pr = nil
-	p.byX = nil
 }

@@ -78,8 +78,8 @@ func checkSame(t *testing.T, label string, legacy *core.Result, legacyErr error,
 // strategy/mode combinations (plus the SCC recurring variant), both
 // baselines, naive, and auto selection — through one shared Compiled
 // per instance and through the one-shot Query wrappers, and demands
-// byte-identical outcomes. The compiled path runs twice so the pooled
-// scratch reuse between warm solves is covered too.
+// byte-identical outcomes. The compiled path runs twice, so a second
+// solve on a warm artifact is covered too.
 func TestCompileEquivalence(t *testing.T) {
 	for _, tc := range equivQueries() {
 		t.Run(tc.name, func(t *testing.T) {

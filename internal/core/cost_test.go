@@ -64,6 +64,66 @@ func TestExtendCostIsDelta(t *testing.T) {
 	}
 }
 
+// TestMissCostIsReach pins that a miss allocates in proportion to what
+// its source reaches, not to the database: on about 10k facts and on
+// about 100k, auto-selection and every method that has a reached set —
+// the eight magic counting methods, the Tarjan Step 1, magic sets and
+// the two counting methods — allocate within a fixed budget per query,
+// and the large database costs at most twice the small one. Both
+// sources are children of the forest's root, which the two databases
+// draw identically: each reaches two L-nodes, and its answers, the
+// root's children, number about ln n.
+func TestMissCostIsReach(t *testing.T) {
+	const budget = 4 << 10
+	type method struct {
+		name  string
+		solve func(c *Compiled, source string) error
+	}
+	methods := []method{
+		{"auto", func(c *Compiled, s string) error { _, _, err := c.SolveAuto(s, Options{}); return err }},
+		{"recurring/integrated/scc", func(c *Compiled, s string) error {
+			_, err := c.Solve(s, Recurring, Integrated, Options{SCCStep1: true})
+			return err
+		}},
+		{"magic", func(c *Compiled, s string) error { _, err := c.SolveMagic(s); return err }},
+		{"counting", func(c *Compiled, s string) error { _, err := c.SolveCounting(s, Options{}); return err }},
+		{"counting-cyclic", func(c *Compiled, s string) error { _, err := c.SolveCountingCyclic(s, Options{}); return err }},
+	}
+	for _, spec := range allMagicCountingSpecs() {
+		spec := spec
+		methods = append(methods, method{spec.Strategy.String() + "/" + spec.Mode.String(), func(c *Compiled, s string) error {
+			_, err := c.Solve(s, spec.Strategy, spec.Mode, Options{})
+			return err
+		}})
+	}
+	cost := make(map[string][]int64)
+	for _, n := range []int{3_400, 34_000} {
+		q := forestDB(n, 1)
+		c := Compile(q.L, q.E, q.R)
+		for _, m := range methods {
+			var err error
+			b := allocBytes(64, func(i int) {
+				if e := m.solve(c, []string{"v1", "v6"}[i%2]); e != nil {
+					err = e
+				}
+			})
+			if err != nil {
+				t.Fatalf("%s on %d nodes: %v", m.name, n, err)
+			}
+			t.Logf("%d nodes, %s: %d B per miss", n, m.name, b)
+			if b > budget {
+				t.Errorf("%d nodes: a %s miss allocates %d B, budget %d", n, m.name, b, budget)
+			}
+			cost[m.name] = append(cost[m.name], b)
+		}
+	}
+	for _, m := range methods {
+		if c := cost[m.name]; c[1] > 2*c[0] {
+			t.Errorf("a %s miss allocates %d B on the large database, more than twice the %d B on the small one", m.name, c[1], c[0])
+		}
+	}
+}
+
 // TestFlattenCostIsChain pins that folding a chain costs what the chain
 // added, whether Extend runs the fold on its own every MaxOverlayLinks
 // links or Flatten runs it now: a depth-8 chain of 1-link appends on

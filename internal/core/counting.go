@@ -1,11 +1,15 @@
 package core
 
-import "slices"
+import (
+	"slices"
+
+	"magiccounting/internal/graph"
+)
 
 // levelSet is a counting-style relation: levels[j] holds the node ids
-// with index j, deduplicated per level by a denseSet.
+// with index j, deduplicated per level by a NodeSet.
 type levelSet struct {
-	levels []denseSet
+	levels []graph.NodeSet
 	pairs  int
 }
 
@@ -14,9 +18,9 @@ func newLevelSet() *levelSet { return &levelSet{} }
 // add inserts (j, v) and reports whether it was new.
 func (s *levelSet) add(j int, v int32) bool {
 	for len(s.levels) <= j {
-		s.levels = append(s.levels, denseSet{})
+		s.levels = append(s.levels, graph.NodeSet{})
 	}
-	if !s.levels[j].add(v) {
+	if !s.levels[j].Add(v) {
 		return false
 	}
 	s.pairs++
@@ -25,15 +29,22 @@ func (s *levelSet) add(j int, v int32) bool {
 
 // has reports whether (j, v) is present.
 func (s *levelSet) has(j int, v int32) bool {
-	return j >= 0 && j < len(s.levels) && s.levels[j].has(v)
+	return j >= 0 && j < len(s.levels) && s.levels[j].Has(v)
 }
 
 // remove deletes (j, v) if present, reporting whether it was there.
 // Only the theorem-boundary tests mutate reduced sets this way.
 func (s *levelSet) remove(j int, v int32) bool {
-	if j < 0 || j >= len(s.levels) || !s.levels[j].remove(v) {
+	if !s.has(j, v) {
 		return false
 	}
+	var kept graph.NodeSet
+	for _, x := range s.levels[j].Members() {
+		if x != v {
+			kept.Add(x)
+		}
+	}
+	s.levels[j] = kept
 	s.pairs--
 	return true
 }
@@ -43,13 +54,13 @@ func (s *levelSet) at(j int) []int32 {
 	if j < 0 || j >= len(s.levels) {
 		return nil
 	}
-	return s.levels[j].members()
+	return s.levels[j].Members()
 }
 
 // maxLevel returns the highest populated index, or -1 when empty.
 func (s *levelSet) maxLevel() int {
 	for j := len(s.levels) - 1; j >= 0; j-- {
-		if s.levels[j].size() > 0 {
+		if s.levels[j].Len() > 0 {
 			return j
 		}
 	}
@@ -129,7 +140,7 @@ func (in *instance) seedExit(pc, seed *levelSet) {
 //	Answer(Y)   :- P_C(0, Y).
 //
 // returning the answer node set and one iteration tick per level.
-func (in *instance) descend(pc *levelSet) (*denseSet, int) {
+func (in *instance) descend(pc *levelSet) (*graph.NodeSet, int) {
 	sp := in.tr.Start("descent", in.retrievals)
 	iterations := 0
 	rt := roundTrace{in: in}
@@ -139,13 +150,13 @@ func (in *instance) descend(pc *levelSet) (*denseSet, int) {
 		in.expandLevel(pc, pc.at(j), &in.c.rOut, j-1)
 	}
 	rt.done()
-	answers := &denseSet{}
+	answers := &graph.NodeSet{}
 	for _, y := range pc.at(0) {
-		answers.add(y)
+		answers.Add(y)
 	}
 	if sp != nil {
 		sp.Set("iterations", int64(iterations))
-		sp.Set("answers", int64(answers.size()))
+		sp.Set("answers", int64(answers.Len()))
 	}
 	in.tr.End(sp, in.retrievals)
 	return answers, iterations
@@ -153,7 +164,7 @@ func (in *instance) descend(pc *levelSet) (*denseSet, int) {
 
 // countingDescent runs the modified rules of the counting method
 // (§2, rules 3–5) from a seed counting set.
-func (in *instance) countingDescent(seed *levelSet) (*denseSet, int) {
+func (in *instance) countingDescent(seed *levelSet) (*graph.NodeSet, int) {
 	pc := newLevelSet()
 	in.seedExit(pc, seed)
 	return in.descend(pc)
@@ -231,20 +242,20 @@ func (c *Compiled) SolveCountingCyclic(source string, opts Options) (*Result, er
 	// index sets are infinite, so no bounded counting pass can cover
 	// them. Close the gap with a magic-style sweep whose exit rule is
 	// seeded only from the recurring nodes, preserving safety.
-	rec := &denseSet{}
+	rec := &graph.NodeSet{}
 	for j := n; j < len(cs.levels); j++ {
 		for _, v := range cs.at(j) {
-			rec.add(v)
+			rec.Add(v)
 		}
 	}
-	if rec.size() > 0 {
-		exit := append([]int32(nil), rec.members()...)
+	if rec.Len() > 0 {
+		exit := append([]int32(nil), rec.Members()...)
 		slices.Sort(exit)
-		pm, mIter := in.magicPairs(exit, in.reachableSet(), nil)
-		for _, y := range pm.bySource(in.src) {
-			answers.add(y)
+		ms := in.reachableSet()
+		pm, mIter := in.magicPairs(ms, exit, nil, nil)
+		for _, y := range pm.row(0).Members() {
+			answers.Add(y)
 		}
-		pm.release()
 		dIter += mIter
 	}
 	return &Result{

@@ -49,6 +49,11 @@ func checkExtendEquivalence(t *testing.T, label string, whole, base, delta core.
 	if err := ext.StructuralEqual(cold); err != nil {
 		t.Fatalf("%s: extended artifact diverges from cold compile: %v", label, err)
 	}
+	// Its rows give back its facts, in an order that lays every row out
+	// again as it stands.
+	if err := core.Compile(ext.Facts()).StructuralEqual(ext); err != nil {
+		t.Fatalf("%s: compiling the extended artifact's Facts diverges from it: %v", label, err)
+	}
 	// The parent must be untouched by the extension (in-flight queries
 	// keep using it): re-extending must still match.
 	again := parent.Extend(delta.L, delta.E, delta.R)
@@ -158,7 +163,7 @@ func TestExtendOntoHub(t *testing.T) {
 	parent := core.Compile(L, nil, nil)
 	start := time.Now()
 	ext := parent.Extend(delta, nil, nil)
-	novel, _, _ := core.SingleShard(ext, append(L, delta...), nil, nil).Novel(append(delta, L[:m]...), nil, nil)
+	novel, _, _ := core.SingleShard(ext).Novel(append(delta, L[:m]...), nil, nil)
 	took := time.Since(start)
 	t.Logf("Extend and Novel took %v", took)
 	if took > 2*time.Second {
@@ -465,6 +470,9 @@ func FuzzExtendAgainstCompile(f *testing.F) {
 		}
 		if err := ext.StructuralEqual(cold); err != nil {
 			t.Fatalf("kind=%d seed=%d split=(%d,%d,%d): %v", kind%4, seed, cl, ce, cr, err)
+		}
+		if err := core.Compile(ext.Facts()).StructuralEqual(cold); err != nil {
+			t.Fatalf("kind=%d seed=%d split=(%d,%d,%d): compiled Facts: %v", kind%4, seed, cl, ce, cr, err)
 		}
 		want, werr := cold.Solve(q.Source, core.Multiple, core.Integrated, core.Options{})
 		got, gerr := ext.Solve(q.Source, core.Multiple, core.Integrated, core.Options{})

@@ -30,10 +30,8 @@ func Explain(w io.Writer, q Query, strategy Strategy, mode Mode) error {
 		fmt.Fprintln(w, "classification: acyclic non-regular — multiple nodes present, no cycles")
 	}
 	byClass := map[graph.Class][]string{}
-	for v := 0; v < in.nL; v++ {
-		if cls.Class[v] != graph.Unreachable {
-			byClass[cls.Class[v]] = append(byClass[cls.Class[v]], in.lName(int32(v)))
-		}
+	for p, v := range cls.Reached {
+		byClass[cls.Class[p]] = append(byClass[cls.Class[p]], in.lName(v))
 	}
 	for _, c := range []graph.Class{graph.Single, graph.Multiple, graph.Recurring} {
 		names := byClass[c]

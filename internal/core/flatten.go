@@ -43,8 +43,7 @@ const mapEntryBytes = 48
 const stringHeaderBytes = 16
 
 // sliceHeaderBytes is the cost of one slice header: a name page in a
-// table's directory, a fact chunk of a shard's rope, or the link
-// overhead of one overlay map.
+// table's directory, or the link overhead of one overlay map.
 const sliceHeaderBytes = 24
 
 // ResidentBytes estimates the storage this artifact keeps reachable:

@@ -2,9 +2,11 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -44,8 +46,8 @@ func TestPairSetBasics(t *testing.T) {
 	if p.count != 3 {
 		t.Fatalf("count = %d", p.count)
 	}
-	if len(p.bySource(0)) != 2 || p.bySource(1) != nil {
-		t.Fatal("bySource wrong")
+	if p.row(0).Len() != 2 || p.row(1).Len() != 0 || p.row(-1).Len() != 0 || p.row(3).Len() != 0 {
+		t.Fatal("row wrong")
 	}
 }
 
@@ -97,29 +99,33 @@ func TestFlaggedBFSOnDiamondDoesNotFlag(t *testing.T) {
 	// Two equal-length paths re-derive d at the same level: no flag.
 	q := Query{L: []Pair{P("a", "b"), P("a", "c"), P("b", "d"), P("c", "d")}, Source: "a"}
 	in := build(q)
-	_, flagged, _, _ := in.flaggedBFS()
-	for v, f := range flagged {
+	r, _, flagged, _ := in.flaggedBFS()
+	for p, f := range flagged {
 		if f {
-			t.Fatalf("node %s flagged on a regular diamond", in.lName(int32(v)))
+			t.Fatalf("node %s flagged on a regular diamond", in.lName(r.ms.Members()[p]))
 		}
+	}
+	if !r.regular || r.ms.Len() != 4 {
+		t.Fatalf("diamond: regular %v, %d reached", r.regular, r.ms.Len())
 	}
 }
 
 func TestFlaggedBFSShortcutFlagsAndIX(t *testing.T) {
 	q := Query{L: []Pair{P("a", "b"), P("b", "c"), P("a", "c"), P("c", "d")}, Source: "a"}
 	in := build(q)
-	firstIdx, flagged, ix, _ := in.flaggedBFS()
+	r, firstIdx, flagged, ix := in.flaggedBFS()
 	var cID int32 = -1
 	for v, n := range in.c.lNames.flat() {
 		if n == "c" {
 			cID = int32(v)
 		}
 	}
-	if !flagged[cID] {
+	c := r.ms.Pos(cID)
+	if !flagged[c] || r.regular {
 		t.Fatal("c should be flagged (distances 1 and 2)")
 	}
-	if ix != firstIdx[cID] {
-		t.Fatalf("ix = %d, want first index of c (%d)", ix, firstIdx[cID])
+	if ix != firstIdx[c] {
+		t.Fatalf("ix = %d, want first index of c (%d)", ix, firstIdx[c])
 	}
 }
 
@@ -132,31 +138,34 @@ func TestStep1AgreesWithOracleProperty(t *testing.T) {
 		in := build(q)
 		oracle := in.lGraph().Classify(int(in.src))
 		// Multiple method: RM = exactly the non-single reachable nodes.
-		rsM := in.step1Multiple(false)
+		rsM := in.step1Multiple(false).dense(in.nL)
 		for v := 0; v < in.nL; v++ {
-			wantRM := oracle.Class[v] == graph.Multiple || oracle.Class[v] == graph.Recurring
+			wantRM := oracle.ClassOf(int32(v)) == graph.Multiple || oracle.ClassOf(int32(v)) == graph.Recurring
 			if rsM.RM[v] != wantRM {
-				t.Logf("seed %d: multiple RM[%s] = %v, oracle %v", seed, in.lName(int32(v)), rsM.RM[v], oracle.Class[v])
+				t.Logf("seed %d: multiple RM[%s] = %v, oracle %v", seed, in.lName(int32(v)), rsM.RM[v], oracle.ClassOf(int32(v)))
 				return false
 			}
 		}
 		// Recurring method: RM = exactly the recurring nodes.
 		in2 := build(q)
-		rsR := in2.step1RecurringNaive(false)
+		rsR := in2.step1RecurringNaive(false).dense(in2.nL)
 		for v := 0; v < in2.nL; v++ {
-			wantRM := oracle.Class[v] == graph.Recurring
+			wantRM := oracle.ClassOf(int32(v)) == graph.Recurring
 			if rsR.RM[v] != wantRM {
-				t.Logf("seed %d: recurring RM[%s] = %v, oracle %v", seed, in2.lName(int32(v)), rsR.RM[v], oracle.Class[v])
+				t.Logf("seed %d: recurring RM[%s] = %v, oracle %v", seed, in2.lName(int32(v)), rsR.RM[v], oracle.ClassOf(int32(v)))
 				return false
 			}
 		}
 		// Recurring RC must carry complete index sets.
 		for v := 0; v < in2.nL; v++ {
-			if rsR.RM[v] || oracle.Class[v] == graph.Unreachable {
+			if rsR.RM[v] || oracle.ClassOf(int32(v)) == graph.Unreachable {
 				continue
 			}
 			got := multiIndices(rsR.RC, int32(v))
-			want := oracle.Indices[v]
+			var want []int
+			if p := oracle.Pos(int32(v)); p >= 0 {
+				want = oracle.Indices[p]
+			}
 			if len(got) != len(want) {
 				t.Logf("seed %d: indices of %s = %v, want %v", seed, in2.lName(int32(v)), got, want)
 				return false
@@ -225,15 +234,17 @@ func classifyAcrossArtifactForms(t *testing.T, seed int64, rng *rand.Rand, q Que
 			if !reflect.DeepEqual(cls, view.Classify(int(in.src))) {
 				t.Fatalf("seed %d %s source %q: classification over lOut differs from the Digraph view's", seed, f.name, src)
 			}
-			if oracle := view.ClassifyOracle(int(in.src)); !reflect.DeepEqual(cls.Class, oracle) {
-				t.Fatalf("seed %d %s source %q: classes %v, oracle %v", seed, f.name, src, cls.Class, oracle)
+			for v, want := range view.ClassifyOracle(int(in.src)) {
+				if got := cls.ClassOf(int32(v)); got != want {
+					t.Fatalf("seed %d %s source %q: node %d class %v, oracle %v", seed, f.name, src, v, got, want)
+				}
 			}
 			// Ids differ between forms (Extend interns delta symbols
 			// last), so forms are compared by name.
 			got := &byName{map[string]graph.Class{}, map[string]int{}, map[string][]int{}, cls.Regular, cls.HasRecurring}
-			for v := 0; v < in.nL; v++ {
-				name := in.lName(int32(v))
-				got.Class[name], got.FirstIndex[name], got.Indices[name] = cls.Class[v], cls.FirstIndex[v], cls.Indices[v]
+			for p, v := range cls.Reached {
+				name := in.lName(v)
+				got.Class[name], got.FirstIndex[name], got.Indices[name] = cls.Class[p], cls.FirstIndex[p], cls.Indices[p]
 			}
 			res, sel, err := f.c.SolveAuto(src, Options{})
 			if err != nil {
@@ -334,5 +345,59 @@ func TestWriteMagicGraphDOT(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("missing %q in:\n%s", want, out)
 		}
+	}
+}
+
+// TestQueryWhileExtend queries one artifact from several goroutines
+// while a writer extends it append by append, as the serving path does:
+// queries in flight keep evaluating the artifact an append rolled past.
+// Under -race it shows that a query touches nothing an Extend writes —
+// the name tail the chain grows in place and the symbol tables
+// included — and that a query's reach-sized working state is its own.
+// Every answer equals the one the artifact gave before the first Extend.
+func TestQueryWhileExtend(t *testing.T) {
+	const n, readers, appends = 3_400, 4, 300
+	q := forestDB(n, 3)
+	c := Compile(q.L, q.E, q.R)
+	var sources []string
+	want := make(map[string]*Result)
+	for i := 0; i < 32; i++ {
+		src := fmt.Sprintf("v%d", (i*1031)%n)
+		res, _, err := c.SolveAuto(src, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sources, want[src] = append(sources, src), res
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := r; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				src := sources[i%len(sources)]
+				got, _, err := c.SolveAuto(src, Options{})
+				if err != nil || !reflect.DeepEqual(got, want[src]) {
+					t.Errorf("source %s during appends: %v (%v), want %v", src, got, err, want[src])
+					return
+				}
+			}
+		}(r)
+	}
+	ext := c
+	for i := 0; i < appends; i++ {
+		ext = ext.Extend(linkDelta(i, n))
+	}
+	close(stop)
+	wg.Wait()
+	l, e, r := ext.Arcs()
+	if l0, e0, r0 := c.Arcs(); l != l0+appends || e != e0+appends || r != r0+appends {
+		t.Fatalf("chain holds %d/%d/%d arcs, want %d more of each than %d/%d/%d", l, e, r, appends, l0, e0, r0)
 	}
 }

@@ -1,54 +1,56 @@
 package core
 
+import "magiccounting/internal/graph"
+
 // reachableSet computes the magic set MS — the L-nodes reachable from
-// the source — with the seminaive fixpoint of §2:
+// the source, numbered by discovery position — with the seminaive
+// fixpoint of §2:
 //
 //	MS(a).
 //	MS(X1) :- MS(X), L(X, X1), not MS(X1).
 //
 // Each node is expanded once, so the cost is Θ(m_L).
-func (in *instance) reachableSet() []bool {
-	ms := make([]bool, in.nL)
-	ms[in.src] = true
-	queue := []int32{in.src}
-	for len(queue) > 0 && !in.stopped() {
-		x := queue[0]
-		queue = queue[1:]
+func (in *instance) reachableSet() *graph.NodeSet {
+	ms := &graph.NodeSet{}
+	ms.Add(in.src)
+	for head := 0; head < ms.Len() && !in.stopped(); head++ {
+		x := ms.Members()[head]
 		in.charge(1 + int64(len(in.lOut(x))))
 		for _, x1 := range in.lOut(x) {
 			in.charge(1) // not(MS(X1)) dedup probe
-			if !ms[x1] {
-				ms[x1] = true
-				queue = append(queue, x1)
-			}
+			ms.Add(x1)
 		}
 	}
 	return ms
 }
 
-// pairSet stores the derived relation P_M as per-source sets of
-// R-nodes. Sets obtained from pooledPairSet carry their pooled
-// backing rows in pr and must be released after the pairs are read.
+// pairSet stores a derived relation P(X, Y) as per-X sets of R-nodes,
+// one row per X. magicPairs numbers its rows by the X's position in the
+// run's reached set; SolveNaive, which has none, by L-node id.
 type pairSet struct {
-	byX   []denseSet // indexed by L-node id
+	rows  []graph.NodeSet
 	count int
-	pr    *pairRows // pooled backing storage; nil for unpooled sets
 }
 
-func newPairSet(nL int) *pairSet { return &pairSet{byX: make([]denseSet, nL)} }
+func newPairSet(rows int) *pairSet { return &pairSet{rows: make([]graph.NodeSet, rows)} }
 
-// add inserts (x, y) and reports whether it was new.
-func (p *pairSet) add(x, y int32) bool {
-	if !p.byX[x].add(y) {
+// add inserts (row x, y) and reports whether it was new.
+func (p *pairSet) add(x int, y int32) bool {
+	if !p.rows[x].Add(y) {
 		return false
 	}
 	p.count++
 	return true
 }
 
-// bySource returns the R-nodes paired with x, in derivation order
-// (nil when x has none).
-func (p *pairSet) bySource(x int32) []int32 { return p.byX[x].members() }
+// row returns row x's R-nodes as a set in derivation order; a row past
+// the table (x < 0: a node with no position) is empty.
+func (p *pairSet) row(x int) *graph.NodeSet {
+	if x < 0 || x >= len(p.rows) {
+		return &graph.NodeSet{}
+	}
+	return &p.rows[x]
+}
 
 // magicPairs evaluates the modified rules of the magic set method
 // seminaively:
@@ -57,11 +59,12 @@ func (p *pairSet) bySource(x int32) []int32 { return p.byX[x].members() }
 //	P_M(X, Y) :- rec(X), L(X, X1), P_M(X1, Y1), R(Y, Y1).
 //
 // exit lists the nodes whose E arcs seed P_M (MS for the pure magic
-// method, RM for magic counting methods); rec masks the nodes allowed
-// as X in the recursive rule (MS for pure magic and independent
-// methods, RM for integrated methods). It returns the P_M pairs and
-// the number of delta rounds. The returned pairSet is pooled: the
-// caller releases it once the pairs are consumed.
+// method, RM for magic counting methods); reach is the run's reached
+// set, which holds every exit node, and rec marks by reach position the
+// nodes allowed as X in the recursive rule (nil: all of reach — MS for
+// pure magic and independent methods; RM for integrated methods). It
+// returns the P_M pairs, one row per reach position, and the number of
+// delta rounds.
 //
 // Each derived pair (x1, y1) is expanded once: its L in-arcs and the
 // R arcs below y1 are retrieved and every produced candidate pays a
@@ -72,21 +75,25 @@ func (p *pairSet) bySource(x int32) []int32 { return p.byX[x].members() }
 // methods' transfer rule (§5, rule 3) hooks in here, sharing the
 // L-probe already paid by the recursive rule (the paper notes rule
 // 3's cost is "already included in the cost of the magic set part").
-func (in *instance) magicPairs(exit []int32, rec []bool, boundary func(x, y1 int32)) (*pairSet, int) {
+func (in *instance) magicPairs(reach *graph.NodeSet, exit []int32, rec []bool, boundary func(x, y1 int32)) (*pairSet, int) {
 	sp := in.tr.Start("magic", in.retrievals)
-	pm := in.pooledPairSet()
-	type pair struct{ x, y int32 }
+	pm := newPairSet(reach.Len())
+	type pair struct{ x, y int32 } // x is a reach position
 	var work []pair
 	push := func(x, y int32) {
 		in.charge(1) // dedup probe on P_M
-		if pm.add(x, y) {
+		if pm.add(int(x), y) {
 			work = append(work, pair{x, y})
 		}
 	}
 	for _, x := range exit {
+		p := reach.Pos(x)
+		if p < 0 {
+			continue // a cancelled run's partial reach
+		}
 		in.charge(1 + int64(len(in.eOut(x))))
 		for _, y := range in.eOut(x) {
-			push(x, y)
+			push(int32(p), y)
 		}
 	}
 	iterations := 0
@@ -94,7 +101,7 @@ func (in *instance) magicPairs(exit []int32, rec []bool, boundary func(x, y1 int
 		iterations++
 		x1y1 := work[len(work)-1]
 		work = work[:len(work)-1]
-		x1, y1 := x1y1.x, x1y1.y
+		x1, y1 := reach.Members()[x1y1.x], x1y1.y
 		in.charge(1 + int64(len(in.lIn(x1)))) // L tuples entering x1
 		for _, x := range in.lIn(x1) {
 			if boundary != nil {
@@ -103,12 +110,13 @@ func (in *instance) magicPairs(exit []int32, rec []bool, boundary func(x, y1 int
 				// every predecessor.
 				boundary(x, y1)
 			}
-			if !rec[x] {
+			p := reach.Pos(x)
+			if p < 0 || rec != nil && !rec[p] {
 				continue
 			}
 			in.charge(1 + int64(len(in.rOut(y1)))) // R tuples below y1
 			for _, y := range in.rOut(y1) {
-				push(x, y)
+				push(int32(p), y)
 			}
 		}
 	}
@@ -134,26 +142,13 @@ func (q Query) SolveMagic() (*Result, error) {
 func (c *Compiled) SolveMagic(source string) (*Result, error) {
 	in := c.bind(source)
 	ms := in.reachableSet()
-	var exit []int32
-	msSize := 0
-	for x, inMS := range ms {
-		if inMS {
-			msSize++
-			exit = append(exit, int32(x))
-		}
-	}
-	pm, iter := in.magicPairs(exit, ms, nil)
-	answers := &denseSet{}
-	for _, y := range pm.bySource(in.src) {
-		answers.add(y)
-	}
-	pm.release()
+	pm, iter := in.magicPairs(ms, ms.Members(), nil, nil)
 	return &Result{
-		Answers: in.answerNames(answers),
+		Answers: in.answerNames(pm.row(0)),
 		Stats: Stats{
 			Retrievals:   in.retrievals,
 			Iterations:   iter,
-			MagicSetSize: msSize,
+			MagicSetSize: ms.Len(),
 		},
 	}, nil
 }
@@ -170,12 +165,12 @@ func (q Query) SolveNaive() (*Result, error) {
 // compiled instance.
 func (c *Compiled) SolveNaive(source string) (*Result, error) {
 	in := c.bind(source)
-	p := in.pooledPairSet()
+	p := newPairSet(in.nL)
 	type pair struct{ x, y int32 }
 	var work []pair
 	push := func(x, y int32) {
 		in.charge(1)
-		if p.add(x, y) {
+		if p.add(int(x), y) {
 			work = append(work, pair{x, y})
 		}
 	}
@@ -199,13 +194,8 @@ func (c *Compiled) SolveNaive(source string) (*Result, error) {
 			}
 		}
 	}
-	answers := &denseSet{}
-	for _, y := range p.bySource(in.src) {
-		answers.add(y)
-	}
-	p.release()
 	return &Result{
-		Answers: in.answerNames(answers),
+		Answers: in.answerNames(p.row(int(in.src))),
 		Stats:   Stats{Retrievals: in.retrievals, Iterations: iterations},
 	}, nil
 }

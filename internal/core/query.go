@@ -233,9 +233,9 @@ func (in *instance) lGraph() *graph.Digraph {
 
 // answerNames maps an answer node set to constant names, sorted once
 // here at result construction.
-func (in *instance) answerNames(set *denseSet) []string {
-	out := make([]string, 0, set.size())
-	for _, id := range set.members() {
+func (in *instance) answerNames(set *graph.NodeSet) []string {
+	out := make([]string, 0, set.Len())
+	for _, id := range set.Members() {
 		out = append(out, in.c.rNames.at(id))
 	}
 	sort.Strings(out)

@@ -53,13 +53,13 @@ func (q Query) Params() GraphParams {
 
 	lg := in.lGraph()
 	cls := lg.Classify(int(in.src))
-	reachL := lg.Reachable(int(in.src))
-	for v := 0; v < lg.N(); v++ {
-		if !reachL[v] {
-			continue
-		}
+	reachL := make([]bool, lg.N())
+	for _, v := range cls.Reached {
+		reachL[v] = true
+	}
+	for _, v := range cls.Reached {
 		p.NL++
-		for _, w := range lg.Out(v) {
+		for _, w := range lg.Out(int(v)) {
 			if reachL[w] {
 				p.ML++
 			}
@@ -73,11 +73,8 @@ func (q Query) Params() GraphParams {
 	nR := in.nR
 	reachR := make([]bool, nR)
 	var stack []int32
-	for v := 0; v < in.nL; v++ {
-		if !reachL[v] {
-			continue
-		}
-		for _, y := range in.eOut(int32(v)) {
+	for _, v := range cls.Reached {
+		for _, y := range in.eOut(v) {
 			p.ME++
 			if !reachR[y] {
 				reachR[y] = true
@@ -105,23 +102,18 @@ func (q Query) Params() GraphParams {
 
 	// §7 parameters.
 	p.IX = p.NL + 1
-	for v := 0; v < lg.N(); v++ {
-		if cls.Class[v] == graph.Multiple || cls.Class[v] == graph.Recurring {
-			if cls.FirstIndex[v] < p.IX {
-				p.IX = cls.FirstIndex[v]
-			}
+	for i, c := range cls.Class {
+		if c != graph.Single && cls.FirstIndex[i] < p.IX {
+			p.IX = cls.FirstIndex[i]
 		}
 	}
 	inX := make([]bool, lg.N())
 	var high []int
-	for v := 0; v < lg.N(); v++ {
-		if !reachL[v] {
-			continue
-		}
-		if cls.FirstIndex[v] < p.IX {
+	for i, v := range cls.Reached {
+		if cls.FirstIndex[i] < p.IX {
 			inX[v] = true
 		} else {
-			high = append(high, v)
+			high = append(high, int(v))
 		}
 	}
 	p.NX, p.MX = countRegion(lg, inX)
@@ -130,14 +122,11 @@ func (q Query) Params() GraphParams {
 	// §8 parameters.
 	inS := make([]bool, lg.N())
 	var nonSingle []int
-	for v := 0; v < lg.N(); v++ {
-		if !reachL[v] {
-			continue
-		}
-		if cls.Class[v] == graph.Single {
+	for i, v := range cls.Reached {
+		if cls.Class[i] == graph.Single {
 			inS[v] = true
 		} else {
-			nonSingle = append(nonSingle, v)
+			nonSingle = append(nonSingle, int(v))
 		}
 	}
 	p.NS, p.MS = countRegion(lg, inS)
@@ -146,12 +135,9 @@ func (q Query) Params() GraphParams {
 	// §9 parameters.
 	inM := make([]bool, lg.N())
 	var recurring []int
-	for v := 0; v < lg.N(); v++ {
-		if !reachL[v] {
-			continue
-		}
-		if cls.Class[v] == graph.Recurring {
-			recurring = append(recurring, v)
+	for i, v := range cls.Reached {
+		if cls.Class[i] == graph.Recurring {
+			recurring = append(recurring, int(v))
 		} else {
 			inM[v] = true
 		}
@@ -169,9 +155,9 @@ func (q Query) WriteMagicGraphDOT(w io.Writer) error {
 	g := in.lGraph()
 	cls := g.Classify(int(in.src))
 	return g.WriteDOT(w, graph.DOTOptions{
-		Name:    "magic_graph",
-		Label:   func(v int) string { return in.lName(int32(v)) },
-		Classes: cls.Class,
+		Name:  "magic_graph",
+		Label: func(v int) string { return in.lName(int32(v)) },
+		Class: cls.ClassOf,
 	})
 }
 

@@ -63,8 +63,11 @@ func (m Mode) String() string {
 	return "independent"
 }
 
-// ReducedSets is the outcome of Step 1: the partition the magic
-// counting methods evaluate with.
+// ReducedSets is the outcome of Step 1 in the dense form the
+// diagnostics read: masks over every L-node id. ReducedSetsFor builds
+// it for the rewrite, oracle and explain callers, and
+// SolveWithReducedSets evaluates with one; a query run never does, it
+// holds its partition sized by the reach (see reduced).
 type ReducedSets struct {
 	// MS masks the full magic set over L-node ids.
 	MS []bool
@@ -97,77 +100,127 @@ func (rs *ReducedSets) RCPairs() []RCPair {
 	return out
 }
 
+// reduced is Step 1's partition as a run holds it, sized by what the
+// source reaches and never by the database: MS is the reached L-nodes
+// numbered by position, RM a mark per position plus its member list,
+// and RC the counting pairs.
+type reduced struct {
+	ms   *graph.NodeSet
+	inRM []bool  // by MS position
+	rm   []int32 // RM's members, in the order they were marked
+	// inMS marks the positions in MS; nil when every position is.
+	// Only caller-supplied sets (SolveWithReducedSets) can give RM
+	// nodes outside MS a position.
+	inMS       []bool
+	rc         *levelSet
+	regular    bool
+	iterations int
+}
+
+// newReduced starts a partition whose MS holds only src.
+func newReduced(src int32) *reduced {
+	r := &reduced{ms: &graph.NodeSet{}, rc: newLevelSet(), regular: true}
+	r.ms.Add(src)
+	return r
+}
+
+// mark puts MS position p into RM. inRM must cover p.
+func (r *reduced) mark(p int) {
+	if !r.inRM[p] {
+		r.inRM[p] = true
+		r.rm = append(r.rm, r.ms.Members()[p])
+	}
+}
+
 // rcIndexByNode inverts RC into per-node index lists (ascending).
-func (rs *ReducedSets) rcIndexByNode() map[int32][]int {
+func (r *reduced) rcIndexByNode() map[int32][]int {
 	idx := make(map[int32][]int)
-	for j := range rs.RC.levels {
-		for _, v := range rs.RC.at(j) {
+	for j := range r.rc.levels {
+		for _, v := range r.rc.at(j) {
 			idx[v] = append(idx[v], j)
 		}
 	}
 	return idx
 }
 
-// rmList returns RM's members in id order.
-func (rs *ReducedSets) rmList() []int32 {
-	var out []int32
-	for v, in := range rs.RM {
-		if in {
-			out = append(out, int32(v))
-		}
+// dense returns the partition as masks over nL L-node ids.
+func (r *reduced) dense(nL int) *ReducedSets {
+	rs := &ReducedSets{MS: make([]bool, nL), RM: make([]bool, nL), RC: r.rc, Regular: r.regular, Iterations: r.iterations}
+	for _, v := range r.ms.Members() {
+		rs.MS[v] = true
 	}
-	return out
+	for _, v := range r.rm {
+		rs.RM[v] = true
+	}
+	return rs
 }
 
-// counts returns |RM| and the number of RC pairs.
-func (rs *ReducedSets) counts() (rm, rc int) {
-	for _, in := range rs.RM {
+// reducedFrom is dense's inverse. Caller-supplied sets need not satisfy
+// the theorems, so RM nodes outside MS get positions after MS's, with
+// inMS telling the two apart.
+func reducedFrom(rs *ReducedSets) *reduced {
+	r := &reduced{ms: &graph.NodeSet{}, rc: rs.RC, regular: rs.Regular, iterations: rs.Iterations}
+	for v, in := range rs.MS {
 		if in {
-			rm++
+			r.ms.Add(int32(v))
 		}
 	}
-	return rm, rs.RC.pairs
+	inMS := r.ms.Len()
+	for v, in := range rs.RM {
+		if in {
+			r.ms.Add(int32(v))
+		}
+	}
+	r.inRM = make([]bool, r.ms.Len())
+	for v, in := range rs.RM {
+		if in {
+			r.mark(r.ms.Pos(int32(v)))
+		}
+	}
+	if r.ms.Len() > inMS {
+		r.inMS = make([]bool, r.ms.Len())
+		for p := range inMS {
+			r.inMS[p] = true
+		}
+	}
+	return r
 }
 
 // flaggedBFS is the shared Step 1 fixpoint of the basic and single
 // methods (§6): a breadth-first expansion of first occurrences only,
-// recording for every node its first index and whether it was ever
-// re-derived at a later level (the C = 2 flag). Cost Θ(m_L).
-func (in *instance) flaggedBFS() (firstIdx []int, flagged []bool, ix int, iterations int) {
-	n := in.nL
-	firstIdx = make([]int, n)
-	for i := range firstIdx {
-		firstIdx[i] = -1
-	}
-	flagged = make([]bool, n)
-	firstIdx[in.src] = 0
+// recording for every reached node its first index and whether it was
+// ever re-derived at a later level (the C = 2 flag) — both by MS
+// position. A flag clears the partition's regular bit; ix is the
+// smallest first index of a flagged node, nL+1 when none is. Cost
+// Θ(m_L).
+func (in *instance) flaggedBFS() (r *reduced, firstIdx []int, flagged []bool, ix int) {
+	r = newReduced(in.src)
+	firstIdx, flagged = []int{0}, []bool{false}
 	level := []int32{in.src}
-	ix = -1 // min first index of a flagged node; -1 = none flagged yet
-	noteFlag := func(v int32) {
-		if !flagged[v] {
-			flagged[v] = true
-			if ix == -1 || firstIdx[v] < ix {
-				ix = firstIdx[v]
-			}
-		}
-	}
+	ix = -1
 	rt := roundTrace{in: in}
 	for lvl := 0; len(level) > 0 && !in.stopped(); lvl++ {
 		rt.begin(lvl, len(level))
-		iterations++
+		r.iterations++
 		var next []int32
 		for _, x := range level {
 			in.charge(1 + int64(len(in.lOut(x))))
 			for _, v := range in.lOut(x) {
 				in.charge(1) // first-occurrence probe
+				p, added := r.ms.Insert(v)
 				switch {
-				case firstIdx[v] == -1:
-					firstIdx[v] = lvl + 1
+				case added:
+					firstIdx = append(firstIdx, lvl+1)
+					flagged = append(flagged, false)
 					next = append(next, v)
-				case firstIdx[v] != lvl+1:
+				case firstIdx[p] != lvl+1 && !flagged[p]:
 					// Re-derived at a strictly later level: the node
 					// has two walk lengths, so it is not single.
-					noteFlag(v)
+					flagged[p] = true
+					r.regular = false
+					if ix == -1 || firstIdx[p] < ix {
+						ix = firstIdx[p]
+					}
 				}
 			}
 		}
@@ -175,117 +228,76 @@ func (in *instance) flaggedBFS() (firstIdx []int, flagged []bool, ix int, iterat
 	}
 	rt.done()
 	if ix == -1 {
-		ix = n + 1 // regular: every level counts as below i_x
+		ix = in.nL + 1 // regular: every level counts as below i_x
 	}
-	return firstIdx, flagged, ix, iterations
-}
-
-// msFromFirstIdx converts BFS first indices to a magic-set mask.
-func msFromFirstIdx(firstIdx []int) []bool {
-	ms := make([]bool, len(firstIdx))
-	for v, d := range firstIdx {
-		ms[v] = d >= 0
-	}
-	return ms
+	r.inRM = make([]bool, r.ms.Len())
+	return r, firstIdx, flagged, ix
 }
 
 // step1Basic implements §6: detect any non-single node; use pure
 // counting when none exists, pure magic otherwise.
-func (in *instance) step1Basic(integrated bool) *ReducedSets {
-	firstIdx, flagged, _, iters := in.flaggedBFS()
-	rs := &ReducedSets{
-		MS:         msFromFirstIdx(firstIdx),
-		RM:         make([]bool, len(firstIdx)),
-		RC:         newLevelSet(),
-		Regular:    true,
-		Iterations: iters,
-	}
-	for _, f := range flagged {
-		if f {
-			rs.Regular = false
-			break
+func (in *instance) step1Basic(integrated bool) *reduced {
+	r, firstIdx, _, _ := in.flaggedBFS()
+	if r.regular {
+		for p, v := range r.ms.Members() {
+			r.rc.add(firstIdx[p], v)
 		}
+		return r
 	}
-	if rs.Regular {
-		for v, d := range firstIdx {
-			if d >= 0 {
-				rs.RC.add(d, int32(v))
-			}
-		}
-		return rs
+	for p := range firstIdx {
+		r.mark(p)
 	}
-	copy(rs.RM, rs.MS)
 	if integrated {
-		rs.RC.add(0, in.src)
+		r.rc.add(0, in.src)
 	}
-	return rs
+	return r
 }
 
 // step1Single implements §7: i_x is the first level at which a
 // non-single node occurs; everything strictly below it is single and
 // goes to RC, the rest to RM.
-func (in *instance) step1Single(integrated bool) *ReducedSets {
-	firstIdx, flagged, ix, iters := in.flaggedBFS()
-	rs := &ReducedSets{
-		MS:         msFromFirstIdx(firstIdx),
-		RM:         make([]bool, len(firstIdx)),
-		RC:         newLevelSet(),
-		Regular:    true,
-		Iterations: iters,
-	}
-	for _, f := range flagged {
-		if f {
-			rs.Regular = false
-			break
+func (in *instance) step1Single(integrated bool) *reduced {
+	r, firstIdx, _, ix := in.flaggedBFS()
+	for p, v := range r.ms.Members() {
+		if d := firstIdx[p]; d < ix {
+			r.rc.add(d, v)
+		} else {
+			r.mark(p)
 		}
 	}
-	for v, d := range firstIdx {
-		switch {
-		case d < 0:
-			// unreachable
-		case d < ix:
-			rs.RC.add(d, int32(v))
-		default:
-			rs.RM[v] = true
-		}
+	if integrated && r.rc.pairs == 0 {
+		r.rc.add(0, in.src)
 	}
-	if integrated && rs.RC.pairs == 0 {
-		rs.RC.add(0, in.src)
-	}
-	return rs
+	return r
 }
 
 // step1Multiple implements §8: a bounded fixpoint that expands each
 // node's first and second occurrences (at distinct levels) but never a
 // third, terminating on cyclic graphs in Θ(m_L) while identifying
-// exactly the non-single nodes.
-func (in *instance) step1Multiple(integrated bool) *ReducedSets {
-	n := in.nL
-	idx1 := make([]int, n)
-	idx2 := make([]int, n)
-	for i := range idx1 {
-		idx1[i], idx2[i] = -1, -1
-	}
-	idx1[in.src] = 0
+// exactly the non-single nodes. The two occurrence indices are held by
+// MS position.
+func (in *instance) step1Multiple(integrated bool) *reduced {
+	r := newReduced(in.src)
+	idx1, idx2 := []int{0}, []int{-1}
 	level := []int32{in.src}
-	iterations := 0
 	rt := roundTrace{in: in}
 	for lvl := 0; len(level) > 0 && !in.stopped(); lvl++ {
 		rt.begin(lvl, len(level))
-		iterations++
+		r.iterations++
 		var next []int32
 		for _, x := range level {
 			in.charge(1 + int64(len(in.lOut(x))))
 			for _, v := range in.lOut(x) {
 				in.charge(1) // not(MS(_, 2, X1)) guard probe
+				p, added := r.ms.Insert(v)
 				switch {
-				case idx2[v] >= 0:
-					// Third occurrence suppressed.
-				case idx1[v] == -1:
-					idx1[v] = lvl + 1
+				case added:
+					idx1, idx2 = append(idx1, lvl+1), append(idx2, -1)
 					next = append(next, v)
-				case idx1[v] != lvl+1:
-					idx2[v] = lvl + 1
+				case idx2[p] >= 0:
+					// Third occurrence suppressed.
+				case idx1[p] != lvl+1:
+					idx2[p] = lvl + 1
 					next = append(next, v)
 				}
 			}
@@ -293,98 +305,79 @@ func (in *instance) step1Multiple(integrated bool) *ReducedSets {
 		level = next
 	}
 	rt.done()
-	rs := &ReducedSets{
-		MS:         make([]bool, n),
-		RM:         make([]bool, n),
-		RC:         newLevelSet(),
-		Regular:    true,
-		Iterations: iterations,
-	}
-	for v := 0; v < n; v++ {
-		if idx1[v] < 0 {
-			continue
-		}
-		rs.MS[v] = true
-		if idx2[v] >= 0 {
-			rs.RM[v] = true
-			rs.Regular = false
+	r.inRM = make([]bool, r.ms.Len())
+	for p, v := range r.ms.Members() {
+		if idx2[p] >= 0 {
+			r.mark(p)
+			r.regular = false
 		} else {
-			rs.RC.add(idx1[v], int32(v))
+			r.rc.add(idx1[p], v)
 		}
 	}
-	if integrated && rs.RC.pairs == 0 {
-		rs.RC.add(0, in.src)
+	if integrated && r.rc.pairs == 0 {
+		r.rc.add(0, in.src)
 	}
-	return rs
+	return r
 }
 
 // step1RecurringNaive implements §9's algorithm verbatim: the full
 // counting fixpoint bounded by index < 2K−1 (K = nodes seen so far).
 // A node holding an index >= K is recurring; all other nodes keep
 // their complete index sets in RC. Cost Θ(n_L·m_L).
-func (in *instance) step1RecurringNaive(integrated bool) *ReducedSets {
+func (in *instance) step1RecurringNaive(integrated bool) *reduced {
 	cs := newLevelSet()
 	cs.add(0, in.src)
-	seen := &denseSet{}
-	seen.add(in.src)
-	iterations := 0
+	r := newReduced(in.src)
 	rt := roundTrace{in: in}
-	for j := 0; len(cs.at(j)) > 0 && j < 2*seen.size()-1 && !in.stopped(); j++ {
+	for j := 0; len(cs.at(j)) > 0 && j < 2*r.ms.Len()-1 && !in.stopped(); j++ {
 		rt.begin(j, len(cs.at(j)))
-		iterations++
+		r.iterations++
 		for _, x := range cs.at(j) {
 			in.charge(1 + int64(len(in.lOut(x))))
 			for _, x1 := range in.lOut(x) {
 				in.charge(1) // level dedup probe
 				if cs.add(j+1, x1) {
-					seen.add(x1)
+					r.ms.Add(x1)
 				}
 			}
 		}
 	}
 	rt.done()
-	n := in.nL
-	k := seen.size()
-	rs := &ReducedSets{
-		MS:         make([]bool, n),
-		RM:         make([]bool, n),
-		RC:         newLevelSet(),
-		Regular:    true,
-		Iterations: iterations,
-	}
-	for _, v := range seen.members() {
-		rs.MS[v] = true
-	}
+	k := r.ms.Len()
+	r.inRM = make([]bool, k)
 	// RM(Y) :- CS(I, Y), I >= K.
 	for j := k; j < len(cs.levels); j++ {
 		for _, v := range cs.at(j) {
-			rs.RM[v] = true
+			r.mark(r.ms.Pos(v))
 		}
 	}
-	for j := 0; j < len(cs.levels); j++ {
+	occurrences := make([]int, k)
+	for j := range cs.levels {
 		for _, v := range cs.at(j) {
-			if !rs.RM[v] {
-				rs.RC.add(j, v)
+			p := r.ms.Pos(v)
+			occurrences[p]++
+			if !r.inRM[p] {
+				r.rc.add(j, v)
 			}
 		}
 	}
-	for _, v := range seen.members() {
-		if rs.RM[v] || len(multiIndices(cs, v)) > 1 {
-			rs.Regular = false
-			break
+	r.regular = len(r.rm) == 0
+	for _, n := range occurrences {
+		if n > 1 {
+			r.regular = false
 		}
 	}
-	if integrated && rs.RC.pairs == 0 {
-		rs.RC.add(0, in.src)
+	if integrated && r.rc.pairs == 0 {
+		r.rc.add(0, in.src)
 	}
-	return rs
+	return r
 }
 
 // multiIndices collects the levels at which v occurs in cs.
 func multiIndices(cs *levelSet, v int32) []int {
 	var out []int
 	for j := range cs.levels {
-		if cs.levels[j].has(v) {
+		if cs.levels[j].Has(v) {
 			out = append(out, j)
 		}
 	}
@@ -394,32 +387,21 @@ func multiIndices(cs *levelSet, v int32) []int {
 // step1RecurringSCC is the improved Step 1 the paper sketches at the
 // end of §9: recurring nodes are found in linear time with Tarjan's
 // SCC algorithm and the index enumeration is confined to the
-// non-recurring subgraph, for cost O(m_L + n_m·m_m).
-func (in *instance) step1RecurringSCC(integrated bool) *ReducedSets {
+// non-recurring subgraph, for cost O(m_L + n_m·m_m). MS is the
+// classifier's own reached set, positions included.
+func (in *instance) step1RecurringSCC(integrated bool) *reduced {
 	c := in.classify()
-	n := in.nL
-	var reachN, reachM int64
-	rs := &ReducedSets{
-		MS:         make([]bool, n),
-		RM:         make([]bool, n),
-		RC:         newLevelSet(),
-		Regular:    c.Regular,
-		Iterations: 1,
-	}
-	for v := 0; v < n; v++ {
-		if c.Class[v] == graph.Unreachable {
+	r := &reduced{ms: c.Positions(), inRM: make([]bool, len(c.Reached)), rc: newLevelSet(), regular: c.Regular, iterations: 1}
+	var reachM int64
+	for p, v := range c.Reached {
+		reachM += int64(len(in.lOut(v)))
+		if c.Class[p] == graph.Recurring {
+			r.mark(p)
 			continue
 		}
-		reachN++
-		reachM += int64(len(in.lOut(int32(v))))
-		rs.MS[v] = true
-		if c.Class[v] == graph.Recurring {
-			rs.RM[v] = true
-			continue
-		}
-		for _, j := range c.Indices[v] {
+		for _, j := range c.Indices[p] {
 			in.charge(1) // index enumeration work
-			rs.RC.add(j, int32(v))
+			r.rc.add(j, v)
 		}
 	}
 	// Charge the SCC + reachability sweeps: linear in the nodes and
@@ -428,9 +410,9 @@ func (in *instance) step1RecurringSCC(integrated bool) *ReducedSets {
 	// reachable node is reachable), so the method's cost — like every
 	// other Step 1's — is confined to the query's region and does not
 	// grow with unrelated parts of the database.
-	in.charge(2 * (reachN + reachM))
-	if integrated && rs.RC.pairs == 0 {
-		rs.RC.add(0, in.src)
+	in.charge(2 * (int64(len(c.Reached)) + reachM))
+	if integrated && r.rc.pairs == 0 {
+		r.rc.add(0, in.src)
 	}
-	return rs
+	return r
 }

@@ -26,67 +26,18 @@ type ShardOpts struct {
 	Shards int
 }
 
-// factRope is a chunked fact list: each Extend appends one chunk, and
-// readers materialize the flat form only when a rebuild or merge
-// actually needs it. Chunk sizes halve (at least) from the front, like
-// the digits of a binary counter, so a rope of n facts holds O(log n)
-// chunks and an append copies O(log n) chunk headers plus, amortized,
-// O(log n) pairs per appended fact — never the shard.
-type factRope [][]Pair
-
-// flat materializes the rope. A single-chunk rope returns its chunk
-// unchanged, so a freshly rebuilt shard materializes for free.
-func (fr factRope) flat() []Pair {
-	if len(fr) == 1 {
-		return fr[0]
-	}
-	out := make([]Pair, 0, fr.count())
-	for _, c := range fr {
-		out = append(out, c...)
-	}
-	return out
-}
-
-// count is the rope's fact count.
-func (fr factRope) count() int {
-	n := 0
-	for _, c := range fr {
-		n += len(c)
-	}
-	return n
-}
-
-// appendChunk returns a rope covering base plus chunk without growing
-// base's backing arrays in place (parents share ropes with children):
-// the chunk goes on the end, and the last two chunks merge into a fresh
-// one for as long as the last is no shorter than the one before it.
-func appendChunk(base factRope, chunk []Pair) factRope {
-	if len(chunk) == 0 {
-		return base
-	}
-	out := make(factRope, 0, len(base)+1)
-	out = append(append(out, base...), chunk)
-	for k := len(out) - 1; k > 0 && len(out[k]) >= len(out[k-1]); k-- {
-		merged := make([]Pair, 0, len(out[k-1])+len(out[k]))
-		out = append(out[:k-1], append(append(merged, out[k-1]...), out[k]...))
-	}
-	return out
-}
-
-// shard is one region shard: the facts that landed in it (as chunked
-// ropes, kept so a bridging append can merge or rebuild this shard
-// without touching any other) plus the compiled artifact over exactly
-// those facts.
+// shard is one region shard: the compiled artifact over exactly the
+// facts that landed in it, which are also its only copy of them (see
+// Compiled.Facts), and their count.
 type shard struct {
-	l, e, r factRope
-	nfacts  int
-	comp    *Compiled
+	nfacts int
+	comp   *Compiled
 }
 
-// flatShard is the shard of single-chunk ropes over exactly the facts c
-// compiles.
-func flatShard(c *Compiled, L, E, R []Pair) *shard {
-	return &shard{l: factRope{L}, e: factRope{E}, r: factRope{R}, nfacts: len(L) + len(E) + len(R), comp: c}
+// newShard wraps c as a shard.
+func newShard(c *Compiled) *shard {
+	l, e, r := c.Arcs()
+	return &shard{nfacts: l + e + r, comp: c}
 }
 
 // ShardedCompiled is a database compiled as K independent region
@@ -129,16 +80,16 @@ type ShardExtendStats struct {
 }
 
 // CompileSharded interns the database's symbol graph, decomposes it
-// into weakly connected components, packs the components onto K
+// into weakly connected components with a union-find over the interned
+// ids, packs the components onto K
 // shards (largest fact-count first onto the emptiest shard, ties to
 // the lowest slot — deterministic in the input order), and compiles
 // each shard independently. With K=1 there is nothing to partition or
-// route: the one shard is a plain Compile over the input slices, which
-// the artifact keeps (callers must not modify them afterwards).
+// route: the one shard is a plain Compile.
 func CompileSharded(L, E, R []Pair, opts ShardOpts) *ShardedCompiled {
 	k := opts.Shards
 	if k <= 1 {
-		return SingleShard(Compile(L, E, R), L, E, R)
+		return SingleShard(Compile(L, E, R))
 	}
 	// Intern the two symbol domains, in the same relation order a cold
 	// Compile uses so component numbering is deterministic.
@@ -163,48 +114,50 @@ func CompileSharded(L, E, R []Pair, opts ShardOpts) *ShardedCompiled {
 		rNames = append(rNames, name)
 		return id
 	}
-	for _, p := range L {
-		internL(p.From)
-		internL(p.To)
+	// Every fact's endpoint ids, kept for the passes below.
+	lf, lt := make([]int32, len(L)), make([]int32, len(L))
+	for i, p := range L {
+		lf[i], lt[i] = internL(p.From), internL(p.To)
 	}
-	for _, p := range E {
-		internL(p.From)
-		internR(p.To)
+	ef, et := make([]int32, len(E)), make([]int32, len(E))
+	for i, p := range E {
+		ef[i], et[i] = internL(p.From), internR(p.To)
 	}
-	for _, p := range R {
-		internR(p.From)
-		internR(p.To)
+	rf, rt := make([]int32, len(R)), make([]int32, len(R))
+	for i, p := range R {
+		rf[i], rt[i] = internR(p.From), internR(p.To)
 	}
-	nL := len(lNames)
+	nL := int32(len(lNames))
 
-	// The combined symbol graph: L-nodes 0..nL-1, R-nodes nL.., every
-	// fact one arc. Weak components of this graph are the regions.
-	g := graph.NewDigraph(nL + len(rNames))
-	for _, p := range L {
-		g.AddArc(int(lid[p.From]), int(lid[p.To]))
+	// The regions are the weak components of the combined symbol graph
+	// (L-nodes 0..nL-1, R-nodes nL.., every fact one arc), found by
+	// union-find over the fact list and numbered by smallest id.
+	uf := graph.NewUnionFind(len(lNames) + len(rNames))
+	for i := range L {
+		uf.Union(int(lf[i]), int(lt[i]))
 	}
-	for _, p := range E {
-		g.AddArc(int(lid[p.From]), nL+int(rid[p.To]))
+	for i := range E {
+		uf.Union(int(ef[i]), int(nL+et[i]))
 	}
-	for _, p := range R {
-		g.AddArc(nL+int(rid[p.From]), nL+int(rid[p.To]))
+	for i := range R {
+		uf.Union(int(nL+rf[i]), int(nL+rt[i]))
 	}
-	wcc := g.WeaklyConnectedComponents()
+	comp, ncomp := uf.Components()
 
 	// Pack components onto K slots by fact count, largest first onto
 	// the currently-lightest slot. Both endpoints of a fact share a
 	// component, so counting by the From endpoint counts each fact once.
-	compFacts := make([]int, wcc.NumComps)
-	for _, p := range L {
-		compFacts[wcc.Comp[lid[p.From]]]++
+	compFacts := make([]int, ncomp)
+	for _, x := range lf {
+		compFacts[comp[x]]++
 	}
-	for _, p := range E {
-		compFacts[wcc.Comp[lid[p.From]]]++
+	for _, x := range ef {
+		compFacts[comp[x]]++
 	}
-	for _, p := range R {
-		compFacts[wcc.Comp[nL+int(rid[p.From])]]++
+	for _, x := range rf {
+		compFacts[comp[nL+x]]++
 	}
-	order := make([]int, wcc.NumComps)
+	order := make([]int, ncomp)
 	for i := range order {
 		order[i] = i
 	}
@@ -212,7 +165,7 @@ func CompileSharded(L, E, R []Pair, opts ShardOpts) *ShardedCompiled {
 		return compFacts[order[a]] > compFacts[order[b]]
 	})
 	slotFacts := make([]int, k)
-	compSlot := make([]int32, wcc.NumComps)
+	compSlot := make([]int32, ncomp)
 	for _, c := range order {
 		best := 0
 		for s := 1; s < k; s++ {
@@ -231,38 +184,37 @@ func CompileSharded(L, E, R []Pair, opts ShardOpts) *ShardedCompiled {
 		redirect: make([]int32, k),
 	}
 	for id, name := range lNames {
-		sc.routeL.base[name] = compSlot[wcc.Comp[id]]
+		sc.routeL.base[name] = compSlot[comp[id]]
 	}
 	for id, name := range rNames {
-		sc.routeR.base[name] = compSlot[wcc.Comp[nL+id]]
+		sc.routeR.base[name] = compSlot[comp[int(nL)+id]]
 	}
 	// Distribute facts in relation order, so each shard's Compile sees
 	// its facts in the same relative order the monolithic build would.
 	ls, es, rs := make([][]Pair, k), make([][]Pair, k), make([][]Pair, k)
-	for _, p := range L {
-		slot := compSlot[wcc.Comp[lid[p.From]]]
+	for i, p := range L {
+		slot := compSlot[comp[lf[i]]]
 		ls[slot] = append(ls[slot], p)
 	}
-	for _, p := range E {
-		slot := compSlot[wcc.Comp[lid[p.From]]]
+	for i, p := range E {
+		slot := compSlot[comp[ef[i]]]
 		es[slot] = append(es[slot], p)
 	}
-	for _, p := range R {
-		slot := compSlot[wcc.Comp[nL+int(rid[p.From])]]
+	for i, p := range R {
+		slot := compSlot[comp[nL+rf[i]]]
 		rs[slot] = append(rs[slot], p)
 	}
 	for i := range sc.shards {
-		sc.shards[i] = flatShard(Compile(ls[i], es[i], rs[i]), ls[i], es[i], rs[i])
+		sc.shards[i] = newShard(Compile(ls[i], es[i], rs[i]))
 		sc.redirect[i] = int32(i)
 	}
 	return sc
 }
 
-// SingleShard wraps c, which must compile exactly L, E and R, as a
-// one-slot artifact without recompiling: how a decoded snapshot
-// artifact re-enters service.
-func SingleShard(c *Compiled, L, E, R []Pair) *ShardedCompiled {
-	return &ShardedCompiled{shards: []*shard{flatShard(c, L, E, R)}, redirect: []int32{0}}
+// SingleShard wraps c as a one-slot artifact without recompiling: how
+// a decoded snapshot artifact re-enters service.
+func SingleShard(c *Compiled) *ShardedCompiled {
+	return &ShardedCompiled{shards: []*shard{newShard(c)}, redirect: []int32{0}}
 }
 
 // ShardOf returns the live slot that answers queries from source. A
@@ -319,19 +271,17 @@ func (sc *ShardedCompiled) Novel(dL, dE, dR []Pair) (nL, nE, nR []Pair) {
 	return nL, nE, nR
 }
 
-// Facts returns the database the artifact compiles: the live shards'
-// facts in slot order, commit order inside a shard. The slices may
-// alias the artifact's own storage and must not be modified.
+// Facts returns the database the artifact compiles, enumerated from
+// the live shards' rows in slot order (see Compiled.Facts): fresh
+// slices the caller may keep.
 func (sc *ShardedCompiled) Facts() (l, e, r []Pair) {
-	rl, re, rr := sc.ropes(sc.LiveSlots())
-	return rl.flat(), re.flat(), rr.flat()
+	return sc.facts(sc.LiveSlots())
 }
 
-// ropes concatenates the given slots' fact ropes, in slot order.
-func (sc *ShardedCompiled) ropes(slots []int) (l, e, r factRope) {
+// facts enumerates the given slots' facts, in slot order.
+func (sc *ShardedCompiled) facts(slots []int) (l, e, r []Pair) {
 	for _, i := range slots {
-		sh := sc.shards[i]
-		l, e, r = append(l, sh.l...), append(e, sh.e...), append(r, sh.r...)
+		l, e, r = sc.shards[i].comp.appendFacts(l, e, r)
 	}
 	return l, e, r
 }
@@ -358,11 +308,9 @@ func (sc *ShardedCompiled) Solve(source string, strategy Strategy, mode Mode, op
 // ChooseMethod picks a method for one source per its shard's magic
 // graph. The selection depends only on what the source reaches, which
 // its shard holds whole, so it matches the monolithic artifact's; and
-// the classifier's work is confined to that region too — linear in the
-// reached nodes and arcs, plus the index enumeration on the multiple
-// region. What still grows with the shard's L-node count is four
-// allocations: graph.Classify's dense per-node result arrays and its
-// node-to-position table.
+// the classifier's work and storage are confined to that region too —
+// linear in the reached nodes and arcs, plus the index enumeration on
+// the multiple region.
 func (sc *ShardedCompiled) ChooseMethod(source string) Selection {
 	return sc.shards[sc.ShardOf(source)].comp.ChooseMethod(source)
 }
@@ -416,16 +364,12 @@ func (sc *ShardedCompiled) MaxDeltaDepth() int {
 }
 
 // ResidentBytes estimates the storage the sharded artifact keeps
-// reachable: every live shard's compiled estimate, the per-shard fact
-// slices (pair headers; the strings are shared with the caller's
-// database), and the router tables.
+// reachable: every live shard's compiled estimate and the router
+// tables.
 func (sc *ShardedCompiled) ResidentBytes() int64 {
 	var b int64
 	for _, i := range sc.LiveSlots() {
-		sh := sc.shards[i]
-		b += sh.comp.ResidentBytes()
-		b += int64(sh.nfacts) * 2 * stringHeaderBytes
-		b += int64(len(sh.l)+len(sh.e)+len(sh.r)) * sliceHeaderBytes
+		b += sc.shards[i].comp.ResidentBytes()
 	}
 	b += sc.routeL.residentBytes() + sc.routeR.residentBytes()
 	b += int64(len(sc.redirect)) * 4
@@ -475,9 +419,11 @@ func (sc *ShardedCompiled) ShardInfos() []ShardInfo {
 //   - one live shard touched, delta too large (a bulk load into one
 //     region): the shard alone is cold-rebuilt, scoped to its facts;
 //   - several live shards touched (the delta bridges regions): the
-//     members merge into the lowest slot — their facts concatenate in
-//     slot order, the union compiles cold, and the vacated slots
-//     redirect to the survivor;
+//     members merge into the lowest slot — it takes over the largest
+//     member's artifact, which a delta Extend rolls forward by the
+//     other members' facts plus the group's delta, whatever their
+//     share (a cold rebuild when maxFrac disables the delta path), and
+//     the vacated slots redirect to the survivor;
 //   - no live shard touched (an entirely fresh region): the group
 //     joins the live shard currently holding the fewest facts.
 //
@@ -503,7 +449,7 @@ func (sc *ShardedCompiled) Extend(dL, dE, dR []Pair, maxFrac float64) (*ShardedC
 	}
 	if len(child.shards) == 1 {
 		// One slot: no grouping, no routing, the delta goes straight in.
-		child.extendShard(0, dL, dE, dR, maxFrac, &stats)
+		child.extendShard(0, dL, dE, dR, maxFrac, false, &stats)
 		stats.Touched = []int{0}
 		return child, stats
 	}
@@ -558,6 +504,7 @@ func (sc *ShardedCompiled) Extend(dL, dE, dR []Pair, maxFrac float64) (*ShardedC
 		dl, de, dr []Pair
 		freshL     []string
 		freshR     []string
+		merged     bool // the slot's share absorbs merged shards
 	}
 	groups := make(map[int]*group)
 	var groupOrder []int
@@ -613,6 +560,7 @@ func (sc *ShardedCompiled) Extend(dL, dE, dR []Pair, maxFrac float64) (*ShardedC
 			pending[slot] = f
 		}
 		f.dl, f.de, f.dr = append(f.dl, gp.dl...), append(f.de, gp.de...), append(f.dr, gp.dr...)
+		f.merged = f.merged || gp.merged
 	}
 	load := func(slot int) int {
 		n := child.shards[slot].nfacts
@@ -641,12 +589,29 @@ func (sc *ShardedCompiled) Extend(dL, dE, dR []Pair, maxFrac float64) (*ShardedC
 			queue(target, gp)
 		default:
 			// Bridging delta: merge every member into the lowest slot.
+			// The slot takes over the largest member's artifact, and the
+			// other members' facts join the group's delta, so the merge
+			// rolls forward by what the smaller members hold instead of
+			// recompiling the union.
 			target = live[0]
-			ml, me, mr := child.ropes(live)
-			fl, fe, fr := append(ml, gp.dl).flat(), append(me, gp.de).flat(), append(mr, gp.dr).flat()
-			child.shards[target] = flatShard(Compile(fl, fe, fr), fl, fe, fr)
+			big := target
 			for _, m := range live[1:] {
-				child.shards[m] = &shard{comp: Compile(nil, nil, nil)}
+				if child.shards[m].nfacts > child.shards[big].nfacts {
+					big = m
+				}
+			}
+			var rest []int
+			for _, m := range live {
+				if m != big {
+					rest = append(rest, m)
+				}
+			}
+			ml, me, mr := child.facts(rest)
+			child.shards[target] = child.shards[big]
+			queue(target, &group{dl: ml, de: me, dr: mr, merged: true})
+			queue(target, gp)
+			for _, m := range live[1:] {
+				child.shards[m] = newShard(Compile(nil, nil, nil))
 				// Re-point every slot that resolved to m (m itself plus
 				// any slot a previous merge had already folded into it).
 				for s, r := range child.redirect {
@@ -661,8 +626,6 @@ func (sc *ShardedCompiled) Extend(dL, dE, dR []Pair, maxFrac float64) (*ShardedC
 				}
 			}
 			stats.Merges += len(live) - 1
-			stats.Rebuilt++
-			touched[target] = true
 		}
 		// Route the group's fresh symbols to their slot.
 		for _, name := range gp.freshL {
@@ -674,7 +637,7 @@ func (sc *ShardedCompiled) Extend(dL, dE, dR []Pair, maxFrac float64) (*ShardedC
 	}
 	for slot, f := range pending {
 		if f != nil {
-			child.extendShard(slot, f.dl, f.de, f.dr, maxFrac, &stats)
+			child.extendShard(slot, f.dl, f.de, f.dr, maxFrac, f.merged, &stats)
 			touched[slot] = true
 		}
 	}
@@ -686,28 +649,25 @@ func (sc *ShardedCompiled) Extend(dL, dE, dR []Pair, maxFrac float64) (*ShardedC
 	return child, stats
 }
 
-// extendShard rolls one slot forward by its group's delta: a delta
-// Extend when it fits under maxFrac, a scoped cold rebuild otherwise.
-func (sc *ShardedCompiled) extendShard(slot int, dl, de, dr []Pair, maxFrac float64, stats *ShardExtendStats) {
+// extendShard rolls one slot forward by its share of the delta: a delta
+// Extend when it fits under maxFrac, a cold rebuild of the shard's own
+// facts (read back from its rows) plus the delta otherwise. A share
+// that absorbs merged shards extends whatever its size while the delta
+// path is on: the slot holds the largest member, so the Extend costs
+// what the smaller ones hold, never more than compiling the union.
+func (sc *ShardedCompiled) extendShard(slot int, dl, de, dr []Pair, maxFrac float64, merged bool, stats *ShardExtendStats) {
 	old := sc.shards[slot]
 	added := len(dl) + len(de) + len(dr)
-	next := &shard{
-		l:      appendChunk(old.l, dl),
-		e:      appendChunk(old.e, de),
-		r:      appendChunk(old.r, dr),
-		nfacts: old.nfacts + added,
-	}
-	frac := float64(added) / float64(next.nfacts)
-	if maxFrac > 0 && frac <= maxFrac {
-		next.comp = old.comp.Extend(dl, de, dr)
+	frac := float64(added) / float64(old.nfacts+added)
+	if maxFrac > 0 && (merged || frac <= maxFrac) {
+		sc.shards[slot] = newShard(old.comp.Extend(dl, de, dr))
 		stats.DeltaExtended++
-	} else {
-		fl, fe, fr := next.l.flat(), next.e.flat(), next.r.flat()
-		next = flatShard(Compile(fl, fe, fr), fl, fe, fr)
-		stats.Rebuilt++
-		if maxFrac > 0 && old.nfacts > 0 {
-			stats.Fallbacks++
-		}
+		return
 	}
-	sc.shards[slot] = next
+	l, e, r := old.comp.Facts()
+	sc.shards[slot] = newShard(Compile(append(l, dl...), append(e, de...), append(r, dr...)))
+	stats.Rebuilt++
+	if maxFrac > 0 && old.nfacts > 0 {
+		stats.Fallbacks++
+	}
 }

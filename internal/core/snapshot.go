@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strings"
+	"sync"
 )
 
 // This file is the binary codec for the Compiled artifact, the piece
@@ -95,13 +97,21 @@ func (c *Compiled) WriteBinary(w io.Writer) error {
 // maps are reconstructed from the decoded name tables, so the result
 // is behaviorally identical to the Compile output it was encoded from
 // (per-node adjacency order is preserved by the CSR layout). The
-// decoded flat arrays become the pages as they are.
+// decoded flat arrays become the pages as they are; each name table
+// decodes into one string its names slice, and the two interning maps
+// are built on goroutines of their own while the graphs decode.
 func DecodeCompiled(data []byte) (*Compiled, []byte, error) {
 	r := &byteCursor{data: data}
 	c := &Compiled{Generation: r.uvarint()}
 	lNames := r.stringTable()
 	rNames := r.stringTable()
 	nL, nR := len(lNames), len(rNames)
+	var lid, rid map[string]int32
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { defer wg.Done(); lid = indexNames(lNames) }()
+	go func() { defer wg.Done(); rid = indexNames(rNames) }()
+	defer wg.Wait() // the error returns below, too, leave no map builder behind
 	for i, g := range []*csr{&c.lOut, &c.lIn, &c.eOut, &c.rOut} {
 		off := r.int32s()
 		m := r.uvarint()
@@ -138,7 +148,8 @@ func DecodeCompiled(data []byte) (*Compiled, []byte, error) {
 		return nil, nil, fmt.Errorf("%w: %v", ErrBadArtifact, r.err)
 	}
 	c.lNames, c.rNames = pagedNames(lNames), pagedNames(rNames)
-	c.lid, c.rid = symTable{base: indexNames(lNames)}, symTable{base: indexNames(rNames)}
+	wg.Wait()
+	c.lid, c.rid = symTable{base: lid}, symTable{base: rid}
 	return c, r.rest(), nil
 }
 
@@ -199,6 +210,10 @@ func (r *byteCursor) uvarint() uint64 {
 	return v
 }
 
+// stringTable decodes a table of n (uvarint length | bytes) strings
+// into one arena string that every name slices: two allocations per
+// table instead of one per name. A first pass validates the lengths and
+// sizes the arena, a second copies the bytes, a third slices the names.
 func (r *byteCursor) stringTable() []string {
 	n := r.uvarint()
 	if r.err != nil {
@@ -208,15 +223,33 @@ func (r *byteCursor) stringTable() []string {
 		r.fail("string table longer than payload")
 		return nil
 	}
-	out := make([]string, 0, n)
-	for i := uint64(0); i < n && r.err == nil; i++ {
+	start, total := r.off, 0
+	for i := uint64(0); i < n; i++ {
 		l := r.uvarint()
 		if r.err != nil || l > uint64(len(r.data)-r.off) {
 			r.fail("truncated string")
 			return nil
 		}
-		out = append(out, string(r.data[r.off:r.off+int(l)]))
 		r.off += int(l)
+		total += int(l)
+	}
+	var arena strings.Builder
+	arena.Grow(total)
+	r.off = start
+	for i := uint64(0); i < n; i++ {
+		l := int(r.uvarint())
+		arena.Write(r.data[r.off : r.off+l])
+		r.off += l
+	}
+	all := arena.String()
+	out := make([]string, n)
+	r.off = start
+	at := 0
+	for i := range out {
+		l := int(r.uvarint())
+		out[i] = all[at : at+l]
+		at += l
+		r.off += l
 	}
 	return out
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"magiccounting/internal/graph"
 	"magiccounting/internal/obs"
 )
 
@@ -72,29 +73,15 @@ func (c *Compiled) Solve(source string, strategy Strategy, mode Mode, opts Optio
 	in.configure(opts)
 	integrated := mode == Integrated
 	s1 := in.tr.Start("step1/"+strategy.String(), in.retrievals)
-	var rs *ReducedSets
-	switch strategy {
-	case Basic:
-		rs = in.step1Basic(integrated)
-	case Single:
-		rs = in.step1Single(integrated)
-	case Multiple:
-		rs = in.step1Multiple(integrated)
-	case Recurring:
-		if opts.SCCStep1 {
-			rs = in.step1RecurringSCC(integrated)
-		} else {
-			rs = in.step1RecurringNaive(integrated)
-		}
-	default:
-		return nil, fmt.Errorf("core: unknown strategy %v", strategy)
+	r, err := in.step1(strategy, integrated, opts.SCCStep1)
+	if err != nil {
+		return nil, err
 	}
-	rm, rc := rs.counts()
 	if s1 != nil {
-		s1.Set("iterations", int64(rs.Iterations))
-		s1.Set("rm", int64(rm))
-		s1.Set("rc", int64(rc))
-		if rs.Regular {
+		s1.Set("iterations", int64(r.iterations))
+		s1.Set("rm", int64(len(r.rm)))
+		s1.Set("rc", int64(r.rc.pairs))
+		if r.regular {
 			s1.Set("regular", 1)
 		}
 	}
@@ -104,55 +91,65 @@ func (c *Compiled) Solve(source string, strategy Strategy, mode Mode, opts Optio
 		return nil, in.ctxErr
 	}
 	s2 := in.tr.Start("step2/"+mode.String(), in.retrievals)
-	var answers *denseSet
+	var answers *graph.NodeSet
 	var iter int
 	if integrated {
-		answers, iter = in.solveIntegrated(rs)
+		answers, iter = in.solveIntegrated(r)
 	} else {
-		answers, iter = in.solveIndependent(rs)
+		answers, iter = in.solveIndependent(r)
 	}
 	if s2 != nil {
 		s2.Set("iterations", int64(iter))
-		s2.Set("answers", int64(answers.size()))
+		s2.Set("answers", int64(answers.Len()))
 	}
 	in.tr.End(s2, in.retrievals)
 	if in.stopped() {
 		return nil, in.ctxErr
 	}
-	msSize := 0
-	for _, inMS := range rs.MS {
-		if inMS {
-			msSize++
-		}
-	}
 	return &Result{
 		Answers: in.answerNames(answers),
 		Stats: Stats{
 			Retrievals:      in.retrievals,
-			Iterations:      rs.Iterations + iter,
-			MagicSetSize:    msSize,
-			CountingSetSize: rs.RC.pairs,
-			RMSize:          rm,
-			RCSize:          rc,
-			Regular:         rs.Regular,
+			Iterations:      r.iterations + iter,
+			MagicSetSize:    r.ms.Len(),
+			CountingSetSize: r.rc.pairs,
+			RMSize:          len(r.rm),
+			RCSize:          r.rc.pairs,
+			Regular:         r.regular,
 		},
 	}, nil
+}
+
+// step1 runs the Step 1 of strategy.
+func (in *instance) step1(strategy Strategy, integrated, sccStep1 bool) (*reduced, error) {
+	switch strategy {
+	case Basic:
+		return in.step1Basic(integrated), nil
+	case Single:
+		return in.step1Single(integrated), nil
+	case Multiple:
+		return in.step1Multiple(integrated), nil
+	case Recurring:
+		if sccStep1 {
+			return in.step1RecurringSCC(integrated), nil
+		}
+		return in.step1RecurringNaive(integrated), nil
+	}
+	return nil, fmt.Errorf("core: unknown strategy %v", strategy)
 }
 
 // solveIndependent runs Step 2 of the independent methods (§4): the
 // counting part seeded by RC and the magic part with exit rule
 // restricted to RM but recursion over the full magic set, answers
 // unioned.
-func (in *instance) solveIndependent(rs *ReducedSets) (*denseSet, int) {
-	answers, iter := in.countingDescent(rs.RC)
-	rm := rs.rmList()
-	if len(rm) > 0 {
-		pm, mIter := in.magicPairs(rm, rs.MS, nil)
+func (in *instance) solveIndependent(r *reduced) (*graph.NodeSet, int) {
+	answers, iter := in.countingDescent(r.rc)
+	if len(r.rm) > 0 {
+		pm, mIter := in.magicPairs(r.ms, r.rm, r.inMS, nil)
 		iter += mIter
-		for _, y := range pm.bySource(in.src) {
-			answers.add(y)
+		for _, y := range pm.row(r.ms.Pos(in.src)).Members() {
+			answers.Add(y)
 		}
-		pm.release()
 	}
 	return answers, iter
 }
@@ -167,19 +164,18 @@ func (in *instance) solveIndependent(rs *ReducedSets) (*denseSet, int) {
 // L-successors, an invariant of all four Step 1 constructions
 // (successors of non-single nodes are non-single; successors of
 // recurring nodes are recurring).
-func (in *instance) solveIntegrated(rs *ReducedSets) (*denseSet, int) {
+func (in *instance) solveIntegrated(r *reduced) (*graph.NodeSet, int) {
 	iter := 0
 	pc := newLevelSet()
-	rm := rs.rmList()
-	if len(rm) > 0 {
+	if len(r.rm) > 0 {
 		// The transfer rule (§5, rule 3) rides along the magic part's
 		// delta expansion: whenever a pair (x1, y1) is expanded and a
 		// predecessor x lies in RC, one R step below y1 enters the
 		// counting descent at each of x's indices. Sharing the L probe
 		// with the recursive rule keeps rule 3's cost inside the magic
 		// part's Θ bound, as the paper's analysis assumes.
-		rcIdx := rs.rcIndexByNode()
-		pm, mIter := in.magicPairs(rm, rs.RM, func(x, y1 int32) {
+		rcIdx := r.rcIndexByNode()
+		_, mIter := in.magicPairs(r.ms, r.rm, r.inRM, func(x, y1 int32) {
 			levels := rcIdx[x]
 			if len(levels) == 0 {
 				return
@@ -191,11 +187,10 @@ func (in *instance) solveIntegrated(rs *ReducedSets) (*denseSet, int) {
 				}
 			}
 		})
-		pm.release()
 		iter += mIter
 	}
 	// Counting exit rule over RC, then the shared descent.
-	in.seedExit(pc, rs.RC)
+	in.seedExit(pc, r.rc)
 	answers, dIter := in.descend(pc)
 	return answers, iter + dIter
 }

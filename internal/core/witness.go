@@ -1,6 +1,10 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+
+	"magiccounting/internal/graph"
+)
 
 // Proof is provenance for one answer: the concrete path of Fact 2 —
 // k arcs of L from the source to the crossing node, one E arc, and k
@@ -153,21 +157,21 @@ func VerifyProof(q Query, p *Proof) error {
 // conditions produce wrong answers, which CheckReducedSets predicts.
 func SolveWithReducedSets(q Query, rs *ReducedSets, mode Mode) (*Result, error) {
 	in := build(q)
-	var answers *denseSet
+	r := reducedFrom(rs)
+	var answers *graph.NodeSet
 	var iter int
 	if mode == Integrated {
-		answers, iter = in.solveIntegrated(rs)
+		answers, iter = in.solveIntegrated(r)
 	} else {
-		answers, iter = in.solveIndependent(rs)
+		answers, iter = in.solveIndependent(r)
 	}
-	rm, rc := rs.counts()
 	return &Result{
 		Answers: in.answerNames(answers),
 		Stats: Stats{
 			Retrievals: in.retrievals,
 			Iterations: iter,
-			RMSize:     rm,
-			RCSize:     rc,
+			RMSize:     len(r.rm),
+			RCSize:     r.rc.pairs,
 		},
 	}, nil
 }

@@ -1,9 +1,10 @@
 // Package durable is the persistence layer under the serving tier: an
 // append-only, length-prefixed, CRC32-checksummed write-ahead log of
 // fact batches (segment files with rotation and a configurable fsync
-// policy), point-in-time snapshots that carry the raw L/E/R fact
-// slices plus the compiled CSR artifact, and a recovery path that
-// loads the newest valid snapshot and replays the WAL tail.
+// policy), point-in-time snapshots that carry either the compiled CSR
+// artifact (whose rows are the facts) or the raw L/E/R fact slices,
+// and a recovery path that loads the newest valid snapshot and replays
+// the WAL tail.
 //
 // The durability contract follows the magic-set maintenance reading
 // of the paper's cost model: base facts are the cheap, authoritative
@@ -23,9 +24,10 @@
 //	                 uint32 CRC32(payload), uint64 payload len, payload
 //
 // Both headers carry the format-version byte; opening a directory
-// written by a different version fails with ErrIncompatibleVersion so
-// an operator sees a clear startup error instead of silent
-// misparsing.
+// written by a version this binary cannot read fails with
+// ErrIncompatibleVersion so an operator sees a clear startup error
+// instead of silent misparsing. Snapshots of versions 1 and 2 load;
+// segments are version 1.
 package durable
 
 import (
@@ -35,9 +37,15 @@ import (
 )
 
 const (
-	// formatVersion is the on-disk format version stamped into every
-	// segment and snapshot header. Bump on any incompatible change.
-	formatVersion = 1
+	// walVersion and snapVersion are the on-disk format versions
+	// stamped into every segment and snapshot header. Bump one on any
+	// incompatible change to its file.
+	walVersion = 1
+	// Snapshot version 2 writes a snapshot that carries an artifact as
+	// that artifact alone: its rows are the facts. Version 1 wrote the
+	// facts as well, and still loads. A version 1 binary, which would
+	// read a version 2 snapshot as an empty database, refuses it.
+	snapVersion = 2
 
 	headerLen       = 8
 	recordHeaderLen = 8

@@ -78,10 +78,10 @@ func TestWALRoundtrip(t *testing.T) {
 	for _, r := range recs {
 		wantFacts += r.Facts()
 	}
-	if got := len(info2.L) + len(info2.E) + len(info2.R); got != wantFacts {
-		t.Fatalf("recovered %d facts, want %d", got, wantFacts)
+	if got := len(info2.TailL) + len(info2.TailE) + len(info2.TailR); got != wantFacts || len(info2.L)+len(info2.E)+len(info2.R) != 0 {
+		t.Fatalf("recovered %d tail facts and %d snapshot facts, want %d and none", got, len(info2.L)+len(info2.E)+len(info2.R), wantFacts)
 	}
-	if info2.L[0] != recs[0].L[0] || info2.R[len(info2.R)-1] != recs[2].R[len(recs[2].R)-1] {
+	if info2.TailL[0] != recs[0].L[0] || info2.TailR[len(info2.TailR)-1] != recs[2].R[len(recs[2].R)-1] {
 		t.Fatal("recovered facts out of order")
 	}
 }
@@ -256,8 +256,13 @@ func TestSnapshotRoundtripAndGC(t *testing.T) {
 	if art, err := info.Artifact(); err != nil || art == nil || art.Generation != 2 {
 		t.Fatalf("snapshot artifact lost or stale: %v", err)
 	}
-	if len(info.L) != len(l) || len(info.E) != len(e) || len(info.R) != len(r) {
-		t.Fatalf("snapshot facts: %d/%d/%d, want %d/%d/%d", len(info.L), len(info.E), len(info.R), len(l), len(e), len(r))
+	// The snapshot stores its artifact alone; its rows are the facts
+	// acknowledged before the checkpoint.
+	if len(info.L)+len(info.E)+len(info.R) != 0 {
+		t.Fatalf("a snapshot with an artifact stored %d/%d/%d fact pairs too", len(info.L), len(info.E), len(info.R))
+	}
+	if sl, se, sr, err := info.SnapshotFacts(); err != nil || core.Compile(sl, se, sr).StructuralEqual(core.Compile(l, e, r)) != nil {
+		t.Fatalf("snapshot facts %d/%d/%d (%v) are not the %d/%d/%d acknowledged", len(sl), len(se), len(sr), err, len(l), len(e), len(r))
 	}
 	if len(info.TailL)+len(info.TailE)+len(info.TailR) != 0 {
 		t.Fatalf("snapshot-only recovery reports a tail: %+v", info)
@@ -282,8 +287,9 @@ func TestSnapshotRoundtripAndGC(t *testing.T) {
 	if err != nil || art == nil || art.Generation != 2 {
 		t.Fatalf("snapshot artifact behind a tail lost or stale: %v", err)
 	}
-	if err := art.Extend(info2.TailL, info2.TailE, info2.TailR).StructuralEqual(core.Compile(info2.L, info2.E, info2.R)); err != nil {
-		t.Fatalf("snapshot artifact plus tail does not compile the recovered facts: %v", err)
+	acked := core.Compile(append(l[:len(l):len(l)], tail.L...), append(e[:len(e):len(e)], tail.E...), append(r[:len(r):len(r)], tail.R...))
+	if err := art.Extend(info2.TailL, info2.TailE, info2.TailR).StructuralEqual(acked); err != nil {
+		t.Fatalf("snapshot artifact plus tail does not compile the acknowledged facts: %v", err)
 	}
 
 	// GC: only segments >= floor and at most two snapshots remain.
@@ -295,13 +301,18 @@ func TestSnapshotRoundtripAndGC(t *testing.T) {
 	}
 }
 
-// bufferedSnapshotFile is the reference for the snapshot file format:
-// the file a snapshot made when the whole payload was encoded into one
-// buffer (the artifact through AppendBinary) and then framed.
-func bufferedSnapshotFile(snap Snapshot) []byte {
+// bufferedSnapshotFile is the reference for the snapshot file format of
+// the given version: the file a snapshot made when the whole payload
+// was encoded into one buffer (the artifact through AppendBinary) and
+// then framed. Version 2 leaves the facts out when there is an
+// artifact; version 1 always wrote them.
+func bufferedSnapshotFile(snap Snapshot, version byte) []byte {
 	idx := make(map[string]uint64)
 	var names []string
 	rels := [][]core.Pair{snap.L, snap.E, snap.R}
+	if version >= 2 && snap.Compiled != nil {
+		rels = [][]core.Pair{nil, nil, nil}
+	}
 	for _, rel := range rels {
 		for _, p := range rel {
 			for _, s := range []string{p.From, p.To} {
@@ -330,7 +341,7 @@ func bufferedSnapshotFile(snap Snapshot) []byte {
 	} else {
 		payload = append(payload, 0)
 	}
-	frame := fileHeader(snapMagic)
+	frame := fileHeader(snapMagic, version)
 	frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(payload))
 	frame = binary.LittleEndian.AppendUint64(frame, uint64(len(payload)))
 	return append(frame, payload...)
@@ -363,7 +374,7 @@ func TestSnapshotFileStreamed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := bufferedSnapshotFile(snap)
+		want := bufferedSnapshotFile(snap, snapVersion)
 		if !bytes.Equal(got, want) {
 			t.Fatalf("artifact=%v: streamed file (%d B) differs from the buffered framing (%d B)", snap.Compiled != nil, len(got), len(want))
 		}
@@ -374,7 +385,7 @@ func TestSnapshotFileStreamed(t *testing.T) {
 		if err := loaded.decodeArtifact(); err != nil {
 			t.Fatal(err)
 		}
-		if len(loaded.L) != len(snap.L) || (snap.Compiled != nil) != (loaded.Compiled != nil) {
+		if stored := len(snap.L); snap.Compiled != nil && len(loaded.L) != 0 || snap.Compiled == nil && len(loaded.L) != stored || (snap.Compiled != nil) != (loaded.Compiled != nil) {
 			t.Fatalf("loaded %d L facts, artifact=%v", len(loaded.L), loaded.Compiled != nil)
 		}
 		if snap.Compiled != nil {
@@ -442,11 +453,10 @@ func TestRotateCrashKeepsSealedSegments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, e, r := info.L, info.E, info.R
-	rec4 := mkRecord(4, 1)
-	l = append(append([]core.Pair{}, l...), rec4.L...)
-	e = append(append([]core.Pair{}, e...), rec4.E...)
-	r = append(append([]core.Pair{}, r...), rec4.R...)
+	var l, e, r []core.Pair
+	for _, rec := range []Record{mkRecord(1, 2), mkRecord(2, 2), mkRecord(3, 2), mkRecord(4, 1)} {
+		l, e, r = append(l, rec.L...), append(e, rec.E...), append(r, rec.R...)
+	}
 	if err := st2.WriteSnapshot(Snapshot{Gen: 4, L: l, E: e, R: r}, floor2); err != nil {
 		t.Fatal(err)
 	}
@@ -535,13 +545,66 @@ func TestVersionMismatchRejected(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		data[5] = formatVersion + 1 // the version byte
+		data[5] = max(walVersion, snapVersion) + 1 // the version byte
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		_, _, err = Open(dir, Options{}, nil)
 		if !errors.Is(err, ErrIncompatibleVersion) {
 			t.Fatalf("%s version bump: err = %v, want ErrIncompatibleVersion", kind, err)
+		}
+	}
+}
+
+// TestSnapshotFormatVersions pins the snapshot format bump in both
+// directions. A snapshot with an artifact is written at version 2 as
+// the artifact alone, so a reader of version 1 only — whose check was
+// exact — refuses it with ErrIncompatibleVersion instead of loading an
+// empty database beside the artifact. And this binary still loads a
+// version 1 snapshot, facts and artifact both, and recovers from it.
+func TestSnapshotFormatVersions(t *testing.T) {
+	var l, e, r []core.Pair
+	for g := uint64(1); g <= 3; g++ {
+		rec := mkRecord(g, 4)
+		l, e, r = append(l, rec.L...), append(e, rec.E...), append(r, rec.R...)
+	}
+	comp := core.Compile(l, e, r)
+	comp.Generation = 3
+	snap := Snapshot{Gen: 3, L: l, E: e, R: r, Compiled: comp}
+
+	dir := t.TempDir()
+	if err := writeSnapshotFile(dir, snap); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, snapshotName(3))
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if data[5] != 2 {
+		t.Fatalf("a snapshot with an artifact is written at version %d, want 2", data[5])
+	}
+	if _, err := checkHeader(data, snapMagic, 1, 1, path); !errors.Is(err, ErrIncompatibleVersion) {
+		t.Fatalf("a version 1 reader on a new snapshot: %v, want ErrIncompatibleVersion", err)
+	}
+
+	for _, old := range []Snapshot{snap, {Gen: 3, L: l, E: e, R: r}} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, snapshotName(3)), bufferedSnapshotFile(old, 1), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, info := mustOpen(t, dir, Options{})
+		if !info.SnapshotLoaded || info.Generation != 3 || !reflect.DeepEqual(info.L, l) || !reflect.DeepEqual(info.E, e) || !reflect.DeepEqual(info.R, r) {
+			t.Fatalf("version 1 snapshot (artifact=%v): loaded=%v gen %d, %d/%d/%d facts", old.Compiled != nil, info.SnapshotLoaded, info.Generation, len(info.L), len(info.E), len(info.R))
+		}
+		art, err := info.Artifact()
+		if err != nil || (art != nil) != (old.Compiled != nil) {
+			t.Fatalf("version 1 snapshot artifact: %v, %v", art != nil, err)
+		}
+		if art != nil {
+			if err := art.StructuralEqual(comp); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 }
@@ -660,9 +723,9 @@ func TestFsyncFailureLatches(t *testing.T) {
 				wl, we, wr = append(wl, r.L...), append(we, r.E...), append(wr, r.R...)
 			}
 			if info.Generation != uint64(len(want)) || info.ReplayedRecords != len(want) || info.TruncatedBytes != 0 ||
-				!reflect.DeepEqual(info.L, wl) || !reflect.DeepEqual(info.E, we) || !reflect.DeepEqual(info.R, wr) {
+				!reflect.DeepEqual(info.TailL, wl) || !reflect.DeepEqual(info.TailE, we) || !reflect.DeepEqual(info.TailR, wr) {
 				t.Fatalf("recovered gen %d from %d records (%d bytes cut) with %d/%d/%d facts, want the %d acknowledged records and at most the whole unacknowledged one",
-					info.Generation, info.ReplayedRecords, info.TruncatedBytes, len(info.L), len(info.E), len(info.R), len(acked))
+					info.Generation, info.ReplayedRecords, info.TruncatedBytes, len(info.TailL), len(info.TailE), len(info.TailR), len(acked))
 			}
 			appendAll(t, st, mkRecord(info.Generation+1, 1))
 			if err := st.Close(); err != nil {

@@ -16,15 +16,18 @@ import (
 	"magiccounting/internal/core"
 )
 
-// Snapshot is one point-in-time image of the database: the raw fact
-// slices, the generation they correspond to, and (optionally) the
-// compiled CSR artifact for that generation so recovery skips the
-// map-heavy Compile.
+// Snapshot is one point-in-time image of the database at generation
+// Gen: the compiled CSR artifact for that generation, whose rows are
+// the facts, or, when there is none, the raw fact slices.
 type Snapshot struct {
-	Gen     uint64
+	Gen uint64
+	// L, E, R are the facts. WriteSnapshot ignores them when Compiled
+	// is set, which must compile exactly them; a loaded snapshot holds
+	// them only when its file stored them (format version 1, or no
+	// artifact).
 	L, E, R []core.Pair
 	// Compiled is the artifact for generation Gen; nil is valid (the
-	// loader then leaves compilation to the first query).
+	// facts are then written as pairs and recovery compiles them).
 	Compiled *core.Compiled
 	// compiledRaw holds the still-encoded artifact of a decoded
 	// snapshot. Materializing it costs real work, and recovery drops
@@ -63,16 +66,19 @@ func parseSnapshotGen(name string) (uint64, bool) {
 }
 
 // writeSnapshotPayload streams a snapshot's payload to w and flushes
-// it. Facts are interned: one table of every distinct constant, then
-// each relation as pairs of table indexes. Decoding therefore
-// allocates one string per distinct constant instead of two per fact —
-// the difference between replaying a long log and loading its
-// snapshot.
+// it. A snapshot with an artifact is written as the artifact alone:
+// its rows are the facts, so the fact section is empty. Without one,
+// the facts are interned: one table of every distinct constant, then
+// each relation as pairs of table indexes, so decoding allocates one
+// string per distinct constant instead of two per fact.
 //
 //	uvarint gen
 //	uvarint |names| | names (uvarint len | bytes)
 //	3 × relation: uvarint count | count × (uvarint fromIdx | uvarint toIdx)
 //	1 byte hasCompiled | [compiled artifact (core codec)]
+//
+// Format version 1 had the same layout but always filled the fact
+// section, artifact or not.
 func writeSnapshotPayload(w *bufio.Writer, snap Snapshot) error {
 	idx := make(map[string]uint64)
 	var names []string
@@ -83,6 +89,9 @@ func writeSnapshotPayload(w *bufio.Writer, snap Snapshot) error {
 		}
 	}
 	rels := [][]core.Pair{snap.L, snap.E, snap.R}
+	if snap.Compiled != nil {
+		rels = [][]core.Pair{nil, nil, nil}
+	}
 	for _, rel := range rels {
 		for _, p := range rel {
 			intern(p.From)
@@ -116,7 +125,8 @@ func writeSnapshotPayload(w *bufio.Writer, snap Snapshot) error {
 	return w.Flush()
 }
 
-func decodeSnapshotPayload(data []byte) (*Snapshot, error) {
+// decodeSnapshotPayload decodes a payload of the given format version.
+func decodeSnapshotPayload(data []byte, version byte) (*Snapshot, error) {
 	r := payloadReader{data: data}
 	snap := &Snapshot{Gen: r.uvarint()}
 	nNames := r.uvarint()
@@ -154,6 +164,9 @@ func decodeSnapshotPayload(data []byte) (*Snapshot, error) {
 		if len(rest) == 0 {
 			return nil, fmt.Errorf("%w: snapshot artifact flag set but artifact missing", ErrCorrupt)
 		}
+		if version >= 2 && len(snap.L)+len(snap.E)+len(snap.R) > 0 {
+			return nil, fmt.Errorf("%w: snapshot holds both an artifact and facts", ErrCorrupt)
+		}
 		snap.compiledRaw = rest
 	} else if len(rest) != 0 {
 		return nil, fmt.Errorf("%w: %d trailing bytes in snapshot", ErrCorrupt, len(rest))
@@ -179,7 +192,7 @@ func writeSnapshotFile(dir string, snap Snapshot) error {
 		return err
 	}
 	var slot [12]byte // uint32 CRC | uint64 payload length
-	if _, err := f.Write(append(fileHeader(snapMagic), slot[:]...)); err != nil {
+	if _, err := f.Write(append(fileHeader(snapMagic, snapVersion), slot[:]...)); err != nil {
 		return fail(err)
 	}
 	crc := crc32.NewIEEE()
@@ -216,7 +229,8 @@ func loadSnapshotFile(path string) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := checkHeader(data, snapMagic, path); err != nil {
+	version, err := checkHeader(data, snapMagic, 1, snapVersion, path)
+	if err != nil {
 		return nil, err
 	}
 	body := data[headerLen:]
@@ -232,7 +246,7 @@ func loadSnapshotFile(path string) (*Snapshot, error) {
 	if crc32.ChecksumIEEE(payload) != crc {
 		return nil, fmt.Errorf("%w: %s: snapshot checksum mismatch", ErrCorrupt, path)
 	}
-	return decodeSnapshotPayload(payload)
+	return decodeSnapshotPayload(payload, version)
 }
 
 // loadNewestSnapshot finds the newest snapshot that validates,

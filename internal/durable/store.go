@@ -13,18 +13,22 @@ import (
 	"magiccounting/internal/obs"
 )
 
-// RecoveryInfo reports what Open reconstructed.
+// RecoveryInfo reports what Open reconstructed. The recovered database
+// is the snapshot's facts (see SnapshotFacts) followed by the replayed
+// WAL tail, and the two parts are kept apart: replay never copies the
+// snapshot's facts.
 type RecoveryInfo struct {
 	// Generation is the recovered database generation: the snapshot's,
 	// advanced by every replayed WAL record.
 	Generation uint64
-	// L, E, R are the recovered fact slices (snapshot facts plus
-	// replayed deltas, duplicate-free by the write-side contract).
+	// L, E, R are the facts the snapshot stores as pairs. They are
+	// empty when no snapshot was loaded, and when the snapshot stores
+	// its artifact alone, whose rows are then its facts.
 	L, E, R []core.Pair
-	// TailL, TailE, TailR are the replayed WAL tail: the suffixes of L,
-	// E and R past the snapshot's facts (sub-slices, not copies). The
-	// snapshot's artifact (see Artifact) extended by them compiles the
-	// recovered database.
+	// TailL, TailE, TailR are the replayed WAL tail in log order: the
+	// facts committed after the snapshot (duplicate-free by the
+	// write-side contract). The snapshot's artifact (see Artifact)
+	// extended by them compiles the recovered database.
 	TailL, TailE, TailR []core.Pair
 	// SnapshotLoaded and SnapshotGeneration describe the snapshot used.
 	SnapshotLoaded     bool
@@ -62,6 +66,22 @@ func (ri *RecoveryInfo) Artifact() (*core.Compiled, error) {
 	return ri.snap.Compiled, nil
 }
 
+// SnapshotFacts returns the loaded snapshot's facts: L, E and R when
+// the snapshot stores them as pairs, else the rows of its artifact,
+// decoded by Artifact and read back as fresh slices. All three are
+// empty when no snapshot was loaded. Not safe for concurrent use.
+func (ri *RecoveryInfo) SnapshotFacts() (l, e, r []core.Pair, err error) {
+	if len(ri.L)+len(ri.E)+len(ri.R) > 0 {
+		return ri.L, ri.E, ri.R, nil
+	}
+	c, err := ri.Artifact()
+	if err != nil || c == nil {
+		return nil, nil, nil, err
+	}
+	l, e, r = c.Facts()
+	return l, e, r, nil
+}
+
 // Store is an open durable directory: the active WAL for appends plus
 // the snapshot lifecycle. Obtain one from Open.
 type Store struct {
@@ -94,7 +114,7 @@ func scanSegment(path string) (recs []scannedRec, goodLen, total int64, err erro
 		// Crashed during segment creation: nothing durable here.
 		return nil, 0, total, nil
 	}
-	if err := checkHeader(data, walMagic, path); err != nil {
+	if _, err := checkHeader(data, walMagic, walVersion, walVersion, path); err != nil {
 		return nil, 0, 0, err
 	}
 	off := int64(headerLen)
@@ -174,9 +194,9 @@ func Open(dir string, opts Options, tr *obs.Trace) (*Store, *RecoveryInfo, error
 				cut, stop = sr.start, true
 				break
 			}
-			info.L = append(info.L, sr.rec.L...)
-			info.E = append(info.E, sr.rec.E...)
-			info.R = append(info.R, sr.rec.R...)
+			info.TailL = append(info.TailL, sr.rec.L...)
+			info.TailE = append(info.TailE, sr.rec.E...)
+			info.TailR = append(info.TailR, sr.rec.R...)
 			info.Generation = sr.rec.Gen
 			info.ReplayedRecords++
 		}
@@ -205,11 +225,6 @@ func Open(dir string, opts Options, tr *obs.Trace) (*Store, *RecoveryInfo, error
 	rs.Set("segments", int64(info.ReplayedSegments))
 	rs.Set("truncated_bytes", info.TruncatedBytes)
 	tr.End(rs, 0)
-	if snap != nil {
-		info.TailL = info.L[len(snap.L):]
-		info.TailE = info.E[len(snap.E):]
-		info.TailR = info.R[len(snap.R):]
-	}
 
 	w, err := openWAL(dir, opts, activeSeq, activeSize)
 	if err != nil {

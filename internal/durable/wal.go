@@ -71,29 +71,30 @@ func listSegments(dir string) ([]string, []uint64, error) {
 	return paths, seqs, nil
 }
 
-func fileHeader(magic [5]byte) []byte {
+func fileHeader(magic [5]byte, version byte) []byte {
 	h := make([]byte, headerLen)
 	copy(h, magic[:])
-	h[5] = formatVersion
+	h[5] = version
 	return h
 }
 
 // checkHeader validates a file's 8-byte header against the magic and
-// the format version.
-func checkHeader(data []byte, magic [5]byte, path string) error {
+// the format versions [oldest, newest] this binary reads, and returns
+// the file's version.
+func checkHeader(data []byte, magic [5]byte, oldest, newest byte, path string) (byte, error) {
 	if len(data) < headerLen {
-		return fmt.Errorf("%w: %s: short header (%d bytes)", ErrCorrupt, path, len(data))
+		return 0, fmt.Errorf("%w: %s: short header (%d bytes)", ErrCorrupt, path, len(data))
 	}
 	for i := range magic {
 		if data[i] != magic[i] {
-			return fmt.Errorf("%w: %s: bad magic", ErrCorrupt, path)
+			return 0, fmt.Errorf("%w: %s: bad magic", ErrCorrupt, path)
 		}
 	}
-	if data[5] != formatVersion {
-		return fmt.Errorf("%w: %s holds format version %d, this binary writes version %d",
-			ErrIncompatibleVersion, path, data[5], formatVersion)
+	if v := data[5]; v < oldest || v > newest {
+		return 0, fmt.Errorf("%w: %s holds format version %d, this binary reads versions %d to %d",
+			ErrIncompatibleVersion, path, v, oldest, newest)
 	}
-	return nil
+	return data[5], nil
 }
 
 // openWAL opens the active segment for appending (at size, past any
@@ -116,7 +117,7 @@ func openWAL(dir string, opts Options, seq uint64, size int64) (*wal, error) {
 				f.Close()
 				return nil, err
 			}
-			if _, err := f.WriteAt(fileHeader(walMagic), 0); err != nil {
+			if _, err := f.WriteAt(fileHeader(walMagic, walVersion), 0); err != nil {
 				f.Close()
 				return nil, err
 			}
@@ -155,7 +156,7 @@ func (w *wal) createSegmentLocked(seq uint64) error {
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(fileHeader(walMagic)); err != nil {
+	if _, err := f.Write(fileHeader(walMagic, walVersion)); err != nil {
 		f.Close()
 		return err
 	}

@@ -34,81 +34,96 @@ func (c Class) String() string {
 	}
 }
 
-// Classification holds the per-node analysis of a magic graph.
+// Classification holds the analysis of the part of a magic graph one
+// source reaches, by reached position: Reached lists the reached nodes
+// and every per-node field is indexed by a node's position in it, so
+// the whole result is sized by the reach, not by the graph.
 type Classification struct {
-	// Class[v] is the node's class relative to the source.
+	// Reached lists the nodes the source reaches in BFS discovery
+	// order, the source first.
+	Reached []int32
+	// Class[i] is Reached[i]'s class relative to the source (never
+	// Unreachable).
 	Class []Class
-	// FirstIndex[v] is the shortest walk length from the source
-	// (BFS distance), or -1 if unreachable.
+	// FirstIndex[i] is Reached[i]'s shortest walk length from the
+	// source (its BFS distance).
 	FirstIndex []int
-	// Indices[v] lists all walk lengths for single and multiple
-	// nodes, sorted ascending. For recurring nodes (infinite index
-	// sets) and unreachable nodes it is nil.
+	// Indices[i] lists all walk lengths of Reached[i] when it is single
+	// or multiple, sorted ascending; nil for a recurring node, whose
+	// index set is infinite.
 	Indices [][]int
 	// Regular reports whether every reachable node is single.
 	Regular bool
 	// HasRecurring reports whether any reachable node is recurring
 	// (the regime where the pure counting method is unsafe).
 	HasRecurring bool
+
+	pos NodeSet // Reached, with each node's position
 }
 
-// Classify determines the class of every node of an n-node graph
-// relative to src, reading the graph only through out — out(u) lists
-// u's successors, every id in [0, n) — so the caller's own adjacency
+// Pos returns v's position in Reached, or -1 when the source does not
+// reach v.
+func (c *Classification) Pos(v int32) int { return c.pos.Pos(v) }
+
+// ClassOf returns v's class: Unreachable when the source does not
+// reach it.
+func (c *Classification) ClassOf(v int32) Class {
+	if p := c.pos.Pos(v); p >= 0 {
+		return c.Class[p]
+	}
+	return Unreachable
+}
+
+// Positions returns the position table behind Reached and Pos, for a
+// caller that goes on numbering the reached nodes by position. The
+// table is shared: the caller must not add to it.
+func (c *Classification) Positions() *NodeSet { return &c.pos }
+
+// Classify determines the class of every node an n-node graph's node
+// src reaches, reading the graph only through out — out(u) lists u's
+// successors, every id in [0, n) — so the caller's own adjacency
 // storage is the graph and nothing is copied. This is the efficient
-// Step 1 the paper sketches at the end of §9, and its work is confined
-// to what src reaches: a BFS for the first indices, Tarjan's SCC
-// algorithm rooted at src for the cyclic nodes, the forward closure of
-// those for the recurring set, and a frontier-list level DP over the
-// non-recurring nodes for the exact index sets of single and multiple
-// nodes. Every step is linear in the reached nodes and arcs except the
-// DP, which scans a node's arcs once per index the node holds and so
-// exceeds that on the multiple region only. out is never called on an
-// unreached node. What remains O(n) is allocating (and, for
-// FirstIndex, filling) the three dense per-node result arrays and the
-// node-to-position table that lets all working state be sized by the
-// reached set. A src outside [0, n) reaches nothing.
+// Step 1 the paper sketches at the end of §9, and both its work and its
+// storage are confined to what src reaches: a BFS for the first indices
+// and the position table, Tarjan's SCC algorithm rooted at src for the
+// cyclic nodes, the forward closure of those for the recurring set, and
+// a frontier-list level DP over the non-recurring nodes for the exact
+// index sets of single and multiple nodes. Every step is linear in the
+// reached nodes and arcs except the DP, which scans a node's arcs once
+// per index the node holds and so exceeds that on the multiple region
+// only. out is never called on an unreached node, and no array is
+// sized by n. A src outside [0, n) reaches nothing.
 func Classify(n int, out func(int32) []int32, src int) *Classification {
-	c := &Classification{
-		Class:      make([]Class, n),
-		FirstIndex: make([]int, n),
-		Indices:    make([][]int, n),
-		Regular:    true,
-	}
-	for i := range c.FirstIndex {
-		c.FirstIndex[i] = -1
-	}
+	c := &Classification{Regular: true}
 	if src < 0 || src >= n {
 		return c
 	}
 
 	// BFS: first indices, and the reached nodes in discovery order.
-	// pos[v]-1 is v's position in reached; 0 marks an unreached node.
-	pos := make([]int32, n)
-	reached := []int32{int32(src)}
-	pos[src] = 1
-	c.FirstIndex[src] = 0
-	for head := 0; head < len(reached); head++ {
-		u := reached[head]
+	c.pos.Add(int32(src))
+	c.FirstIndex = append(c.FirstIndex, 0)
+	for head := 0; head < c.pos.Len(); head++ {
+		u := c.pos.Members()[head]
 		for _, v := range out(u) {
-			if pos[v] == 0 {
-				reached = append(reached, v)
-				pos[v] = int32(len(reached))
-				c.FirstIndex[v] = c.FirstIndex[u] + 1
+			if c.pos.Add(v) {
+				c.FirstIndex = append(c.FirstIndex, c.FirstIndex[head]+1)
 			}
 		}
 	}
+	c.Reached = c.pos.Members()
+	c.Class = make([]Class, len(c.Reached))
+	c.Indices = make([][]int, len(c.Reached))
 
 	// Cyclic nodes: members of a strongly connected component of size
 	// >= 2, or nodes with a self-loop. Recurring = downstream of one;
 	// Class doubles as the closure's visited mask.
 	var stack []int32
-	tarjan(out, reached, pos, func(comp []int32) {
+	tarjan(out, c.Reached, c.pos.Pos, func(comp []int32) {
 		if len(comp) == 1 && !rowHas(out(comp[0]), comp[0]) {
 			return
 		}
 		for _, v := range comp {
-			c.Class[v] = Recurring
+			c.Class[c.pos.Pos(v)] = Recurring
 		}
 		stack = append(stack, comp...)
 	})
@@ -117,8 +132,8 @@ func Classify(n int, out func(int32) []int32, src int) *Classification {
 		u := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		for _, v := range out(u) {
-			if c.Class[v] != Recurring {
-				c.Class[v] = Recurring
+			if p := c.pos.Pos(v); c.Class[p] != Recurring {
+				c.Class[p] = Recurring
 				stack = append(stack, v)
 			}
 		}
@@ -130,35 +145,37 @@ func Classify(n int, out func(int32) []int32, src int) *Classification {
 	// enumerates their full index sets. Those nodes induce an acyclic
 	// graph, so the frontier empties by itself; and since each node's
 	// indices arrive in ascending order, "already on this level's
-	// frontier" is "its last index is this level".
+	// frontier" is "its last index is this level". Frontiers hold
+	// positions.
 	var cur, nxt []int32
-	if c.Class[src] != Recurring {
-		cur = append(cur, int32(src))
-		c.Indices[src] = []int{0}
+	if c.Class[0] != Recurring {
+		cur = append(cur, 0)
+		c.Indices[0] = []int{0}
 	}
 	for level := 1; len(cur) > 0; level++ {
 		nxt = nxt[:0]
-		for _, u := range cur {
-			for _, v := range out(u) {
-				if c.Class[v] == Recurring {
+		for _, pu := range cur {
+			for _, v := range out(c.Reached[pu]) {
+				p := c.pos.Pos(v)
+				if c.Class[p] == Recurring {
 					continue
 				}
-				if idx := c.Indices[v]; len(idx) == 0 || idx[len(idx)-1] != level {
-					c.Indices[v] = append(idx, level)
-					nxt = append(nxt, v)
+				if idx := c.Indices[p]; len(idx) == 0 || idx[len(idx)-1] != level {
+					c.Indices[p] = append(idx, level)
+					nxt = append(nxt, int32(p))
 				}
 			}
 		}
 		cur, nxt = nxt, cur
 	}
 	c.Regular = !c.HasRecurring
-	for _, v := range reached {
+	for p := range c.Reached {
 		switch {
-		case c.Class[v] == Recurring:
-		case len(c.Indices[v]) == 1:
-			c.Class[v] = Single
+		case c.Class[p] == Recurring:
+		case len(c.Indices[p]) == 1:
+			c.Class[p] = Single
 		default:
-			c.Class[v] = Multiple
+			c.Class[p] = Multiple
 			c.Regular = false
 		}
 	}

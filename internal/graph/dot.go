@@ -12,10 +12,10 @@ type DOTOptions struct {
 	Name string
 	// Label returns a node's display label; nil uses the node id.
 	Label func(v int) string
-	// Classes optionally colors nodes by their magic-graph class
+	// Class optionally colors nodes by their magic-graph class
 	// (single = green, multiple = orange, recurring = red,
-	// unreachable = gray).
-	Classes []Class
+	// unreachable = gray); Classification.ClassOf fits.
+	Class func(v int32) Class
 }
 
 // WriteDOT renders the graph in Graphviz DOT syntax, deterministically
@@ -34,9 +34,9 @@ func (g *Digraph) WriteDOT(w io.Writer, opts DOTOptions) error {
 	}
 	for v := 0; v < g.N(); v++ {
 		attrs := ""
-		if opts.Classes != nil && v < len(opts.Classes) {
-			attrs = fmt.Sprintf(" [style=filled, fillcolor=%q, tooltip=%q]",
-				classColor(opts.Classes[v]), opts.Classes[v].String())
+		if opts.Class != nil {
+			c := opts.Class(int32(v))
+			attrs = fmt.Sprintf(" [style=filled, fillcolor=%q, tooltip=%q]", classColor(c), c.String())
 		}
 		if _, err := fmt.Fprintf(w, "  %q%s;\n", label(v), attrs); err != nil {
 			return err

@@ -26,9 +26,9 @@ func TestWriteDOTWithClassesAndLabels(t *testing.T) {
 	names := []string{"a", "b", "c", "d"}
 	var buf bytes.Buffer
 	err := g.WriteDOT(&buf, DOTOptions{
-		Name:    "magic",
-		Label:   func(v int) string { return names[v] },
-		Classes: cls.Class,
+		Name:  "magic",
+		Label: func(v int) string { return names[v] },
+		Class: cls.ClassOf,
 	})
 	if err != nil {
 		t.Fatal(err)

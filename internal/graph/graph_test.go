@@ -212,15 +212,24 @@ func TestSCCMatchesReachabilityOracle(t *testing.T) {
 	}
 }
 
+// indicesOf returns v's index set: nil when the source does not reach
+// v or v is recurring.
+func indicesOf(c *Classification, v int32) []int {
+	if p := c.Pos(v); p >= 0 {
+		return c.Indices[p]
+	}
+	return nil
+}
+
 func TestClassifyChainAllSingle(t *testing.T) {
 	g := buildGraph(4, [][2]int{{0, 1}, {1, 2}, {2, 3}})
 	c := g.Classify(0)
 	for v := 0; v < 4; v++ {
-		if c.Class[v] != Single {
-			t.Fatalf("node %d class = %v, want single", v, c.Class[v])
+		if c.ClassOf(int32(v)) != Single {
+			t.Fatalf("node %d class = %v, want single", v, c.ClassOf(int32(v)))
 		}
-		if len(c.Indices[v]) != 1 || c.Indices[v][0] != v {
-			t.Fatalf("node %d indices = %v", v, c.Indices[v])
+		if len(indicesOf(c, int32(v))) != 1 || indicesOf(c, int32(v))[0] != v {
+			t.Fatalf("node %d indices = %v", v, indicesOf(c, int32(v)))
 		}
 	}
 	if !c.Regular || c.HasRecurring {
@@ -232,8 +241,8 @@ func TestClassifyDiamondIsRegular(t *testing.T) {
 	// Two paths of equal length: still single.
 	g := buildGraph(4, [][2]int{{0, 1}, {0, 2}, {1, 3}, {2, 3}})
 	c := g.Classify(0)
-	if c.Class[3] != Single || !c.Regular {
-		t.Fatalf("diamond sink class = %v, regular = %v", c.Class[3], c.Regular)
+	if c.ClassOf(3) != Single || !c.Regular {
+		t.Fatalf("diamond sink class = %v, regular = %v", c.ClassOf(3), c.Regular)
 	}
 }
 
@@ -241,10 +250,10 @@ func TestClassifyShortcutMakesMultiple(t *testing.T) {
 	// 0->1->2 plus 0->2: node 2 has distances {1,2}.
 	g := buildGraph(3, [][2]int{{0, 1}, {1, 2}, {0, 2}})
 	c := g.Classify(0)
-	if c.Class[2] != Multiple {
-		t.Fatalf("class(2) = %v, want multiple", c.Class[2])
+	if c.ClassOf(2) != Multiple {
+		t.Fatalf("class(2) = %v, want multiple", c.ClassOf(2))
 	}
-	if got := c.Indices[2]; len(got) != 2 || got[0] != 1 || got[1] != 2 {
+	if got := indicesOf(c, 2); len(got) != 2 || got[0] != 1 || got[1] != 2 {
 		t.Fatalf("indices(2) = %v, want [1 2]", got)
 	}
 	if c.Regular {
@@ -260,12 +269,12 @@ func TestClassifyCycleMakesRecurring(t *testing.T) {
 	g := buildGraph(4, [][2]int{{0, 1}, {1, 2}, {2, 1}, {2, 3}})
 	c := g.Classify(0)
 	for _, v := range []int{1, 2, 3} {
-		if c.Class[v] != Recurring {
-			t.Fatalf("class(%d) = %v, want recurring", v, c.Class[v])
+		if c.ClassOf(int32(v)) != Recurring {
+			t.Fatalf("class(%d) = %v, want recurring", v, c.ClassOf(int32(v)))
 		}
 	}
-	if c.Class[0] != Single {
-		t.Fatalf("class(0) = %v, want single (upstream of cycle)", c.Class[0])
+	if c.ClassOf(0) != Single {
+		t.Fatalf("class(0) = %v, want single (upstream of cycle)", c.ClassOf(0))
 	}
 	if !c.HasRecurring || c.Regular {
 		t.Fatal("flags wrong")
@@ -275,11 +284,11 @@ func TestClassifyCycleMakesRecurring(t *testing.T) {
 func TestClassifyUnreachable(t *testing.T) {
 	g := buildGraph(3, [][2]int{{1, 2}})
 	c := g.Classify(0)
-	if c.Class[1] != Unreachable || c.Class[2] != Unreachable {
+	if c.ClassOf(1) != Unreachable || c.ClassOf(2) != Unreachable {
 		t.Fatal("disconnected nodes should be unreachable")
 	}
-	if c.FirstIndex[1] != -1 {
-		t.Fatal("FirstIndex of unreachable should be -1")
+	if c.Pos(1) != -1 || c.Pos(2) != -1 || len(c.Reached) != 1 {
+		t.Fatal("unreachable nodes should hold no position")
 	}
 	if !c.Regular {
 		t.Fatal("unreachable nodes must not break regularity")
@@ -289,7 +298,7 @@ func TestClassifyUnreachable(t *testing.T) {
 func TestClassifySourceOnCycle(t *testing.T) {
 	g := buildGraph(2, [][2]int{{0, 0}, {0, 1}})
 	c := g.Classify(0)
-	if c.Class[0] != Recurring || c.Class[1] != Recurring {
+	if c.ClassOf(0) != Recurring || c.ClassOf(1) != Recurring {
 		t.Fatalf("self-loop source: %v", c.Class)
 	}
 }
@@ -328,9 +337,13 @@ func checkConfined(t *testing.T, g *Digraph, k int) bool {
 		}
 		return g.out[u]
 	}, 0)
+	if len(c.Reached) > k || len(c.Class) != len(c.Reached) || len(c.FirstIndex) != len(c.Reached) || len(c.Indices) != len(c.Reached) {
+		t.Logf("%d reached of %d reachable, result arrays %d/%d/%d", len(c.Reached), k, len(c.Class), len(c.FirstIndex), len(c.Indices))
+		return false
+	}
 	for v := k; v < g.N(); v++ {
-		if c.Class[v] != Unreachable || c.Indices[v] != nil || c.FirstIndex[v] != -1 {
-			t.Logf("unreached node %d: class %v, indices %v, first index %d", v, c.Class[v], c.Indices[v], c.FirstIndex[v])
+		if c.Pos(int32(v)) != -1 {
+			t.Logf("unreached node %d holds position %d", v, c.Pos(int32(v)))
 			return false
 		}
 	}
@@ -345,8 +358,8 @@ func checkConfined(t *testing.T, g *Digraph, k int) bool {
 		return false
 	}
 	for v := 0; v < k; v++ {
-		if c.Class[v] != want.Class[v] {
-			t.Logf("node %d: class %v, reached part alone %v", v, c.Class[v], want.Class[v])
+		if c.ClassOf(int32(v)) != want.ClassOf(int32(v)) {
+			t.Logf("node %d: class %v, reached part alone %v", v, c.ClassOf(int32(v)), want.ClassOf(int32(v)))
 			return false
 		}
 	}
@@ -358,7 +371,7 @@ func TestClassifyMatchesOracleProperty(t *testing.T) {
 		fast := g.Classify(0)
 		slow := g.ClassifyOracle(0)
 		for v := 0; v < g.N(); v++ {
-			if fast.Class[v] != slow[v] {
+			if fast.ClassOf(int32(v)) != slow[v] {
 				return false
 			}
 		}
@@ -385,17 +398,17 @@ func TestClassifyIndicesMatchWalkSetsProperty(t *testing.T) {
 		c := g.Classify(0)
 		walks := g.WalkLengthSets(0, g.N()-1)
 		for v := 0; v < g.N(); v++ {
-			if v >= reached && c.Indices[v] != nil {
+			if v >= reached && indicesOf(c, int32(v)) != nil {
 				return false
 			}
-			if c.Class[v] != Single && c.Class[v] != Multiple {
+			if c.ClassOf(int32(v)) != Single && c.ClassOf(int32(v)) != Multiple {
 				continue
 			}
-			if len(c.Indices[v]) != len(walks[v]) {
+			if len(indicesOf(c, int32(v))) != len(walks[v]) {
 				return false
 			}
 			for i := range walks[v] {
-				if c.Indices[v][i] != walks[v][i] {
+				if indicesOf(c, int32(v))[i] != walks[v][i] {
 					return false
 				}
 			}

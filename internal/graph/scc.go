@@ -20,11 +20,11 @@ func (g *Digraph) SCC() *SCCResult {
 	n := g.N()
 	res := &SCCResult{Comp: make([]int, n)}
 	nodes := make([]int32, n)
-	pos := make([]int32, n)
 	for i := range nodes {
-		nodes[i], pos[i] = int32(i), int32(i+1)
+		nodes[i] = int32(i)
 	}
-	tarjan(func(u int32) []int32 { return g.out[u] }, nodes, pos, func(comp []int32) {
+	id := func(v int32) int { return int(v) }
+	tarjan(func(u int32) []int32 { return g.out[u] }, nodes, id, func(comp []int32) {
 		for _, w := range comp {
 			res.Comp[w] = res.NumComps
 		}
@@ -39,11 +39,11 @@ func (g *Digraph) SCC() *SCCResult {
 // visited and hands emit every strongly connected component as it
 // completes — reverse topological order of the condensation, the
 // component's DFS root first; emit must not keep the slice. All state is
-// indexed by pos[v]-1, which must number the roots and everything they
+// indexed by pos(v), which must number the roots and everything they
 // reach within [0, len(roots)): a caller that holds the set reached
 // from one node passes it as roots (only the first starts a search) and
-// pays for that set, not for the graph.
-func tarjan(out func(int32) []int32, roots, pos []int32, emit func(comp []int32)) {
+// its position table as pos, and pays for that set, not for the graph.
+func tarjan(out func(int32) []int32, roots []int32, pos func(int32) int, emit func(comp []int32)) {
 	index := make([]int32, len(roots)) // discovery order, 0 = unvisited
 	low := make([]int32, len(roots))
 	onStack := make([]bool, len(roots))
@@ -55,24 +55,24 @@ func tarjan(out func(int32) []int32, roots, pos []int32, emit func(comp []int32)
 	}
 	var dfs []frame
 	visit := func(v int32) {
-		p := pos[v] - 1
+		p := pos(v)
 		index[p], low[p], onStack[p] = next, next, true
 		next++
 		stack = append(stack, v)
 		dfs = append(dfs, frame{v: v, rest: out(v)})
 	}
 	for _, root := range roots {
-		if index[pos[root]-1] != 0 {
+		if index[pos(root)] != 0 {
 			continue
 		}
 		visit(root)
 		for len(dfs) > 0 {
 			f := &dfs[len(dfs)-1]
-			v, pv := f.v, pos[f.v]-1
+			v, pv := f.v, pos(f.v)
 			if len(f.rest) > 0 {
 				w := f.rest[0]
 				f.rest = f.rest[1:]
-				if pw := pos[w] - 1; index[pw] == 0 {
+				if pw := pos(w); index[pw] == 0 {
 					visit(w)
 				} else if onStack[pw] && low[pv] > index[pw] {
 					low[pv] = index[pw]
@@ -86,14 +86,14 @@ func tarjan(out func(int32) []int32, roots, pos []int32, emit func(comp []int32)
 					top--
 				}
 				for _, w := range stack[top:] {
-					onStack[pos[w]-1] = false
+					onStack[pos(w)] = false
 				}
 				emit(stack[top:])
 				stack = stack[:top]
 			}
 			dfs = dfs[:len(dfs)-1]
 			if len(dfs) > 0 {
-				pp := pos[dfs[len(dfs)-1].v] - 1
+				pp := pos(dfs[len(dfs)-1].v)
 				if low[pp] > low[pv] {
 					low[pp] = low[pv]
 				}

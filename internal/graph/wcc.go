@@ -5,9 +5,9 @@ package graph
 // region of the symbol graph containing a (Fact 2's walks follow arcs
 // of L, E, and R, all of which stay inside one weak component), so
 // partitioning a database along weak components is answer-preserving
-// by construction. UnionFind is exported because core builds the
-// component structure over symbol ids while interning, before any
-// Digraph exists.
+// by construction. Core finds the components with a UnionFind over
+// the interned symbol ids, joining each fact's endpoints; no Digraph
+// of the symbol graph is ever built.
 
 // UnionFind is a disjoint-set forest over elements 0..n-1 with union
 // by size and path halving, the classic near-constant-amortized
@@ -58,44 +58,21 @@ func (u *UnionFind) Union(x, y int) bool {
 // Sets reports the number of disjoint sets remaining.
 func (u *UnionFind) Sets() int { return u.comps }
 
-// WCCResult is the weakly-connected-component decomposition of a
-// digraph, shaped like SCCResult: Comp maps each node to its
-// component, components are numbered 0..NumComps-1 in order of their
-// smallest node (so the numbering is deterministic), and Size counts
-// each component's nodes.
-type WCCResult struct {
-	Comp     []int
-	Size     []int
-	NumComps int
-}
-
-// WeaklyConnectedComponents decomposes the graph into its weakly
-// connected components: maximal node sets connected when every arc is
-// read as undirected. Runs in near-linear time via union-find over
-// the arc set. Isolated nodes form singleton components.
-func (g *Digraph) WeaklyConnectedComponents() WCCResult {
-	n := g.N()
-	u := NewUnionFind(n)
-	for v := 0; v < n; v++ {
-		for _, w := range g.out[v] {
-			u.Union(v, int(w))
+// Components numbers the sets 0..Sets()-1 in order of their smallest
+// element — deterministic in the element numbering, whatever order the
+// unions came in — and returns each element's set number with the set
+// count.
+func (u *UnionFind) Components() ([]int32, int) {
+	comp := make([]int32, len(u.parent))
+	num := make([]int32, len(u.parent)) // a root's set number plus one
+	n := int32(0)
+	for x := range comp {
+		r := u.Find(x)
+		if num[r] == 0 {
+			n++
+			num[r] = n
 		}
+		comp[x] = num[r] - 1
 	}
-	res := WCCResult{Comp: make([]int, n)}
-	// Number components by smallest contained node: one ascending scan
-	// assigns a fresh id the first time each root is seen.
-	rootID := make(map[int]int, u.Sets())
-	for v := 0; v < n; v++ {
-		r := u.Find(v)
-		id, ok := rootID[r]
-		if !ok {
-			id = res.NumComps
-			rootID[r] = id
-			res.Size = append(res.Size, 0)
-			res.NumComps++
-		}
-		res.Comp[v] = id
-		res.Size[id]++
-	}
-	return res
+	return comp, int(n)
 }

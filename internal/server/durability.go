@@ -44,16 +44,16 @@ func (s *Service) Open(dir string) (*durable.RecoveryInfo, error) {
 	// the one-shard form. Adopted, it makes recovery skip the compile:
 	// the WAL tail is applied to it with one sharded Extend, exactly as
 	// the appends that wrote the tail were. Otherwise — several shards,
-	// no artifact, or a tail past DeltaMaxFrac, which that Extend would
-	// rebuild cold anyway — the artifact is compiled here, once, from
-	// the recovered facts, and the snapshot's is never decoded. An empty
+	// no artifact, or a tail past DeltaMaxFrac of the artifact's facts,
+	// which that Extend would rebuild cold anyway — the artifact is
+	// compiled here, once, from the snapshot's facts (read back from
+	// its artifact when that is all it stores) and the tail. An empty
 	// directory recovers nothing, and New's empty artifact stands.
 	art := s.current()
 	if info.Generation > 0 {
 		var snapArt *core.Compiled
 		tail := len(info.TailL) + len(info.TailE) + len(info.TailR)
-		fits := tail == 0 || s.cfg.DeltaMaxFrac > 0 && float64(tail) <= s.cfg.DeltaMaxFrac*float64(len(info.L)+len(info.E)+len(info.R))
-		if s.cfg.Shards <= 1 && info.SnapshotLoaded && fits {
+		if s.cfg.Shards <= 1 && info.SnapshotLoaded {
 			da := tr.Start("decode-artifact", 0)
 			snapArt, err = info.Artifact()
 			tr.End(da, 0)
@@ -63,10 +63,22 @@ func (s *Service) Open(dir string) (*durable.RecoveryInfo, error) {
 			}
 		}
 		if snapArt != nil {
+			l, e, r := snapArt.Arcs()
+			if tail > 0 && (s.cfg.DeltaMaxFrac <= 0 || float64(tail) > s.cfg.DeltaMaxFrac*float64(l+e+r+tail)) {
+				snapArt = nil
+			}
+		}
+		if snapArt != nil {
 			art = s.adoptSnapshot(snapArt, info, tr)
 		} else {
 			cs := tr.Start("compile", 0)
-			art = core.CompileSharded(info.L, info.E, info.R, core.ShardOpts{Shards: s.cfg.Shards})
+			l, e, r, err := info.SnapshotFacts()
+			if err != nil {
+				st.Close()
+				return nil, err
+			}
+			l, e, r = append(l[:len(l):len(l)], info.TailL...), append(e[:len(e):len(e)], info.TailE...), append(r[:len(r):len(r)], info.TailR...)
+			art = core.CompileSharded(l, e, r, core.ShardOpts{Shards: s.cfg.Shards})
 			cs.Set("shards", int64(art.NumShards()))
 			tr.End(cs, 0)
 			s.compiles.Add(1)
@@ -89,8 +101,7 @@ func (s *Service) Open(dir string) (*durable.RecoveryInfo, error) {
 // the Extend rebuilt).
 func (s *Service) adoptSnapshot(snapArt *core.Compiled, info *durable.RecoveryInfo, tr *obs.Trace) *core.ShardedCompiled {
 	tl, te, trr := info.TailL, info.TailE, info.TailR
-	sl, se, sr := len(info.L)-len(tl), len(info.E)-len(te), len(info.R)-len(trr)
-	art := core.SingleShard(snapArt, info.L[:sl:sl], info.E[:se:se], info.R[:sr:sr])
+	art := core.SingleShard(snapArt)
 	if len(tl)+len(te)+len(trr) == 0 {
 		return art
 	}
@@ -137,17 +148,19 @@ func (s *Service) Checkpoint() error {
 		return err
 	}
 	art := s.current()
-	l, e, r := art.Facts()
 	// The snapshot format carries one Compiled over the whole database:
-	// a one-shard artifact is exactly that and is snapshotted too, so
-	// recovery starts warm; several shards snapshot their facts only
-	// and recompile them at recovery.
-	var comp *core.Compiled
+	// a one-shard artifact is exactly that and is snapshotted alone, its
+	// rows being the facts, so recovery starts warm; several shards
+	// snapshot their facts, read back from their rows, and recompile
+	// them at recovery.
+	snap := durable.Snapshot{Gen: art.Generation}
 	if art.NumShards() == 1 {
-		comp = art.ShardArtifact(0)
+		snap.Compiled = art.ShardArtifact(0)
+	} else {
+		snap.L, snap.E, snap.R = art.Facts()
 	}
 	start := time.Now()
-	err = s.dur.WriteSnapshot(durable.Snapshot{Gen: art.Generation, L: l, E: e, R: r, Compiled: comp}, floor)
+	err = s.dur.WriteSnapshot(snap, floor)
 	s.snapHist.observe(time.Since(start).Seconds())
 	if err != nil {
 		return fmt.Errorf("server: snapshot: %w", err)

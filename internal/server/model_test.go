@@ -148,13 +148,13 @@ func TestServiceModel(t *testing.T) {
 					}
 					// One shard adopts the snapshot's artifact and extends it by
 					// the tail: one delta compile, no cold one, and the result
-					// compiles exactly the recovered facts.
+					// compiles exactly the facts acknowledged before the crash.
 					if shards <= 1 {
 						s := svc.Stats()
 						if s.Compiles != 1 || s.DeltaCompile.DeltaCompiles != 1 || svc.RecoverySpan().Find("delta-compile") == nil || svc.RecoverySpan().Find("compile") != nil {
 							t.Fatalf("%s: recovery did not extend the snapshot artifact by the tail: %d compiles, %+v", st.name, s.Compiles, s.DeltaCompile)
 						}
-						if err := svc.current().ShardArtifact(0).StructuralEqual(core.Compile(info.L, info.E, info.R)); err != nil {
+						if err := svc.current().ShardArtifact(0).StructuralEqual(core.Compile(m.l, m.e, m.r)); err != nil {
 							t.Fatalf("%s: recovered artifact: %v", st.name, err)
 						}
 					}

@@ -1054,8 +1054,7 @@ type DeltaCompileStats struct {
 
 // MemoryStats is the memory block of Stats.
 type MemoryStats struct {
-	// CompiledBytes is the live artifact's ResidentBytes estimate, fact
-	// ropes included.
+	// CompiledBytes is the live artifact's ResidentBytes estimate.
 	CompiledBytes int64 `json:"compiled_bytes"`
 	// HeapInuseBytes is the runtime's heap-in-use watermark (spans
 	// holding live objects, scraped from runtime/metrics) — the field
