@@ -120,12 +120,6 @@ func runShardmixProbe(shards, base, appends, rounds int, out io.Writer) (*shardm
 		res.AppendedFacts += len(d.dL) + len(d.dE) + len(d.dR)
 	}
 
-	// The per-shard delta gate: generous enough that a single-link
-	// delta always extends, so the timed loop measures the delta path
-	// (the bridging merge still cold-rebuilds its merged shard, as the
-	// serving policy would).
-	const maxFrac = 0.5
-
 	var mono *core.Compiled
 	var sc *core.ShardedCompiled
 	monoBest, shBest := time.Duration(1<<62), time.Duration(1<<62)
@@ -150,7 +144,7 @@ func runShardmixProbe(shards, base, appends, rounds int, out io.Writer) (*shardm
 		for _, d := range steps {
 			start := time.Now()
 			var st core.ShardExtendStats
-			sc, st = sc.Extend(d.dL, d.dE, d.dR, maxFrac)
+			sc, st = sc.Extend(d.dL, d.dE, d.dR, 0)
 			shTime += time.Since(start)
 			merges += st.Merges
 		}

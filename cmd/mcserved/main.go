@@ -2,10 +2,10 @@
 // long-lived database of L/E/R facts, a bounded solver worker pool,
 // a compiled query graph that is always current — appends roll it
 // forward, queries only read it — and a per-(source, strategy, mode)
-// result cache invalidated by fact appends. Small appends roll the
-// compiled graph forward with a delta patch instead of a rebuild (see
-// -delta-max-frac), so append-heavy mixed traffic keeps its amortized
-// compile cost near zero.
+// result cache invalidated by fact appends. Every append rolls the
+// compiled graph forward with a delta patch instead of a rebuild, so
+// append-heavy mixed traffic keeps its amortized compile cost near
+// zero.
 //
 // Usage:
 //
@@ -13,7 +13,6 @@
 //	mcserved -data-dir ./data      # restart-safe: WAL + snapshots + recovery
 //	mcserved -data-dir ./data -fsync interval -snapshot-every 10000
 //	mcserved -addr :9000 -workers 8 -timeout 5s
-//	mcserved -delta-max-frac 0.5   # delta-compile appends up to half the database
 //	mcserved -shards 8             # eight region shards: route queries and scope appends per shard
 //	mcserved -debug-addr :6060     # also serve net/http/pprof there
 //	mcserved -quiet                # no per-request log lines
@@ -140,15 +139,20 @@ func requestLog(h http.Handler, log *slog.Logger) http.Handler {
 }
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout, nil); err != nil {
+	stop := make(chan os.Signal, 1)
+	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
+	if err := run(os.Args[1:], os.Stdout, nil, stop); err != nil {
 		fmt.Fprintln(os.Stderr, "mcserved:", err)
 		os.Exit(1)
 	}
 }
 
-// run starts the server and blocks until a shutdown signal (or until
-// ready is closed after being sent the bound address, in tests).
-func run(args []string, stdout io.Writer, ready chan<- net.Addr) error {
+// run starts the server and blocks until a signal arrives on stop,
+// then shuts down. ready, when non-nil, is sent the bound address once
+// the listener is up. main passes the process's SIGINT/SIGTERM channel;
+// in-process tests pass channels of their own, so a signal meant for
+// one server never reaches another.
+func run(args []string, stdout io.Writer, ready chan<- net.Addr, stop <-chan os.Signal) error {
 	fs := flag.NewFlagSet("mcserved", flag.ContinueOnError)
 	addr := fs.String("addr", ":8377", "listen address")
 	workers := fs.Int("workers", 0, "solver worker-pool size (0 = GOMAXPROCS)")
@@ -160,7 +164,6 @@ func run(args []string, stdout io.Writer, ready chan<- net.Addr) error {
 	fsyncMode := fs.String("fsync", "always", "WAL fsync policy with -data-dir: always, interval, or never")
 	fsyncInterval := fs.Duration("fsync-interval", 100*time.Millisecond, "background sync period under -fsync interval")
 	snapshotEvery := fs.Int("snapshot-every", 50_000, "snapshot once this many facts have been appended since the last one (0 = only on shutdown)")
-	deltaMaxFrac := fs.Float64("delta-max-frac", 0.25, "delta-compile appends up to this fraction of the shard they land in; larger appends rebuild that shard inside the append (negative: every append rebuilds)")
 	shards := fs.Int("shards", 1, "number of region shards the compiled artifact is partitioned into: queries route to one shard, appends roll only touched shards (<=1 = one shard)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -177,7 +180,6 @@ func run(args []string, stdout io.Writer, ready chan<- net.Addr) error {
 		Fsync:          fsync,
 		FsyncInterval:  *fsyncInterval,
 		SnapshotEvery:  *snapshotEvery,
-		DeltaMaxFrac:   *deltaMaxFrac,
 		Shards:         *shards,
 	})
 	if *dataDir != "" {
@@ -229,10 +231,6 @@ func run(args []string, stdout io.Writer, ready chan<- net.Addr) error {
 	if ready != nil {
 		ready <- ln.Addr()
 	}
-
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(stop)
 
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"os"
 	"strings"
 	"syscall"
 	"testing"
@@ -14,12 +15,13 @@ import (
 
 // TestServeAndShutdown boots the server on an ephemeral port, drives
 // one facts-load/query round trip over real HTTP, and shuts it down
-// with SIGTERM.
+// with SIGTERM sent on its own signal channel.
 func TestServeAndShutdown(t *testing.T) {
 	var out bytes.Buffer
 	ready := make(chan net.Addr, 1)
 	done := make(chan error, 1)
-	go func() { done <- run([]string{"-addr", "127.0.0.1:0", "-workers", "2"}, &out, ready) }()
+	stop := make(chan os.Signal, 1)
+	go func() { done <- run([]string{"-addr", "127.0.0.1:0", "-workers", "2"}, &out, ready, stop) }()
 	var addr net.Addr
 	select {
 	case addr = <-ready:
@@ -60,9 +62,7 @@ func TestServeAndShutdown(t *testing.T) {
 		t.Fatal("no X-Request-Id header on the query response")
 	}
 
-	if err := syscall.Kill(syscall.Getpid(), syscall.SIGTERM); err != nil {
-		t.Fatal(err)
-	}
+	stop <- syscall.SIGTERM
 	select {
 	case err := <-done:
 		if err != nil {
@@ -89,7 +89,8 @@ func TestQuietSuppressesRequestLog(t *testing.T) {
 	var out bytes.Buffer
 	ready := make(chan net.Addr, 1)
 	done := make(chan error, 1)
-	go func() { done <- run([]string{"-addr", "127.0.0.1:0", "-quiet"}, &out, ready) }()
+	stop := make(chan os.Signal, 1)
+	go func() { done <- run([]string{"-addr", "127.0.0.1:0", "-quiet"}, &out, ready, stop) }()
 	var addr net.Addr
 	select {
 	case addr = <-ready:
@@ -107,9 +108,7 @@ func TestQuietSuppressesRequestLog(t *testing.T) {
 	if id := resp.Header.Get("X-Request-Id"); id != "" {
 		t.Fatalf("quiet server still sets X-Request-Id %q", id)
 	}
-	if err := syscall.Kill(syscall.Getpid(), syscall.SIGTERM); err != nil {
-		t.Fatal(err)
-	}
+	stop <- syscall.SIGTERM
 	select {
 	case err := <-done:
 		if err != nil {
@@ -124,7 +123,7 @@ func TestQuietSuppressesRequestLog(t *testing.T) {
 }
 
 func TestBadFlags(t *testing.T) {
-	if err := run([]string{"-bogus"}, &bytes.Buffer{}, nil); err == nil {
+	if err := run([]string{"-bogus"}, &bytes.Buffer{}, nil, nil); err == nil {
 		t.Fatal("expected flag error")
 	}
 }
@@ -135,8 +134,9 @@ func TestDebugAddrServesPprof(t *testing.T) {
 	var out bytes.Buffer
 	ready := make(chan net.Addr, 1)
 	done := make(chan error, 1)
+	stop := make(chan os.Signal, 1)
 	go func() {
-		done <- run([]string{"-addr", "127.0.0.1:0", "-debug-addr", "127.0.0.1:0"}, &out, ready)
+		done <- run([]string{"-addr", "127.0.0.1:0", "-debug-addr", "127.0.0.1:0"}, &out, ready, stop)
 	}()
 	var addr net.Addr
 	select {
@@ -172,9 +172,7 @@ func TestDebugAddrServesPprof(t *testing.T) {
 		t.Fatal("service listener should not serve pprof")
 	}
 
-	if err := syscall.Kill(syscall.Getpid(), syscall.SIGTERM); err != nil {
-		t.Fatal(err)
-	}
+	stop <- syscall.SIGTERM
 	select {
 	case err := <-done:
 		if err != nil {

@@ -1,7 +1,7 @@
 // Command mcsoak soaks a live mcserved: it replays a seeded,
 // deterministic workload mix — singleton queries (auto and explicit
-// methods, trace-sampled), batch queries, fact appends sized to land
-// on both the delta-compile and fallback paths, stats scrapes, and
+// methods, trace-sampled), batch queries, small and bulk fact appends
+// (each one delta compile on the server), stats scrapes, and
 // intentional bad-request probes — at a controlled target rate for a
 // fixed duration, then holds the run to a declarative SLO.
 //
@@ -72,7 +72,7 @@ func run(args []string, stdout io.Writer) error {
 	traceFrac := fs.Float64("trace-frac", 0.05, "fraction of singleton queries requesting a trace")
 	baseLayers := fs.Int("base-layers", 6, "seeded base DAG layers")
 	baseWidth := fs.Int("base-width", 8, "seeded base DAG width")
-	bulkEvery := fs.Int("bulk-every", 10, "every Nth append is bulk (overshoots the delta threshold); 0 disables")
+	bulkEvery := fs.Int("bulk-every", 10, "every Nth append is bulk (adds over a quarter of the database); 0 disables")
 	maxFacts := fs.Int("max-facts", 10000, "soft cap on database growth")
 	allowDirty := fs.Bool("allow-dirty", false, "accept a non-empty server; disables oracle verification and ledger cross-checks")
 	childBin := fs.String("child-bin", "", "mcserved binary to spawn and own (required for -kill-every; overrides -addr)")

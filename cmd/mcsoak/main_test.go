@@ -84,17 +84,16 @@ func TestSoakInProcess(t *testing.T) {
 		t.Errorf("bad probes got non-400 statuses: %+v", bad)
 	}
 
-	// The append mix hit both compile paths and the fallback, and the
-	// drained server reads idle.
+	// Every append, small or bulk, was one delta compile: the soak
+	// sent at least -bulk-every (10) appends, so at least one bulk
+	// one, every generation is one delta compile, and nothing
+	// compiled cold. The drained server reads idle.
 	st := svc.Stats()
-	if st.DeltaCompile.DeltaCompiles == 0 {
-		t.Error("no delta compiles: small appends never extended the artifact")
+	if cs := rep.Classes["append"]; cs == nil || cs.Count < 10 {
+		t.Errorf("appends %+v: too few for a bulk one", cs)
 	}
-	if st.DeltaCompile.FullCompiles == 0 {
-		t.Error("no full compiles")
-	}
-	if st.DeltaCompile.Fallbacks == 0 {
-		t.Error("no delta fallbacks: bulk appends never overshot the threshold")
+	if dc := st.DeltaCompile; dc.DeltaCompiles == 0 || dc.DeltaCompiles != int64(st.Generation) || dc.FullCompiles != 0 || st.Compiles != dc.DeltaCompiles {
+		t.Errorf("generation %d, compiles %d, %+v: want one delta compile per append and no full one", st.Generation, st.Compiles, dc)
 	}
 	if st.InFlight != 0 {
 		t.Errorf("InFlight = %d after drain, want 0", st.InFlight)

@@ -64,6 +64,30 @@ func TestExtendCostIsDelta(t *testing.T) {
 	}
 }
 
+// TestBulkExtendCostsLessThanCompile pins what lets every append
+// extend, however large: on about 100k facts, one Extend adding the
+// last quarter or the last half of every relation allocates less than
+// a cold Compile of the whole database, and compiles the same one.
+func TestBulkExtendCostsLessThanCompile(t *testing.T) {
+	q := forestDB(34_000, 1)
+	var cold *Compiled
+	whole := allocBytes(3, func(int) { cold = Compile(q.L, q.E, q.R) })
+	for _, frac := range []float64{0.25, 0.5} {
+		cut := func(p []Pair) int { return len(p) - int(float64(len(p))*frac) }
+		l, e, r := cut(q.L), cut(q.E), cut(q.R)
+		base := Compile(q.L[:l], q.E[:e], q.R[:r])
+		var ext *Compiled
+		b := allocBytes(3, func(int) { ext = base.Extend(q.L[l:], q.E[e:], q.R[r:]) })
+		t.Logf("last %.0f%%: Extend %d B, cold Compile %d B (%.2fx)", 100*frac, b, whole, float64(b)/float64(whole))
+		if b >= whole {
+			t.Errorf("an Extend adding the last %.0f%% allocates %d B, a cold Compile of the whole %d B", 100*frac, b, whole)
+		}
+		if err := ext.StructuralEqual(cold); err != nil {
+			t.Fatalf("last %.0f%%: %v", 100*frac, err)
+		}
+	}
+}
+
 // TestMissCostIsReach pins that a miss allocates in proportion to what
 // its source reaches, not to the database: on about 10k facts and on
 // about 100k, auto-selection and every method that has a reached set —
@@ -186,7 +210,7 @@ func TestExtendChainStaysBounded(t *testing.T) {
 	for i := 0; i < steps; i++ {
 		dL, dE, dR := linkDelta(i, n)
 		var st ShardExtendStats
-		if sc, st = sc.Extend(dL, dE, dR, 0.25); st.DeltaExtended != 1 || st.Rebuilt != 0 {
+		if sc, st = sc.Extend(dL, dE, dR, 0); st.DeltaExtended != 1 {
 			t.Fatalf("step %d: %+v, want one delta Extend", i, st)
 		}
 		if d, links := sc.MaxDeltaDepth(), max(sc.routeL.links(), sc.routeR.links()); d > MaxOverlayLinks || links > MaxOverlayLinks {

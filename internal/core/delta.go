@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 )
@@ -57,7 +56,16 @@ func (c *Compiled) DeltaDepth() int { return max(c.lid.links(), c.rid.links()) }
 // hashing, sorting or copying over the parent's facts — plus, on every
 // MaxOverlayLinks-th Extend that adds symbols, a symbol-table fold
 // (see symTable.fold).
+//
+// A parent that holds no names has nothing to share, so its child is
+// the cold Compile of the delta (same ids: both intern L, then E, then
+// R), which costs less than laying every page through the delta path.
 func (c *Compiled) Extend(dL, dE, dR []Pair) *Compiled {
+	if c.lNames.n == 0 && c.rNames.n == 0 {
+		child := Compile(dL, dE, dR)
+		child.Generation = c.Generation
+		return child
+	}
 	child := &Compiled{
 		Generation: c.Generation,
 		lNames:     c.lNames,
@@ -196,17 +204,26 @@ func (c *csr) extend(n int, arcs []iarc, rev bool) csr {
 	if len(arcs) == 0 {
 		return *c
 	}
-	bySrc := make([]iarc, len(arcs))
-	for i, a := range arcs {
-		if rev {
-			a.u, a.v = a.v, a.u
-		}
-		bySrc[i] = a
-	}
 	// Group by source row, keeping delta order inside a row: each row's
 	// new arcs then follow its parent arcs in delta order, the order a
-	// cold build's stable counting sort produces.
-	slices.SortStableFunc(bySrc, func(a, b iarc) int { return cmp.Compare(a.u, b.u) })
+	// cold build's stable counting sort produces. Each key is a source
+	// row over a delta index, so a plain sort keeps that order; the
+	// sorted keys are then rewritten in place as source over target.
+	bySrc := make([]uint64, len(arcs))
+	for i, a := range arcs {
+		if rev {
+			a.u = a.v
+		}
+		bySrc[i] = uint64(a.u)<<32 | uint64(i)
+	}
+	slices.Sort(bySrc)
+	for i, k := range bySrc {
+		a := arcs[uint32(k)]
+		if rev {
+			a.v = a.u
+		}
+		bySrc[i] = k&^(1<<32-1) | uint64(a.v)
+	}
 
 	out := csr{pages: c.pages, n: n, m: c.m + len(arcs)}
 	np := (n + pageMask) >> pageShift
@@ -220,10 +237,10 @@ func (c *csr) extend(n int, arcs []iarc, rev bool) csr {
 	for i := 0; i < len(bySrc) || grow < np; {
 		p := grow
 		if i < len(bySrc) {
-			p = min(p, int(bySrc[i].u>>pageShift))
+			p = min(p, int(bySrc[i]>>(32+pageShift)))
 		}
 		j := i
-		for j < len(bySrc) && int(bySrc[j].u>>pageShift) == p {
+		for j < len(bySrc) && int(bySrc[j]>>(32+pageShift)) == p {
 			j++
 		}
 		page := relay(c.page(p), p, n, bySrc[i:j])
@@ -250,10 +267,11 @@ func (c *csr) extend(n int, arcs []iarc, rev bool) csr {
 
 // relay re-lays page p of a graph over n rows in one exact-size
 // allocation: each row's arcs on old (nil when p is new) followed by
-// its arcs in delta, in delta order. delta's sources all lie on page p,
-// in ascending order. The rows between two touched rows move as one
+// its arcs in delta, in delta order. delta packs each arc as source
+// over target (see csr.extend); its sources all lie on page p, in
+// ascending order. The rows between two touched rows move as one
 // block, their offsets shifted by a constant.
-func relay(old []int32, p, n int, delta []iarc) []int32 {
+func relay(old []int32, p, n int, delta []uint64) []int32 {
 	base := int32(p << pageShift)
 	rows := min(pageRows, n-int(base))
 	oldRows, oldArcs := 0, 0
@@ -279,10 +297,10 @@ func relay(old []int32, p, n int, delta []iarc) []int32 {
 		}
 	}
 	for k := 0; k < len(delta); {
-		r := int(delta[k].u - base)
-		lay(r + 1)
-		for ; k < len(delta) && delta[k].u-base == int32(r); k++ {
-			page[at] = delta[k].v
+		src := delta[k] >> 32
+		lay(int(int32(src)-base) + 1)
+		for ; k < len(delta) && delta[k]>>32 == src; k++ {
+			page[at] = int32(uint32(delta[k]))
 			at++
 		}
 	}

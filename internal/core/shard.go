@@ -66,17 +66,15 @@ type ShardedCompiled struct {
 }
 
 // ShardExtendStats reports what one sharded Extend did: which live
-// slots were touched (ascending, deduplicated), how many of those
-// were rolled with a delta Extend versus cold-rebuilt in place, and
-// how many shard merges a bridging delta forced (a merge of n shards
-// counts n-1). Fallbacks counts the rebuilt shards that held facts and
-// would have been delta-extended had the delta fit under maxFrac.
+// slots were touched (ascending, deduplicated), each rolled with one
+// delta Extend, and how many shard merges a bridging delta forced (a
+// merge of n shards counts n-1).
 type ShardExtendStats struct {
 	Touched       []int
 	DeltaExtended int
-	Rebuilt       int
-	Merges        int
-	Fallbacks     int
+	// Deprecated: Rebuilt is always 0; every touched slot is extended.
+	Rebuilt int
+	Merges  int
 }
 
 // CompileSharded interns the database's symbol graph, decomposes it
@@ -413,17 +411,14 @@ func (sc *ShardedCompiled) ShardInfos() []ShardInfo {
 // lands whole in one shard and the partition invariant (no fact's
 // endpoints ever split across shards) is preserved. Per group:
 //
-//   - one live shard touched, delta within maxFrac of the resulting
-//     shard: the shard's artifact rolls forward with Compiled.Extend,
-//     at a cost of O(delta) plus the pages the delta touches;
-//   - one live shard touched, delta too large (a bulk load into one
-//     region): the shard alone is cold-rebuilt, scoped to its facts;
+//   - one live shard touched: the shard's artifact rolls forward with
+//     Compiled.Extend, at a cost of O(delta) plus the pages the delta
+//     touches, whatever share of the shard the delta is;
 //   - several live shards touched (the delta bridges regions): the
 //     members merge into the lowest slot — it takes over the largest
 //     member's artifact, which a delta Extend rolls forward by the
-//     other members' facts plus the group's delta, whatever their
-//     share (a cold rebuild when maxFrac disables the delta path), and
-//     the vacated slots redirect to the survivor;
+//     other members' facts plus the group's delta, and the vacated
+//     slots redirect to the survivor;
 //   - no live shard touched (an entirely fresh region): the group
 //     joins the live shard currently holding the fewest facts.
 //
@@ -432,10 +427,11 @@ func (sc *ShardedCompiled) ShardInfos() []ShardInfo {
 // append rolls each slot once (a bulk load does not roll it once per
 // region), after any merge.
 //
-// maxFrac <= 0 disables the delta path (touched shards always rebuild
-// cold, still scoped to the shard). Generation follows the Compiled
-// convention: copied from the parent, restamped by the caller.
-func (sc *ShardedCompiled) Extend(dL, dE, dR []Pair, maxFrac float64) (*ShardedCompiled, ShardExtendStats) {
+// Generation follows the Compiled convention: copied from the parent,
+// restamped by the caller.
+//
+// Deprecated: the fourth parameter is ignored.
+func (sc *ShardedCompiled) Extend(dL, dE, dR []Pair, _ float64) (*ShardedCompiled, ShardExtendStats) {
 	child := &ShardedCompiled{
 		Generation: sc.Generation,
 		shards:     append([]*shard(nil), sc.shards...),
@@ -449,7 +445,7 @@ func (sc *ShardedCompiled) Extend(dL, dE, dR []Pair, maxFrac float64) (*ShardedC
 	}
 	if len(child.shards) == 1 {
 		// One slot: no grouping, no routing, the delta goes straight in.
-		child.extendShard(0, dL, dE, dR, maxFrac, false, &stats)
+		child.extendShard(0, dL, dE, dR, &stats)
 		stats.Touched = []int{0}
 		return child, stats
 	}
@@ -504,7 +500,6 @@ func (sc *ShardedCompiled) Extend(dL, dE, dR []Pair, maxFrac float64) (*ShardedC
 		dl, de, dr []Pair
 		freshL     []string
 		freshR     []string
-		merged     bool // the slot's share absorbs merged shards
 	}
 	groups := make(map[int]*group)
 	var groupOrder []int
@@ -560,7 +555,6 @@ func (sc *ShardedCompiled) Extend(dL, dE, dR []Pair, maxFrac float64) (*ShardedC
 			pending[slot] = f
 		}
 		f.dl, f.de, f.dr = append(f.dl, gp.dl...), append(f.de, gp.de...), append(f.dr, gp.dr...)
-		f.merged = f.merged || gp.merged
 	}
 	load := func(slot int) int {
 		n := child.shards[slot].nfacts
@@ -608,7 +602,7 @@ func (sc *ShardedCompiled) Extend(dL, dE, dR []Pair, maxFrac float64) (*ShardedC
 			}
 			ml, me, mr := child.facts(rest)
 			child.shards[target] = child.shards[big]
-			queue(target, &group{dl: ml, de: me, dr: mr, merged: true})
+			queue(target, &group{dl: ml, de: me, dr: mr})
 			queue(target, gp)
 			for _, m := range live[1:] {
 				child.shards[m] = newShard(Compile(nil, nil, nil))
@@ -637,7 +631,7 @@ func (sc *ShardedCompiled) Extend(dL, dE, dR []Pair, maxFrac float64) (*ShardedC
 	}
 	for slot, f := range pending {
 		if f != nil {
-			child.extendShard(slot, f.dl, f.de, f.dr, maxFrac, f.merged, &stats)
+			child.extendShard(slot, f.dl, f.de, f.dr, &stats)
 			touched[slot] = true
 		}
 	}
@@ -649,25 +643,10 @@ func (sc *ShardedCompiled) Extend(dL, dE, dR []Pair, maxFrac float64) (*ShardedC
 	return child, stats
 }
 
-// extendShard rolls one slot forward by its share of the delta: a delta
-// Extend when it fits under maxFrac, a cold rebuild of the shard's own
-// facts (read back from its rows) plus the delta otherwise. A share
-// that absorbs merged shards extends whatever its size while the delta
-// path is on: the slot holds the largest member, so the Extend costs
-// what the smaller ones hold, never more than compiling the union.
-func (sc *ShardedCompiled) extendShard(slot int, dl, de, dr []Pair, maxFrac float64, merged bool, stats *ShardExtendStats) {
-	old := sc.shards[slot]
-	added := len(dl) + len(de) + len(dr)
-	frac := float64(added) / float64(old.nfacts+added)
-	if maxFrac > 0 && (merged || frac <= maxFrac) {
-		sc.shards[slot] = newShard(old.comp.Extend(dl, de, dr))
-		stats.DeltaExtended++
-		return
-	}
-	l, e, r := old.comp.Facts()
-	sc.shards[slot] = newShard(Compile(append(l, dl...), append(e, de...), append(r, dr...)))
-	stats.Rebuilt++
-	if maxFrac > 0 && old.nfacts > 0 {
-		stats.Fallbacks++
-	}
+// extendShard rolls one slot forward by its share of the delta with a
+// delta Extend. A share that absorbs merged shards costs what the
+// smaller members hold, since the slot holds the largest.
+func (sc *ShardedCompiled) extendShard(slot int, dl, de, dr []Pair, stats *ShardExtendStats) {
+	sc.shards[slot] = newShard(sc.shards[slot].comp.Extend(dl, de, dr))
+	stats.DeltaExtended++
 }

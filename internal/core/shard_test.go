@@ -170,49 +170,47 @@ func TestShardedExtendEquivalence(t *testing.T) {
 	whole, sources := multiRegion(7, 4, 2)
 	rng := rand.New(rand.NewSource(7))
 	for _, shards := range []int{1, 2, 4} {
-		for _, maxFrac := range []float64{0.25, 0} {
-			label := fmt.Sprintf("k=%d/frac=%.2f", shards, maxFrac)
-			base, rest := splitQuery(whole, 0.5, 0.5, 0.5)
-			sc := core.CompileSharded(base.L, base.E, base.R, core.ShardOpts{Shards: shards})
-			accL := append([]core.Pair(nil), base.L...)
-			accE := append([]core.Pair(nil), base.E...)
-			accR := append([]core.Pair(nil), base.R...)
-			steps := 4
-			for i := 0; i < steps; i++ {
-				lo := func(p []core.Pair) []core.Pair {
-					k := len(p) / steps
-					if i == steps-1 {
-						return p[i*k:]
-					}
-					return p[i*k : (i+1)*k]
+		label := fmt.Sprintf("k=%d", shards)
+		base, rest := splitQuery(whole, 0.5, 0.5, 0.5)
+		sc := core.CompileSharded(base.L, base.E, base.R, core.ShardOpts{Shards: shards})
+		accL := append([]core.Pair(nil), base.L...)
+		accE := append([]core.Pair(nil), base.E...)
+		accR := append([]core.Pair(nil), base.R...)
+		steps := 4
+		for i := 0; i < steps; i++ {
+			lo := func(p []core.Pair) []core.Pair {
+				k := len(p) / steps
+				if i == steps-1 {
+					return p[i*k:]
 				}
-				dL, dE, dR := lo(rest.L), lo(rest.E), lo(rest.R)
-				next, stats := sc.Extend(dL, dE, dR, maxFrac)
-				next.Generation = sc.Generation + 1
-				if len(dL)+len(dE)+len(dR) > 0 && len(stats.Touched) == 0 {
-					t.Fatalf("%s step %d: non-empty delta touched no shard", label, i)
-				}
-				if maxFrac <= 0 && stats.DeltaExtended != 0 {
-					t.Fatalf("%s step %d: delta path used with delta compilation disabled", label, i)
-				}
-				accL = append(accL, dL...)
-				accE = append(accE, dE...)
-				accR = append(accR, dR...)
-				mono := core.Compile(accL, accE, accR)
-				srcs := append(append([]string(nil), sources...), "absent-from-everything")
-				if len(dL) > 0 {
-					srcs = append(srcs, dL[len(dL)-1].To)
-				}
-				checkShardedSame(t, fmt.Sprintf("%s step %d", label, i), mono, next, srcs)
-				if nl, ne, nr := next.Novel(dL, dE, dR); len(nl)+len(ne)+len(nr) != 0 {
-					t.Fatalf("%s step %d: the delta just extended is still novel: %v / %v / %v", label, i, nl, ne, nr)
-				}
-				// The parent must stay usable (in-flight queries hold it).
-				if _, err := sc.Solve(sources[rng.Intn(len(sources))], core.Basic, core.Integrated, core.Options{}); err != nil {
-					t.Fatalf("%s step %d: parent broken after Extend: %v", label, i, err)
-				}
-				sc = next
+				return p[i*k : (i+1)*k]
 			}
+			dL, dE, dR := lo(rest.L), lo(rest.E), lo(rest.R)
+			next, stats := sc.Extend(dL, dE, dR, 0)
+			next.Generation = sc.Generation + 1
+			if len(dL)+len(dE)+len(dR) > 0 && len(stats.Touched) == 0 {
+				t.Fatalf("%s step %d: non-empty delta touched no shard", label, i)
+			}
+			if stats.DeltaExtended != len(stats.Touched) {
+				t.Fatalf("%s step %d: %d delta Extends over %d touched shards, want one each", label, i, stats.DeltaExtended, len(stats.Touched))
+			}
+			accL = append(accL, dL...)
+			accE = append(accE, dE...)
+			accR = append(accR, dR...)
+			mono := core.Compile(accL, accE, accR)
+			srcs := append(append([]string(nil), sources...), "absent-from-everything")
+			if len(dL) > 0 {
+				srcs = append(srcs, dL[len(dL)-1].To)
+			}
+			checkShardedSame(t, fmt.Sprintf("%s step %d", label, i), mono, next, srcs)
+			if nl, ne, nr := next.Novel(dL, dE, dR); len(nl)+len(ne)+len(nr) != 0 {
+				t.Fatalf("%s step %d: the delta just extended is still novel: %v / %v / %v", label, i, nl, ne, nr)
+			}
+			// The parent must stay usable (in-flight queries hold it).
+			if _, err := sc.Solve(sources[rng.Intn(len(sources))], core.Basic, core.Integrated, core.Options{}); err != nil {
+				t.Fatalf("%s step %d: parent broken after Extend: %v", label, i, err)
+			}
+			sc = next
 		}
 	}
 
@@ -234,12 +232,12 @@ func TestShardedExtendEquivalence(t *testing.T) {
 		t.Fatal("both regions packed into one shard: the in-place + fresh case is not exercised")
 	}
 	dL := []core.Pair{core.P("l8", "l9"), core.P("f0", "f1")}
-	next, stats := sc.Extend(dL, nil, nil, 0.25)
+	next, stats := sc.Extend(dL, nil, nil, 0)
 	if next.ShardOf("f0") != slot {
 		t.Fatalf("fresh region placed on shard %d, want the lighter shard %d", next.ShardOf("f0"), slot)
 	}
-	if !reflect.DeepEqual(stats.Touched, []int{slot}) || stats.DeltaExtended != 1 || stats.Rebuilt != 0 {
-		t.Errorf("in-place + fresh delta on one slot: %+v, want Touched [%d], one DeltaExtended, no rebuild", stats, slot)
+	if !reflect.DeepEqual(stats.Touched, []int{slot}) || stats.DeltaExtended != 1 {
+		t.Errorf("in-place + fresh delta on one slot: %+v, want Touched [%d], one DeltaExtended", stats, slot)
 	}
 	if got, want := next.ShardArtifact(slot).DeltaDepth(), sc.ShardArtifact(slot).DeltaDepth()+1; got != want {
 		t.Errorf("shard %d chain depth %d after one append, want %d", slot, got, want)
@@ -251,7 +249,7 @@ func TestShardedExtendEquivalence(t *testing.T) {
 	// region is placed on the lighter slot, the merge folds that slot
 	// into the other, and the region follows it.
 	dL = []core.Pair{core.P("f0", "f1"), core.P("h12", "l0")}
-	next, stats = sc.Extend(dL, nil, nil, 0.25)
+	next, stats = sc.Extend(dL, nil, nil, 0)
 	if stats.Merges != 1 || len(stats.Touched) != 1 || next.ShardOf("f0") != stats.Touched[0] || next.ShardOf("l0") != stats.Touched[0] {
 		t.Errorf("fresh + bridge: %+v, fresh region on shard %d, merged regions on %d", stats, next.ShardOf("f0"), next.ShardOf("l0"))
 	}
@@ -271,7 +269,7 @@ func TestShardedBridgingMerge(t *testing.T) {
 		t.Fatalf("regions packed into one shard (%d): bridging case not exercised", s0)
 	}
 	bridge := []core.Pair{{From: sources[0], To: sources[1]}}
-	next, stats := sc.Extend(bridge, nil, nil, 0.25)
+	next, stats := sc.Extend(bridge, nil, nil, 0)
 	if stats.Merges != 1 {
 		t.Fatalf("bridging append reported %d merges, want 1", stats.Merges)
 	}
@@ -299,7 +297,7 @@ func TestShardedRetentionSwap(t *testing.T) {
 	whole, sources := multiRegion(29, 3, 2)
 	base, delta := splitQuery(whole, 0.6, 0.6, 0.6)
 	sc := core.CompileSharded(base.L, base.E, base.R, core.ShardOpts{Shards: 3})
-	next, stats := sc.Extend(delta.L, delta.E, delta.R, 0.9)
+	next, stats := sc.Extend(delta.L, delta.E, delta.R, 0)
 	if stats.DeltaExtended == 0 {
 		t.Fatal("expected at least one delta-extended shard")
 	}
@@ -336,7 +334,7 @@ func TestShardedGeneration(t *testing.T) {
 		t.Fatalf("fresh sharded artifact has generation %d", sc.Generation)
 	}
 	sc.Generation = 17
-	next, _ := sc.Extend(nil, nil, nil, 0.25)
+	next, _ := sc.Extend(nil, nil, nil, 0)
 	if next.Generation != 17 {
 		t.Fatalf("Extend dropped the parent generation: %d", next.Generation)
 	}
@@ -358,7 +356,7 @@ func FuzzShardedAgainstMonolithic(f *testing.F) {
 		frac := float64(split) / 255
 		base, delta := splitQuery(whole, frac, frac, frac)
 		sc := core.CompileSharded(base.L, base.E, base.R, core.ShardOpts{Shards: k})
-		next, _ := sc.Extend(delta.L, delta.E, delta.R, 0.25)
+		next, _ := sc.Extend(delta.L, delta.E, delta.R, 0)
 		mono := core.Compile(whole.L, whole.E, whole.R)
 		for _, src := range append(sources, "absent-from-everything") {
 			want, werr := mono.Solve(src, core.Multiple, core.Integrated, core.Options{})

@@ -72,7 +72,12 @@ func (c *Compiled) Solve(source string, strategy Strategy, mode Mode, opts Optio
 	in := c.bind(source)
 	in.configure(opts)
 	integrated := mode == Integrated
-	s1 := in.tr.Start("step1/"+strategy.String(), in.retrievals)
+	// The span names are built only under an armed trace: the
+	// concatenation would otherwise allocate on every untraced solve.
+	var s1, s2 *obs.Span
+	if in.tr.Armed() {
+		s1 = in.tr.Start("step1/"+strategy.String(), in.retrievals)
+	}
 	r, err := in.step1(strategy, integrated, opts.SCCStep1)
 	if err != nil {
 		return nil, err
@@ -90,7 +95,9 @@ func (c *Compiled) Solve(source string, strategy Strategy, mode Mode, opts Optio
 	if in.stopped() {
 		return nil, in.ctxErr
 	}
-	s2 := in.tr.Start("step2/"+mode.String(), in.retrievals)
+	if in.tr.Armed() {
+		s2 = in.tr.Start("step2/"+mode.String(), in.retrievals)
+	}
 	var answers *graph.NodeSet
 	var iter int
 	if integrated {

@@ -30,10 +30,11 @@ type Snapshot struct {
 	// facts are then written as pairs and recovery compiles them).
 	Compiled *core.Compiled
 	// compiledRaw holds the still-encoded artifact of a decoded
-	// snapshot. Materializing it costs real work, and recovery drops
-	// the artifact whenever a WAL tail is replayed past the snapshot —
-	// so the payload decoder defers it and Open calls decodeArtifact
-	// only when the artifact will actually be used.
+	// snapshot. Materializing it costs real work that a caller
+	// compiling the recovered facts its own way (several shards, from a
+	// snapshot that stores its pairs) never needs, so the payload
+	// decoder defers it to RecoveryInfo.Artifact, which calls
+	// decodeArtifact on first use.
 	compiledRaw []byte
 }
 

@@ -35,7 +35,8 @@ import (
 )
 
 // Span is one traced stage. Exported fields marshal into the HTTP
-// trace response.
+// trace response. Attrs, Children and Retrievals are filled in by
+// Finish; until then a span holds only what Start, Set and End record.
 type Span struct {
 	// Name identifies the stage, e.g. "step1", "round", "descent".
 	Name string `json:"name"`
@@ -58,6 +59,17 @@ type Span struct {
 	parent     *Span
 	start      time.Time
 	startMeter int64
+	// attrs holds the first Set calls in place, so a traced stage
+	// allocates nothing while it runs; Finish moves them into Attrs.
+	attrs  [4]attr
+	nattrs int32
+	kids   int32 // children, counted by Finish
+	final  bool  // Finish has built Attrs and Children
+}
+
+type attr struct {
+	key string
+	v   int64
 }
 
 // Set records a stage attribute. Safe on a nil span (tracing off).
@@ -65,28 +77,83 @@ func (s *Span) Set(key string, v int64) {
 	if s == nil {
 		return
 	}
+	if !s.final {
+		for i := range s.attrs[:s.nattrs] {
+			if s.attrs[i].key == key {
+				s.attrs[i].v = v
+				return
+			}
+		}
+		if int(s.nattrs) < len(s.attrs) {
+			s.attrs[s.nattrs] = attr{key, v}
+			s.nattrs++
+			return
+		}
+	}
 	if s.Attrs == nil {
-		s.Attrs = make(map[string]int64, 4)
+		s.Attrs = make(map[string]int64, 2*len(s.attrs))
 	}
 	s.Attrs[key] = v
 }
 
 // Trace is one query's span tree under construction. The zero Trace
 // must not be used directly; obtain one from New or Disarmed.
+//
+// Spans live in blocks that never move, so Start hands out a pointer
+// without allocating until the first block is full. The tree's
+// Children links and Attrs maps are built once, by Finish, outside
+// every span's measured time: a traced stage pays two clock reads and
+// a few stores per child span, not a heap allocation.
 type Trace struct {
 	root  *Span
 	cur   *Span // innermost open span; nil once Finish has run
 	start time.Time
 	armed bool
+
+	first []Span   // the root and the first spans, in start order
+	more  [][]Span // later blocks, each twice the size of the last
 }
+
+// firstBlock is the span slots New allocates with the trace: enough
+// for a solve's stages and a few rounds each.
+const firstBlock = 8
 
 // New opens a trace whose root span is named name. meter is the
 // instrumented meter's current reading (usually 0: a fresh solver
 // charges from zero).
 func New(name string, meter int64) *Trace {
+	t := &Trace{armed: true, first: make([]Span, 0, firstBlock)}
+	root := t.alloc()
 	now := time.Now()
-	root := &Span{Name: name, start: now, startMeter: meter}
-	return &Trace{root: root, cur: root, start: now, armed: true}
+	root.Name, root.start, root.startMeter = name, now, meter
+	t.root, t.cur, t.start = root, root, now
+	return t
+}
+
+// alloc returns the next free span slot.
+func (t *Trace) alloc() *Span {
+	b := &t.first
+	if n := len(t.more); n > 0 {
+		b = &t.more[n-1]
+	}
+	if len(*b) == cap(*b) {
+		t.more = append(t.more, make([]Span, 0, 2*cap(*b)))
+		b = &t.more[len(t.more)-1]
+	}
+	*b = (*b)[:len(*b)+1]
+	return &(*b)[len(*b)-1]
+}
+
+// each calls f on every span in start order, the root first.
+func (t *Trace) each(f func(*Span)) {
+	for i := range t.first {
+		f(&t.first[i])
+	}
+	for _, b := range t.more {
+		for i := range b {
+			f(&b[i])
+		}
+	}
 }
 
 // Disarmed returns a non-nil trace that records nothing: Start
@@ -106,8 +173,9 @@ func (t *Trace) Start(name string, meter int64) *Span {
 	if t == nil || !t.armed || t.cur == nil {
 		return nil
 	}
-	s := &Span{Name: name, parent: t.cur, start: time.Now(), startMeter: meter}
-	t.cur.Children = append(t.cur.Children, s)
+	s := t.alloc()
+	s.Name, s.parent, s.startMeter = name, t.cur, meter
+	s.start = time.Now()
 	t.cur = s
 	return s
 }
@@ -150,16 +218,59 @@ func (t *Trace) Finish(meter int64) *Span {
 	if t == nil || !t.armed {
 		return nil
 	}
+	if t.cur == nil {
+		return t.root
+	}
 	for t.cur != nil {
 		c := t.cur
 		c.close(t.start, meter)
 		t.cur = c.parent
 	}
+	t.link()
 	return t.root
 }
 
+// link builds the finished tree: every span's Children (in start
+// order, all carved from one backing array), its self Retrievals and
+// its Attrs map.
+func (t *Trace) link() {
+	n := 0
+	t.each(func(s *Span) {
+		if s.parent != nil {
+			s.parent.kids++
+			n++
+		}
+	})
+	buf := make([]*Span, n)
+	t.each(func(s *Span) {
+		if s.kids > 0 {
+			s.Children, buf = buf[:0:s.kids], buf[s.kids:]
+		}
+	})
+	t.each(func(s *Span) {
+		if s.parent != nil {
+			s.parent.Children = append(s.parent.Children, s)
+		}
+	})
+	t.each(func(s *Span) {
+		s.Retrievals = s.Total
+		for _, c := range s.Children {
+			s.Retrievals -= c.Total
+		}
+		if s.nattrs > 0 {
+			if s.Attrs == nil {
+				s.Attrs = make(map[string]int64, s.nattrs)
+			}
+			for _, a := range s.attrs[:s.nattrs] {
+				s.Attrs[a.key] = a.v
+			}
+		}
+		s.final = true
+	})
+}
+
 // Root returns the root span (nil on a nil or disarmed trace). Before
-// Finish the tree is still mutating.
+// Finish the tree has no Children links yet.
 func (t *Trace) Root() *Span {
 	if t == nil {
 		return nil
@@ -167,16 +278,13 @@ func (t *Trace) Root() *Span {
 	return t.root
 }
 
-// close fixes a span's duration and retrieval deltas.
+// close fixes a span's duration and inclusive retrievals; Finish
+// derives the self retrievals once the tree is linked.
 func (s *Span) close(traceStart time.Time, meter int64) {
 	now := time.Now()
 	s.StartMS = float64(s.start.Sub(traceStart).Microseconds()) / 1000
 	s.DurationMS = float64(now.Sub(s.start).Microseconds()) / 1000
 	s.Total = meter - s.startMeter
-	s.Retrievals = s.Total
-	for _, c := range s.Children {
-		s.Retrievals -= c.Total
-	}
 }
 
 // SumRetrievals sums the self Retrievals over the whole tree. On a

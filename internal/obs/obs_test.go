@@ -140,3 +140,66 @@ func TestWriteText(t *testing.T) {
 		t.Errorf("child not indented:\n%s", out)
 	}
 }
+
+// TestStagesAllocateNothing pins that a traced stage with up to seven
+// child spans of up to four attributes each allocates only the trace
+// and its first block of span slots: spans and attributes live in
+// place until Finish.
+func TestStagesAllocateNothing(t *testing.T) {
+	allocs := testing.AllocsPerRun(100, func() {
+		tr := New("solve", 0)
+		for i := int64(0); i < 7; i++ {
+			s := tr.Start("round", i)
+			s.Set("index", i)
+			s.Set("frontier", 2*i)
+			s.Set("delta", 3*i)
+			s.Set("index", i) // an overwrite takes no new slot
+			tr.End(s, i+1)
+		}
+	})
+	if allocs != 2 {
+		t.Errorf("a traced stage allocates %v times before Finish, want 2 (the trace and its first block)", allocs)
+	}
+}
+
+// TestFinishLinksManySpans crosses the first block of span slots and
+// the inline attribute slots: Children stay in start order, totals and
+// self retrievals hold, and every attribute, also one Set after
+// Finish, reaches Attrs.
+func TestFinishLinksManySpans(t *testing.T) {
+	tr := New("root", 0)
+	outer := tr.Start("outer", 0)
+	const rounds = 40
+	for i := int64(0); i < rounds; i++ {
+		s := tr.Start("round", 10*i)
+		s.Set("index", i)
+		tr.End(s, 10*i+10)
+	}
+	for i, k := range []string{"a", "b", "c", "d", "e", "f"} {
+		outer.Set(k, int64(i))
+	}
+	tr.End(outer, 10*rounds+5)
+	root := tr.Finish(10*rounds + 7)
+	outer.Set("late", 9)
+
+	if n := root.SpanCount(); n != rounds+2 {
+		t.Fatalf("SpanCount = %d, want %d", n, rounds+2)
+	}
+	if root.SumRetrievals() != root.Total || root.Retrievals != 2 {
+		t.Errorf("root self %d, sum %d, total %d; want self 2 and sum == total", root.Retrievals, root.SumRetrievals(), root.Total)
+	}
+	if len(root.Children) != 1 || root.Children[0] != outer || outer.Retrievals != 5 {
+		t.Fatalf("root children %v, outer self %d", root.Children, outer.Retrievals)
+	}
+	for i, c := range outer.Children {
+		if c.Name != "round" || c.Attrs["index"] != int64(i) || c.Total != 10 || c.Retrievals != 10 {
+			t.Fatalf("round %d = %+v", i, c)
+		}
+	}
+	if len(outer.Attrs) != 7 || outer.Attrs["f"] != 5 || outer.Attrs["late"] != 9 {
+		t.Errorf("outer attrs = %v", outer.Attrs)
+	}
+	if again := tr.Finish(0); again != root || len(outer.Children) != rounds {
+		t.Errorf("a second Finish changed the tree: %d children", len(outer.Children))
+	}
+}

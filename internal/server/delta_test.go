@@ -9,6 +9,7 @@ import (
 
 	"magiccounting/internal/core"
 	"magiccounting/internal/durable"
+	"magiccounting/internal/oracle"
 )
 
 // chainFacts builds the i-th link of a disjoint chain: one L arc, one
@@ -38,7 +39,7 @@ func bulkChain(prefix string, n int) FactsRequest {
 func TestDeltaCompileOnAppend(t *testing.T) {
 	svc := New(Config{Workers: 2})
 	defer svc.Close(context.Background())
-	mustAppend(t, svc, bulkChain("base", 20)) // into the empty artifact: one cold build
+	mustAppend(t, svc, bulkChain("base", 20)) // into the empty artifact: a cold build, counted as a delta compile
 	for i := 0; i < 5; i++ {
 		mustAppend(t, svc, chainFacts("delta", i))
 	}
@@ -46,7 +47,7 @@ func TestDeltaCompileOnAppend(t *testing.T) {
 		t.Fatalf("query: %v", err)
 	}
 	st := svc.Stats()
-	if dc := st.DeltaCompile; dc.DeltaCompiles != 5 || dc.FullCompiles != 1 || dc.Fallbacks != 0 || dc.ChainDepth != 5 || st.Compiles != 6 {
+	if dc := st.DeltaCompile; dc.DeltaCompiles != 6 || dc.FullCompiles != 0 || dc.ChainDepth != 5 || st.Compiles != 6 {
 		t.Fatalf("after 1 bulk + 5 small appends and a query: compiles %d, %+v", st.Compiles, dc)
 	}
 	if st.DeltaCompile.LastAppend.Find("delta-compile") == nil {
@@ -58,34 +59,45 @@ func TestDeltaCompileOnAppend(t *testing.T) {
 	}
 }
 
-// TestDeltaFallback pins the two ways past the delta path: a delta
-// above DeltaMaxFrac rebuilds its shard cold inside the append
-// (fallback counted), and a negative DeltaMaxFrac makes every append
-// do so (no fallback counted — there was no delta path to leave).
-// Either way the published artifact is current.
-func TestDeltaFallback(t *testing.T) {
-	for _, tc := range []struct {
-		name          string
-		frac          float64
-		next          FactsRequest
-		fallbacks     int64
-		wantFullBuild int64
-	}{
-		{"threshold", 0.05, bulkChain("bulk", 10), 1, 2}, // 30 facts onto 30: far above 5%
-		{"disabled", -1, chainFacts("delta", 0), 0, 2},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			svc := New(Config{Workers: 2, DeltaMaxFrac: tc.frac})
+// TestBulkAppendExtends: however large a share of the database an
+// append adds — all of it, onto an empty service, or well over a
+// quarter of it — the append rolls the shard it lands in with a delta
+// Extend, never a cold build, and the result is the cold compile of
+// the acknowledged facts, answering as the oracle does.
+func TestBulkAppendExtends(t *testing.T) {
+	var more FactsRequest // 15 links onto the 10-link chain: 45 facts onto 30
+	for i := 10; i < 25; i++ {
+		more = mergeFacts(more, chainFacts("bulk", i))
+	}
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			svc := New(Config{Workers: 2, Shards: shards})
 			defer svc.Close(context.Background())
-			mustAppend(t, svc, bulkChain("base", 10))
-			mustAppend(t, svc, tc.next)
-			st := svc.Stats()
-			if dc := st.DeltaCompile; dc.Fallbacks != tc.fallbacks || dc.DeltaCompiles != 0 || dc.FullCompiles != tc.wantFullBuild || dc.ChainDepth != 0 {
-				t.Fatalf("delta-compile stats %+v; want %d fallbacks, 0 delta, %d full, depth 0", dc, tc.fallbacks, tc.wantFullBuild)
-			}
-			resp, err := svc.Query(context.Background(), QueryRequest{Source: tc.next.L[0].From})
-			if err != nil || resp.Generation != 2 || len(resp.Answers) == 0 {
-				t.Fatalf("query on the rebuilt artifact: %+v, %v", resp, err)
+			var m model
+			for i, req := range []FactsRequest{bulkChain("bulk", 10), more} {
+				mustAppend(t, svc, req)
+				m.append(req)
+				st := svc.Stats()
+				if dc := st.DeltaCompile; dc.DeltaCompiles != int64(i+1) || dc.FullCompiles != 0 || st.Compiles != int64(i+1) {
+					t.Fatalf("bulk append %d: compiles %d, %+v; want %d delta compiles and no full one", i, st.Compiles, dc, i+1)
+				}
+				if last := st.DeltaCompile.LastAppend; last.Find("delta-compile") == nil || last.Find("compile") != nil {
+					t.Fatalf("bulk append %d: span %+v; want a delta-compile child and no compile", i, last)
+				}
+				art := svc.current()
+				if err := art.ShardArtifact(art.ShardOf("bulk_n0")).StructuralEqual(core.Compile(m.l, m.e, m.r)); err != nil {
+					t.Fatalf("bulk append %d: artifact diverges from a cold compile of the acknowledged facts: %v", i, err)
+				}
+				exact := oracle.Solver(arcs(m.l), arcs(m.e), arcs(m.r))
+				for _, src := range []string{"bulk_n0", "bulk_n9", "bulk_n12", "bulk_n24"} {
+					resp, err := svc.Query(context.Background(), QueryRequest{Source: src})
+					if err != nil || resp.Generation != m.gen {
+						t.Fatalf("bulk append %d: query %s: %+v, %v", i, src, resp, err)
+					}
+					if !reflect.DeepEqual(resp.Answers, nonNilAnswers(exact(src))) {
+						t.Fatalf("bulk append %d: query %s: answers %v, oracle %v", i, src, resp.Answers, exact(src))
+					}
+				}
 			}
 		})
 	}

@@ -42,17 +42,15 @@ func (s *Service) Open(dir string) (*durable.RecoveryInfo, error) {
 	}
 	// The snapshot's artifact is one Compiled over the snapshot's facts —
 	// the one-shard form. Adopted, it makes recovery skip the compile:
-	// the WAL tail is applied to it with one sharded Extend, exactly as
-	// the appends that wrote the tail were. Otherwise — several shards,
-	// no artifact, or a tail past DeltaMaxFrac of the artifact's facts,
-	// which that Extend would rebuild cold anyway — the artifact is
-	// compiled here, once, from the snapshot's facts (read back from
-	// its artifact when that is all it stores) and the tail. An empty
-	// directory recovers nothing, and New's empty artifact stands.
+	// the WAL tail is applied to it with one Extend, as the appends that
+	// wrote the tail were, whatever its size. Otherwise
+	// — several shards, or no artifact — the artifact is compiled here,
+	// once, from the snapshot's facts (read back from its artifact when
+	// that is all it stores) and the tail. An empty directory recovers
+	// nothing, and New's empty artifact stands.
 	art := s.current()
 	if info.Generation > 0 {
 		var snapArt *core.Compiled
-		tail := len(info.TailL) + len(info.TailE) + len(info.TailR)
 		if s.cfg.Shards <= 1 && info.SnapshotLoaded {
 			da := tr.Start("decode-artifact", 0)
 			snapArt, err = info.Artifact()
@@ -60,12 +58,6 @@ func (s *Service) Open(dir string) (*durable.RecoveryInfo, error) {
 			if err != nil {
 				st.Close()
 				return nil, err
-			}
-		}
-		if snapArt != nil {
-			l, e, r := snapArt.Arcs()
-			if tail > 0 && (s.cfg.DeltaMaxFrac <= 0 || float64(tail) > s.cfg.DeltaMaxFrac*float64(l+e+r+tail)) {
-				snapArt = nil
 			}
 		}
 		if snapArt != nil {
@@ -95,25 +87,21 @@ func (s *Service) Open(dir string) (*durable.RecoveryInfo, error) {
 	return info, nil
 }
 
-// adoptSnapshot wraps the snapshot's artifact as the one-shard artifact
-// and extends it by the replayed WAL tail under a "delta-compile" span,
-// accounted like an append's roll (a delta compile; a full compile if
-// the Extend rebuilt).
+// adoptSnapshot extends the snapshot's artifact by the replayed WAL
+// tail under a "delta-compile" span, accounted like an append's roll
+// (one delta compile), and wraps it as the one-shard artifact.
 func (s *Service) adoptSnapshot(snapArt *core.Compiled, info *durable.RecoveryInfo, tr *obs.Trace) *core.ShardedCompiled {
 	tl, te, trr := info.TailL, info.TailE, info.TailR
-	art := core.SingleShard(snapArt)
 	if len(tl)+len(te)+len(trr) == 0 {
-		return art
+		return core.SingleShard(snapArt)
 	}
 	sp := tr.Start("delta-compile", 0)
-	art, st := art.Extend(tl, te, trr, s.cfg.DeltaMaxFrac)
+	snapArt = snapArt.Extend(tl, te, trr)
 	sp.Set("added", int64(len(tl)+len(te)+len(trr)))
-	sp.Set("rebuilt", int64(st.Rebuilt))
 	tr.End(sp, 0)
-	s.compiles.Add(int64(st.DeltaExtended + st.Rebuilt))
-	s.deltaCompiles.Add(int64(st.DeltaExtended))
-	s.fullCompiles.Add(int64(st.Rebuilt))
-	return art
+	s.compiles.Add(1)
+	s.deltaCompiles.Add(1)
+	return core.SingleShard(snapArt)
 }
 
 // RecoverySpan returns the finished "recover" span tree from Open

@@ -198,9 +198,8 @@ func (s *Service) WriteMetrics(w io.Writer) error {
 		{"mc_queries_total", "Queries received (batch items counted individually).", st.Queries},
 		{"mc_batch_requests_total", "Batch query requests received.", st.BatchRequests},
 		{"mc_compiles_total", "Compiled query-graph builds, full or delta (never on the query path).", st.Compiles},
-		{"mc_full_compiles_total", "Cold builds of a shard (with one shard, of the whole database), by appends and start-up.", st.DeltaCompile.FullCompiles},
-		{"mc_delta_compiles_total", "Delta Extend builds rolling the artifact across an append.", st.DeltaCompile.DeltaCompiles},
-		{"mc_delta_fallbacks_total", "Appends that rebuilt a shard cold because the delta exceeded the fraction threshold.", st.DeltaCompile.Fallbacks},
+		{"mc_full_compiles_total", "Cold builds of the artifact at start-up, when recovery has no snapshot artifact to extend.", st.DeltaCompile.FullCompiles},
+		{"mc_delta_compiles_total", "Delta Extend builds rolling the artifact across an append or a recovered WAL tail.", st.DeltaCompile.DeltaCompiles},
 		{"mc_queries_rejected_total", "Queries fast-failed with ErrClosed during shutdown (excluded from errors and latency).", st.QueriesRejected},
 		{"mc_bad_requests_total", "Queries rejected by validation (excluded from errors and latency).", st.BadRequests},
 		{"mc_cache_hits_total", "Queries answered from the result cache.", st.CacheHits},

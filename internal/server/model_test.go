@@ -119,6 +119,7 @@ func TestServiceModel(t *testing.T) {
 			var m model
 			var transcript []string
 			for _, st := range steps {
+				before := svc.Stats().DeltaCompile
 				switch st.op {
 				case "append", "repost":
 					resp, err := svc.AppendFacts(st.req)
@@ -177,7 +178,7 @@ func TestServiceModel(t *testing.T) {
 				s := svc.Stats()
 				switch st.name {
 				case "small-append":
-					if s.DeltaCompile.DeltaCompiles != 1 || s.DeltaCompile.LastAppend.Find("delta-compile") == nil {
+					if s.DeltaCompile.DeltaCompiles != before.DeltaCompiles+1 || s.DeltaCompile.LastAppend.Find("delta-compile") == nil {
 						t.Fatalf("small append was not delta-compiled: %+v", s.DeltaCompile)
 					}
 				case "repost":
@@ -190,12 +191,13 @@ func TestServiceModel(t *testing.T) {
 						t.Fatalf("the fresh region joined shard %d, region 3 is on %d: one slot taking both is not exercised", art.ShardOf("w1"), art.ShardOf(sources[3]))
 					}
 					depth := art.ShardArtifact(art.ShardOf("w1")).DeltaDepth()
-					if s.DeltaCompile.DeltaCompiles != 2 || (shards > 1 && depth != 1) {
+					if s.DeltaCompile.DeltaCompiles != before.DeltaCompiles+1 || (shards > 1 && depth != 1) {
 						t.Fatalf("an append extending a shard and placing a fresh region on it rolled it more than once: %+v, depth %d", s.DeltaCompile, depth)
 					}
 				case "bulk-into-region":
-					if s.DeltaCompile.Fallbacks != 1 || s.DeltaCompile.LastAppend.Find("compile") == nil {
-						t.Fatalf("bulk append did not fall back to a scoped rebuild: %+v", s.DeltaCompile)
+					last := s.DeltaCompile.LastAppend
+					if s.DeltaCompile.DeltaCompiles != before.DeltaCompiles+1 || s.DeltaCompile.FullCompiles != 0 || last.Find("delta-compile") == nil || last.Find("compile") != nil {
+						t.Fatalf("bulk append was not one delta compile: before %+v, after %+v", before, s.DeltaCompile)
 					}
 				case "bridge":
 					if shards > 1 && (s.Shards.Merges != 1 || s.Shards.Live != shards-1) {

@@ -313,7 +313,7 @@ func TestCrashRecoveryMatrix(t *testing.T) {
 func TestRecoveryInfoShape(t *testing.T) {
 	q := workload.Tree(2, 6)
 	batches := batchesFor(q, 8)
-	snap := len(batches) - 1 // a one-batch tail, well inside DeltaMaxFrac
+	snap := len(batches) - 1 // a one-batch tail
 	dir := t.TempDir()
 
 	svc := durableService(t, dir)
@@ -410,10 +410,9 @@ func TestRecoveryInfoShape(t *testing.T) {
 		t.Fatalf("warm open compiled (%d) despite the snapshot artifact", n)
 	}
 
-	// A tail past DeltaMaxFrac would make the Extend rebuild anyway, so
-	// recovery compiles the recovered facts cold: the snapshot's facts,
-	// read back from its decoded artifact (the snapshot stores nothing
-	// else), then the tail.
+	// A tail as large as the snapshot's whole database is extended onto
+	// the decoded artifact all the same: one decode, one delta compile,
+	// no cold compile.
 	var big FactsRequest
 	for i := 0; i < len(q.L); i++ {
 		big = mergeFacts(big, chainFacts("big", i))
@@ -426,9 +425,9 @@ func TestRecoveryInfoShape(t *testing.T) {
 	}
 	defer large.Close(context.Background())
 	span = large.RecoverySpan()
-	if st := large.Stats(); linfo.ReplayedRecords != 1 || st.DeltaCompile.FullCompiles != 1 || st.Compiles != 1 ||
-		span.Find("compile") == nil || span.Find("decode-artifact") == nil || span.Find("delta-compile") != nil {
-		t.Fatalf("large tail: %d replayed, %+v, span %+v; want one decode and one cold compile", linfo.ReplayedRecords, st.DeltaCompile, span)
+	if st := large.Stats(); linfo.ReplayedRecords != 1 || st.DeltaCompile.FullCompiles != 0 || st.DeltaCompile.DeltaCompiles != 1 || st.Compiles != 1 ||
+		span.Find("compile") != nil || span.Find("decode-artifact") == nil || span.Find("delta-compile") == nil {
+		t.Fatalf("large tail: %d replayed, %+v, span %+v; want one decode and one delta compile", linfo.ReplayedRecords, st.DeltaCompile, span)
 	}
 	al, ae, ar = append(al, big.L...), append(ae, big.E...), append(ar, big.R...)
 	if err := large.current().ShardArtifact(0).StructuralEqual(core.Compile(al, ae, ar)); err != nil {

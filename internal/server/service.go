@@ -59,13 +59,6 @@ type Config struct {
 	// facts have been appended since the last snapshot. Zero disables
 	// automatic snapshots (Close still writes a final one).
 	SnapshotEvery int
-	// DeltaMaxFrac bounds delta compilation: an append whose
-	// deduplicated delta is at most this fraction of the shard it lands
-	// in (the whole database, with one shard) extends that shard's
-	// artifact; a larger one (a bulk load) rebuilds the shard cold
-	// inside the append. Zero selects 0.25; negative disables delta
-	// compilation, so every append rebuilds the shards it touches.
-	DeltaMaxFrac float64
 	// Shards is the number of region shards the compiled artifact is
 	// partitioned into (core.CompileSharded): queries route to exactly
 	// one shard, and appends roll only the shards they touch. Values
@@ -82,9 +75,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CacheCap <= 0 {
 		c.CacheCap = 1024
-	}
-	if c.DeltaMaxFrac == 0 {
-		c.DeltaMaxFrac = 0.25
 	}
 	return c
 }
@@ -180,13 +170,11 @@ type Service struct {
 
 	closed atomic.Bool
 
-	// deltaCompiles + fullCompiles partition compiles; deltaFallbacks
-	// counts appends that rebuilt a shard cold because their delta
-	// exceeded the fraction threshold. lastAppendSpan is the most recent
-	// append's finished span tree, surfaced in /v1/stats.
+	// deltaCompiles + fullCompiles partition compiles. lastAppendSpan
+	// is the most recent append's finished span tree, surfaced in
+	// /v1/stats.
 	deltaCompiles  atomic.Int64
 	fullCompiles   atomic.Int64
-	deltaFallbacks atomic.Int64
 	deltaHist      *histogram
 	lastAppendSpan atomic.Pointer[obs.Span]
 	// shardMerges counts shards absorbed by bridging appends (a merge
@@ -932,42 +920,31 @@ func (s *Service) invalidateGenerationLocked(gen uint64) {
 }
 
 // roll produces the artifact to publish for the generation this commit
-// creates, by extending only the shards the delta touches: a delta
-// within DeltaMaxFrac of its shard rolls that shard's artifact forward
-// with core.Extend, a larger one (a bulk load, or any delta when delta
-// compilation is disabled) cold-rebuilds that shard alone, and a
-// bridging delta merges just the shards it connects. Extend bounds its
-// own symbol-table chains, so the result is published as it is. The
-// caller holds appendMu — and only appendMu — so none of this blocks a
-// query, and art cannot go stale before the publish.
+// creates, by extending only the shards the delta touches: each touched
+// shard's artifact rolls forward with core.Extend, whatever share of it
+// the delta is, and a bridging delta merges just the shards it
+// connects. Extend bounds its own symbol-table chains, so the result is
+// published as it is. The caller holds appendMu — and only appendMu —
+// so none of this blocks a query, and art cannot go stale before the
+// publish.
 //
-// Accounting: each delta-extended shard is one delta compile, each
-// cold-rebuilt shard one full compile (compiles == full + delta
-// holds), each absorbed shard one merge, and an append that rebuilt a
-// shard because of the threshold one fallback.
+// Accounting: each extended shard is one delta compile, and each
+// absorbed shard one merge.
 func (s *Service) roll(art *core.ShardedCompiled, added int, addL, addE, addR []core.Pair) *core.ShardedCompiled {
 	tr := obs.New("append", 0)
 	sp := tr.Start("delta-compile", 0)
 	started := time.Now()
-	next, st := art.Extend(addL, addE, addR, s.cfg.DeltaMaxFrac)
+	next, st := art.Extend(addL, addE, addR, 0)
 	next.Generation = art.Generation + 1
-	if st.DeltaExtended > 0 {
-		s.deltaHist.observe(time.Since(started).Seconds())
-	} else {
-		sp.Name = "compile" // every touched shard was built cold
-	}
+	s.deltaHist.observe(time.Since(started).Seconds())
 	sp.Set("added", int64(added))
 	sp.Set("shards_touched", int64(len(st.Touched)))
 	sp.Set("merges", int64(st.Merges))
 	sp.Set("depth", int64(next.MaxDeltaDepth()))
 	tr.End(sp, 0)
-	s.compiles.Add(int64(st.DeltaExtended + st.Rebuilt))
+	s.compiles.Add(int64(st.DeltaExtended))
 	s.deltaCompiles.Add(int64(st.DeltaExtended))
-	s.fullCompiles.Add(int64(st.Rebuilt))
 	s.shardMerges.Add(int64(st.Merges))
-	if st.Fallbacks > 0 {
-		s.deltaFallbacks.Add(1)
-	}
 	s.lastAppendSpan.Store(tr.Finish(0))
 	return next
 }
@@ -1037,13 +1014,14 @@ type ShardsStats struct {
 
 // DeltaCompileStats is the delta-compilation block of Stats.
 type DeltaCompileStats struct {
-	// DeltaCompiles and FullCompiles partition Compiles; Fallbacks
-	// counts appends that rebuilt a shard cold in place of a delta
-	// extend because of the fraction threshold.
-	DeltaCompiles int64   `json:"delta_compiles"`
-	FullCompiles  int64   `json:"full_compiles"`
-	Fallbacks     int64   `json:"fallbacks"`
-	MaxFraction   float64 `json:"max_fraction"`
+	// DeltaCompiles and FullCompiles partition Compiles.
+	DeltaCompiles int64 `json:"delta_compiles"`
+	FullCompiles  int64 `json:"full_compiles"`
+	// Deprecated: Fallbacks is always 0; no append rebuilds cold.
+	Fallbacks int64 `json:"fallbacks"`
+	// Deprecated: MaxFraction is always 1: an append extends whatever
+	// share of the database it adds.
+	MaxFraction float64 `json:"max_fraction"`
 	// ChainDepth is the longest overlay chain of any shard's symbol
 	// tables: at most core.MaxOverlayLinks, since Extend folds them
 	// itself (0 when cold-compiled or decoded).
@@ -1173,8 +1151,7 @@ func (s *Service) Stats() Stats {
 		DeltaCompile: DeltaCompileStats{
 			DeltaCompiles: s.deltaCompiles.Load(),
 			FullCompiles:  s.fullCompiles.Load(),
-			Fallbacks:     s.deltaFallbacks.Load(),
-			MaxFraction:   s.cfg.DeltaMaxFrac,
+			MaxFraction:   1,
 			ChainDepth:    depth,
 			LastAppend:    s.lastAppendSpan.Load(),
 		},

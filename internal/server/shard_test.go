@@ -28,7 +28,7 @@ func regionFacts(t *testing.T, svc *Service, regions []string, n int) {
 // on a four-shard service, 300 one-link appends onto one region all
 // delta-compile, no shard's symbol tables ever hold more than
 // core.MaxOverlayLinks overlay links, and the answers match both the
-// rebuilt reference and a cold solve of the live facts.
+// cold-compiled reference and a cold solve of the live facts.
 func TestShardedRetentionCollapse(t *testing.T) {
 	const appends = 300
 	svc, ref := growChain(t, 4, appends, func(k int, st Stats) {

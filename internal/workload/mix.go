@@ -72,9 +72,8 @@ type Op struct {
 	// it (fresh node names), so the server's dedupe never turns the
 	// append into a generation-preserving no-op.
 	L, E, R []core.Pair
-	// Bulk marks an append sized above BulkFrac of the database at
-	// generation time, which the server answers with a delta-compile
-	// fallback (lazy invalidation) instead of an Extend.
+	// Bulk marks an append sized above bulkFrac of the database at
+	// generation time: one large Extend on the server.
 	Bulk bool
 }
 
@@ -112,20 +111,22 @@ type MixConfig struct {
 	BatchMax int
 	// AppendMax bounds a small append's chain length. Zero selects 4.
 	AppendMax int
-	// BulkEvery makes every Nth append bulk (sized to overshoot
-	// BulkFrac of the current database). Zero disables bulk appends.
+	// BulkEvery makes every Nth append bulk (sized to add more than
+	// bulkFrac of the resulting database). Zero disables bulk appends.
 	BulkEvery int
-	// BulkFrac is the server's delta-max-frac to overshoot. Zero
-	// selects 0.25.
-	BulkFrac float64
 	// MaxFacts soft-caps database growth: every bulk append multiplies
-	// the database by ~1/(1−BulkFrac), so an uncapped stream grows it
+	// the database by ~1/(1−bulkFrac), so an uncapped stream grows it
 	// geometrically (and pushes the end-of-run oracle fixpoints past
 	// any CI budget). At the cap, bulk appends demote to small ones and
 	// small ones shrink to single links — the generation still churns,
 	// the database stops compounding. Zero selects 10000.
 	MaxFacts int
 }
+
+// bulkFrac is the share of the resulting database a bulk append adds,
+// at least: a quarter, large enough that the Extend it costs the
+// server is a bulk one.
+const bulkFrac = 0.25
 
 func (c MixConfig) withDefaults() MixConfig {
 	if c.BaseLayers <= 0 {
@@ -142,9 +143,6 @@ func (c MixConfig) withDefaults() MixConfig {
 	}
 	if c.AppendMax <= 0 {
 		c.AppendMax = 4
-	}
-	if c.BulkFrac == 0 {
-		c.BulkFrac = 0.25
 	}
 	if c.MaxFacts <= 0 {
 		c.MaxFacts = 10000
@@ -293,11 +291,9 @@ func (m *Mix) fillAppend(op *Op) {
 	if m.facts >= m.cfg.MaxFacts {
 		k = 1 // at the cap: keep the generation churning, stop growing
 	} else if m.cfg.BulkEvery > 0 && m.appends%m.cfg.BulkEvery == 0 {
-		// Size the chain so added/(facts+added) overshoots BulkFrac:
-		// each chain link adds 3 facts (L, R, identity E), so
-		// 3k > facts·f/(1−f) forces the fallback.
-		f := m.cfg.BulkFrac
-		k = int(float64(m.facts)*f/(1-f))/3 + 2
+		// Size the chain so added/(facts+added) exceeds bulkFrac: each
+		// chain link adds 3 facts (L, R, identity E), so 3k > facts·f/(1−f).
+		k = int(float64(m.facts)*bulkFrac/(1-bulkFrac))/3 + 2
 		op.Bulk = true
 	}
 	from := m.nodes[m.rng.Intn(len(m.nodes))]
