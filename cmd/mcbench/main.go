@@ -14,7 +14,6 @@
 //	mcbench -traceguard           # tracing-overhead guard: disabled vs unsampled
 //	mcbench -recovery             # crash-recovery probe: cold replay vs snapshot+tail
 //	mcbench -appendmix            # append-heavy probe: full recompile vs delta compile
-//	mcbench -shardmix             # region-sharding probe: monolithic vs per-shard delta compile
 package main
 
 import (
@@ -58,11 +57,6 @@ func run(args []string, stdout io.Writer) error {
 	appendmixBase := fs.Int("appendmix-base", 4_000, "pre-loaded facts for the -appendmix probe")
 	appendmixAppends := fs.Int("appendmix-appends", 400, "append steps for the -appendmix probe")
 	appendmixMinSpeedup := fs.Float64("appendmix-min-speedup", 5, "required full/delta amortized-compile speedup for -appendmix (0 disables the gate)")
-	shardmix := fs.Bool("shardmix", false, "probe region-sharded maintenance: monolithic delta compile vs per-shard delta compile over the same multi-region append mix; fail below -shardmix-min-speedup or on any oracle divergence")
-	shardmixShards := fs.Int("shardmix-shards", 8, "shard slots for the -shardmix probe")
-	shardmixBase := fs.Int("shardmix-base", 48_000, "pre-loaded facts for the -shardmix probe")
-	shardmixAppends := fs.Int("shardmix-appends", 400, "append steps for the -shardmix probe")
-	shardmixMinSpeedup := fs.Float64("shardmix-min-speedup", 0.5, "required monolithic/sharded amortized-append speedup for -shardmix (0 disables the gate)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -127,32 +121,6 @@ func run(args []string, stdout io.Writer) error {
 		}
 		if *appendmixMinSpeedup > 0 && res.Speedup < *appendmixMinSpeedup {
 			return fmt.Errorf("appendmix speedup %.2fx below the required %.2fx", res.Speedup, *appendmixMinSpeedup)
-		}
-		return nil
-	}
-	if *shardmix {
-		out := stdout
-		if *outPath != "" {
-			f, err := os.Create(*outPath)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			out = f
-		}
-		res, err := runShardmixProbe(*shardmixShards, *shardmixBase, *shardmixAppends, *benchRounds, out)
-		if err != nil {
-			return err
-		}
-		if *jsonOut {
-			path, err := writeShardmixJSON(".", res)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(out, "wrote %s\n", path)
-		}
-		if *shardmixMinSpeedup > 0 && res.Speedup < *shardmixMinSpeedup {
-			return fmt.Errorf("shardmix speedup %.2fx below the required %.2fx", res.Speedup, *shardmixMinSpeedup)
 		}
 		return nil
 	}
@@ -290,7 +258,6 @@ type benchFile struct {
 	Micro       []bench.Micro     `json:"micro,omitempty"`
 	Recovery    *recoveryResult   `json:"recovery,omitempty"`
 	Appendmix   *appendmixResult  `json:"appendmix,omitempty"`
-	Shardmix    *shardmixResult   `json:"shardmix,omitempty"`
 }
 
 // writeAppendmixJSON writes a BENCH record holding only the appendmix

@@ -120,7 +120,7 @@ func runRecoveryProbe(n, rounds int, out io.Writer) (*recoveryResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The snapshot carries what a one-shard Service checkpoint would:
+	// The snapshot carries what a Service checkpoint writes:
 	// the compiled artifact over the accumulated facts, which it stores
 	// alone.
 	var l, e, r []core.Pair

@@ -13,7 +13,6 @@
 //	mcserved -data-dir ./data      # restart-safe: WAL + snapshots + recovery
 //	mcserved -data-dir ./data -fsync interval -snapshot-every 10000
 //	mcserved -addr :9000 -workers 8 -timeout 5s
-//	mcserved -shards 8             # eight region shards: route queries and scope appends per shard
 //	mcserved -debug-addr :6060     # also serve net/http/pprof there
 //	mcserved -quiet                # no per-request log lines
 //
@@ -164,7 +163,9 @@ func run(args []string, stdout io.Writer, ready chan<- net.Addr, stop <-chan os.
 	fsyncMode := fs.String("fsync", "always", "WAL fsync policy with -data-dir: always, interval, or never")
 	fsyncInterval := fs.Duration("fsync-interval", 100*time.Millisecond, "background sync period under -fsync interval")
 	snapshotEvery := fs.Int("snapshot-every", 50_000, "snapshot once this many facts have been appended since the last one (0 = only on shutdown)")
-	shards := fs.Int("shards", 1, "number of region shards the compiled artifact is partitioned into: queries route to one shard, appends roll only touched shards (<=1 = one shard)")
+	// Deprecated: -shards is accepted so existing launch lines keep
+	// working, and ignored; ROADMAP item 1's [benchmark] half removes it.
+	fs.Int("shards", 1, "deprecated and ignored: the server holds one compiled artifact")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -180,7 +181,6 @@ func run(args []string, stdout io.Writer, ready chan<- net.Addr, stop <-chan os.
 		Fsync:          fsync,
 		FsyncInterval:  *fsyncInterval,
 		SnapshotEvery:  *snapshotEvery,
-		Shards:         *shards,
 	})
 	if *dataDir != "" {
 		// Recover before listening: a port that answers implies a

@@ -182,3 +182,53 @@ func TestDebugAddrServesPprof(t *testing.T) {
 		t.Fatal("server did not shut down")
 	}
 }
+
+// TestShardsFlagIgnored: -shards is still accepted, so launch lines that
+// pass it keep starting, and it changes nothing — a -shards 4 server
+// answers every source like the default one across two regions and a
+// bridging append, and its /v1/stats carries no shards block.
+func TestShardsFlagIgnored(t *testing.T) {
+	def := startServer(t, &bytes.Buffer{}, "-quiet")
+	defer stopServer(t, def)
+	sharded := startServer(t, &bytes.Buffer{}, "-quiet", "-shards", "4")
+	defer stopServer(t, sharded)
+	sources := []string{"ann", "amy", "t2_a", "t2_c", "nobody"}
+	for _, facts := range []string{
+		`{"parent": [{"from":"ann","to":"bob"}, {"from":"amy","to":"bob"}]}`,
+		`{"parent": [{"from":"t2_a","to":"t2_b"}, {"from":"t2_c","to":"t2_b"}]}`,
+		`{"parent": [{"from":"bob","to":"t2_b"}]}`, // bridges the two regions
+	} {
+		for _, srv := range []inProcess{def, sharded} {
+			post(t, srv.base+"/v1/facts", facts)
+		}
+		for _, src := range sources {
+			body := fmt.Sprintf(`{"source": %q, "strategy": "multiple"}`, src)
+			var want, got struct {
+				Answers    []string       `json:"answers"`
+				Stats      map[string]any `json:"stats"`
+				Generation uint64         `json:"generation"`
+			}
+			if err := json.Unmarshal(post(t, def.base+"/v1/query", body), &want); err != nil {
+				t.Fatal(err)
+			}
+			if err := json.Unmarshal(post(t, sharded.base+"/v1/query", body), &got); err != nil {
+				t.Fatal(err)
+			}
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("source %s: -shards 4 answered %+v, the default server %+v", src, got, want)
+			}
+		}
+	}
+	resp, err := http.Get(sharded.base + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var stats map[string]any
+	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := stats["shards"]; ok || stats["generation"] != float64(3) {
+		t.Fatalf("-shards 4 stats: %v; want generation 3 and no shards block", stats)
+	}
+}

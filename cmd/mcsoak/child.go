@@ -32,7 +32,7 @@ type childServer struct {
 	bin     string
 	dataDir string
 	// extraArgs are appended to the fixed spawn arguments (e.g.
-	// "-shards 4" to soak a region-sharded server).
+	// "-snapshot-every 500" to checkpoint more often).
 	extraArgs []string
 	cmd       *exec.Cmd
 	addr      string // host:port the child reported

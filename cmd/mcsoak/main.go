@@ -22,8 +22,8 @@
 //	mcsoak -addr host:port -seed 7 -report soak-report.json
 //	mcsoak -slo slo.json                     # custom ceilings (JSON SLOSpec)
 //	mcsoak -allow-dirty                      # non-empty server: load only, no oracle
-//	mcsoak -child-bin ./mcserved -child-args "-shards 4" -source-skew 1.3
-//	                                         # own a sharded child, skew query sources Zipf-style
+//	mcsoak -child-bin ./mcserved -child-args "-snapshot-every 500" -source-skew 1.3
+//	                                         # own a child with extra flags, skew query sources Zipf-style
 //
 // The exit status is 0 iff the run passed: every latency ceiling
 // held, zero oracle divergences, zero unexpected HTTP statuses, and
@@ -77,7 +77,7 @@ func run(args []string, stdout io.Writer) error {
 	allowDirty := fs.Bool("allow-dirty", false, "accept a non-empty server; disables oracle verification and ledger cross-checks")
 	childBin := fs.String("child-bin", "", "mcserved binary to spawn and own (required for -kill-every; overrides -addr)")
 	childDataDir := fs.String("child-data-dir", "", "data directory for the owned child (empty = a fresh temp dir)")
-	childArgs := fs.String("child-args", "", "extra space-separated flags for the owned child (e.g. \"-shards 4\")")
+	childArgs := fs.String("child-args", "", "extra space-separated flags for the owned child (e.g. \"-snapshot-every 500\")")
 	sourceSkew := fs.Float64("source-skew", 0, "Zipf exponent for query-source popularity (>1 concentrates traffic on few regions; <=1 uniform)")
 	killEvery := fs.Duration("kill-every", 0, "SIGKILL and restart the owned child this often (0 disables; needs -child-bin)")
 	minRecoveries := fs.Int("min-recoveries", 0, "fail unless at least this many kill/restart cycles completed")

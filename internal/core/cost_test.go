@@ -213,8 +213,10 @@ func TestExtendChainStaysBounded(t *testing.T) {
 		if sc, st = sc.Extend(dL, dE, dR, 0); st.DeltaExtended != 1 {
 			t.Fatalf("step %d: %+v, want one delta Extend", i, st)
 		}
-		if d, links := sc.MaxDeltaDepth(), max(sc.routeL.links(), sc.routeR.links()); d > MaxOverlayLinks || links > MaxOverlayLinks {
-			t.Fatalf("step %d: %d overlay links in a shard, %d in the router", i, d, links)
+		for _, slot := range sc.liveSlots() {
+			if d, links := sc.ShardArtifact(slot).DeltaDepth(), max(sc.routeL.links(), sc.routeR.links()); d > MaxOverlayLinks || links > MaxOverlayLinks {
+				t.Fatalf("step %d: %d overlay links in shard %d, %d in the router", i, d, slot, links)
+			}
 		}
 	}
 

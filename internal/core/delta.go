@@ -144,6 +144,39 @@ func dedupeDelta(delta []Pair, parent *csr, internFrom, internTo func(string) in
 	return arcs
 }
 
+// Novel returns the part of a delta the artifact does not hold yet, in
+// delta order and with repeats inside the delta dropped: the append
+// side's membership test, answered from the compiled rows with
+// dedupeDelta's probe. It interns nothing — a pair naming a symbol the
+// artifact has never seen is novel. The slices are fresh, and the
+// caller may keep them.
+func (c *Compiled) Novel(dL, dE, dR []Pair) (nL, nE, nR []Pair) {
+	var probe rowProbe
+	novel := func(delta []Pair, g *csr, from, to *symTable, rev bool) []Pair {
+		out := make([]Pair, 0, len(delta))
+		seen := make(map[Pair]struct{}, len(delta))
+		for _, p := range delta {
+			u, okU := from.lookup(p.From)
+			v, okV := to.lookup(p.To)
+			if rev {
+				u, v = v, u
+			}
+			if okU && okV && probe.has(g.row(u), v) {
+				continue // held: the common case of a re-POST, decided without hashing the pair
+			}
+			if _, dup := seen[p]; dup {
+				continue
+			}
+			seen[p] = struct{}{}
+			out = append(out, p)
+		}
+		return out
+	}
+	return novel(dL, &c.lOut, &c.lid, &c.lid, false),
+		novel(dE, &c.eOut, &c.lid, &c.rid, false),
+		novel(dR, &c.rOut, &c.rid, &c.rid, true)
+}
+
 // rowProbe answers "does this row hold v" for one run of probes in
 // O(probes + touched rows): a long row is scanned the first few times
 // it is asked about and indexed once after that, so m delta arcs aimed

@@ -163,7 +163,7 @@ func TestExtendOntoHub(t *testing.T) {
 	parent := core.Compile(L, nil, nil)
 	start := time.Now()
 	ext := parent.Extend(delta, nil, nil)
-	novel, _, _ := core.SingleShard(ext).Novel(append(delta, L[:m]...), nil, nil)
+	novel, _, _ := ext.Novel(append(delta, L[:m]...), nil, nil)
 	took := time.Since(start)
 	t.Logf("Extend and Novel took %v", took)
 	if took > 2*time.Second {

@@ -13,13 +13,19 @@ import (
 // partition is answer-preserving by construction: Fact 2's walks
 // follow L, E, and R arcs only, so the region a query from source a
 // can ever touch is contained in a's weak component, which lives
-// whole inside one shard. Every query therefore routes to exactly one
-// shard — smaller symbol tables, hotter caches — and maintenance is
-// per-shard: an append delta-compiles only the shards it touches, and
-// an append that bridges regions merges the affected shards (and only
-// them).
+// whole inside one shard.
+//
+// Nothing serves a ShardedCompiled any more: a miss on one Compiled
+// already costs only what its source reaches, and one Extend costs
+// O(delta), so one artifact gets the same confinement for free
+// (TestFact2Confinement pins it). The layer stays for the end-to-end
+// benchmark's traced shadow and for the equivalence tests that
+// compare against it; it goes with ROADMAP item 1's [benchmark] half.
 
 // ShardOpts tunes CompileSharded.
+//
+// Deprecated: kept only for the end-to-end benchmark's shadow tracer;
+// ROADMAP item 1's [benchmark] half deletes it.
 type ShardOpts struct {
 	// Shards is the target shard count K. Components are packed onto K
 	// shards greedily, largest first. Values below 1 select 1.
@@ -48,6 +54,9 @@ func newShard(c *Compiled) *shard {
 // CompileSharded, copied by Extend, stamped by the caller (the
 // per-shard artifacts keep their own internal tags and are not
 // restamped — routing and staleness are decided at this level).
+//
+// Deprecated: kept only for the end-to-end benchmark's shadow tracer;
+// ROADMAP item 1's [benchmark] half deletes it.
 type ShardedCompiled struct {
 	Generation uint64
 
@@ -69,6 +78,9 @@ type ShardedCompiled struct {
 // slots were touched (ascending, deduplicated), each rolled with one
 // delta Extend, and how many shard merges a bridging delta forced (a
 // merge of n shards counts n-1).
+//
+// Deprecated: kept only for the end-to-end benchmark's shadow tracer;
+// ROADMAP item 1's [benchmark] half deletes it.
 type ShardExtendStats struct {
 	Touched       []int
 	DeltaExtended int
@@ -84,10 +96,13 @@ type ShardExtendStats struct {
 // the lowest slot — deterministic in the input order), and compiles
 // each shard independently. With K=1 there is nothing to partition or
 // route: the one shard is a plain Compile.
+//
+// Deprecated: kept only for the end-to-end benchmark's shadow tracer;
+// ROADMAP item 1's [benchmark] half deletes it.
 func CompileSharded(L, E, R []Pair, opts ShardOpts) *ShardedCompiled {
 	k := opts.Shards
 	if k <= 1 {
-		return SingleShard(Compile(L, E, R))
+		return &ShardedCompiled{shards: []*shard{newShard(Compile(L, E, R))}, redirect: []int32{0}}
 	}
 	// Intern the two symbol domains, in the same relation order a cold
 	// Compile uses so component numbering is deterministic.
@@ -209,17 +224,14 @@ func CompileSharded(L, E, R []Pair, opts ShardOpts) *ShardedCompiled {
 	return sc
 }
 
-// SingleShard wraps c as a one-slot artifact without recompiling: how
-// a decoded snapshot artifact re-enters service.
-func SingleShard(c *Compiled) *ShardedCompiled {
-	return &ShardedCompiled{shards: []*shard{newShard(c)}, redirect: []int32{0}}
-}
-
 // ShardOf returns the live slot that answers queries from source. A
 // source absent from every relation routes to slot 0: it binds as a
 // virtual isolated node, and an isolated node's answers and stats are
 // identical on every shard. A one-slot artifact has no router, so
 // everything routes to slot 0.
+//
+// Deprecated: kept only for the end-to-end benchmark's shadow tracer;
+// ROADMAP item 1's [benchmark] half deletes it.
 func (sc *ShardedCompiled) ShardOf(source string) int {
 	return sc.slotOf(&sc.routeL, source)
 }
@@ -232,50 +244,6 @@ func (sc *ShardedCompiled) slotOf(route *symTable, name string) int {
 	return 0
 }
 
-// Novel returns the part of a delta the artifact does not hold yet, in
-// delta order and with repeats inside the delta dropped: the append
-// side's membership test, answered from the compiled rows. It interns
-// nothing — a pair naming a symbol its shard has never seen is novel.
-func (sc *ShardedCompiled) Novel(dL, dE, dR []Pair) (nL, nE, nR []Pair) {
-	type symFn func(*Compiled, string) (int32, bool)
-	lsym := func(c *Compiled, s string) (int32, bool) { return c.lid.lookup(s) }
-	rsym := func(c *Compiled, s string) (int32, bool) { return c.rid.lookup(s) }
-	var probe rowProbe
-	// The arguments mirror dedupeDelta's; route picks the shard.
-	novel := func(delta []Pair, route *symTable, graph func(*Compiled) *csr, from, to symFn, rev bool) []Pair {
-		out := make([]Pair, 0, len(delta))
-		seen := make(map[Pair]struct{}, len(delta))
-		for _, p := range delta {
-			c := sc.shards[sc.slotOf(route, p.From)].comp
-			u, okU := from(c, p.From)
-			v, okV := to(c, p.To)
-			if rev {
-				u, v = v, u
-			}
-			if okU && okV && probe.has(graph(c).row(u), v) {
-				continue // held: the common case of a re-POST, decided without hashing the pair
-			}
-			if _, dup := seen[p]; dup {
-				continue
-			}
-			seen[p] = struct{}{}
-			out = append(out, p)
-		}
-		return out
-	}
-	nL = novel(dL, &sc.routeL, func(c *Compiled) *csr { return &c.lOut }, lsym, lsym, false)
-	nE = novel(dE, &sc.routeL, func(c *Compiled) *csr { return &c.eOut }, lsym, rsym, false)
-	nR = novel(dR, &sc.routeR, func(c *Compiled) *csr { return &c.rOut }, rsym, rsym, true)
-	return nL, nE, nR
-}
-
-// Facts returns the database the artifact compiles, enumerated from
-// the live shards' rows in slot order (see Compiled.Facts): fresh
-// slices the caller may keep.
-func (sc *ShardedCompiled) Facts() (l, e, r []Pair) {
-	return sc.facts(sc.LiveSlots())
-}
-
 // facts enumerates the given slots' facts, in slot order.
 func (sc *ShardedCompiled) facts(slots []int) (l, e, r []Pair) {
 	for _, i := range slots {
@@ -284,21 +252,13 @@ func (sc *ShardedCompiled) facts(slots []int) (l, e, r []Pair) {
 	return l, e, r
 }
 
-// FactCounts reports the per-relation sizes of the database: the live
-// shards' deduplicated arc counts, exact on every artifact form. (Facts
-// may repeat a pair the input repeated; the counts never do.)
-func (sc *ShardedCompiled) FactCounts() (l, e, r int) {
-	for _, i := range sc.LiveSlots() {
-		al, ae, ar := sc.shards[i].comp.Arcs()
-		l, e, r = l+al, e+ae, r+ar
-	}
-	return l, e, r
-}
-
 // Solve answers ?- P(source, Y) on the source's shard. Answers and
 // Stats are byte-identical to solving the monolithic Compiled: the
 // evaluation can only touch source's weak component, which the shard
 // contains whole.
+//
+// Deprecated: kept only for the end-to-end benchmark's shadow tracer;
+// ROADMAP item 1's [benchmark] half deletes it.
 func (sc *ShardedCompiled) Solve(source string, strategy Strategy, mode Mode, opts Options) (*Result, error) {
 	return sc.shards[sc.ShardOf(source)].comp.Solve(source, strategy, mode, opts)
 }
@@ -309,22 +269,25 @@ func (sc *ShardedCompiled) Solve(source string, strategy Strategy, mode Mode, op
 // the classifier's work and storage are confined to that region too —
 // linear in the reached nodes and arcs, plus the index enumeration on
 // the multiple region.
+//
+// Deprecated: kept only for the end-to-end benchmark's shadow tracer;
+// ROADMAP item 1's [benchmark] half deletes it.
 func (sc *ShardedCompiled) ChooseMethod(source string) Selection {
 	return sc.shards[sc.ShardOf(source)].comp.ChooseMethod(source)
 }
 
 // SolveAuto evaluates one source with the method ChooseMethod selects.
+//
+// Deprecated: kept only for the end-to-end benchmark's shadow tracer;
+// ROADMAP item 1's [benchmark] half deletes it.
 func (sc *ShardedCompiled) SolveAuto(source string, opts Options) (*Result, Selection, error) {
 	return sc.shards[sc.ShardOf(source)].comp.SolveAuto(source, opts)
 }
 
-// NumShards reports the slot count K (vacated slots included).
-func (sc *ShardedCompiled) NumShards() int { return len(sc.shards) }
-
-// LiveSlots returns the slots that still own a shard (ascending):
+// liveSlots returns the slots that still own a shard (ascending):
 // slot i is live while redirect[i] == i, and loses that the moment a
 // merge absorbs it.
-func (sc *ShardedCompiled) LiveSlots() []int {
+func (sc *ShardedCompiled) liveSlots() []int {
 	out := make([]int, 0, len(sc.shards))
 	for i, r := range sc.redirect {
 		if int(r) == i {
@@ -337,69 +300,22 @@ func (sc *ShardedCompiled) LiveSlots() []int {
 // ShardArtifact returns slot i's compiled artifact (nil only for a
 // vacated slot's placeholder before any query, which callers never
 // route to).
+//
+// Deprecated: kept only for the end-to-end benchmark's shadow tracer;
+// ROADMAP item 1's [benchmark] half deletes it.
 func (sc *ShardedCompiled) ShardArtifact(i int) *Compiled { return sc.shards[i].comp }
 
 // SetShardArtifact swaps slot i's artifact for c, which must compile
 // the same facts (typically ShardArtifact(i).Flatten()). Only safe
 // before the ShardedCompiled is published: afterwards it is shared
 // read-only.
+//
+// Deprecated: kept only for the end-to-end benchmark's shadow tracer;
+// ROADMAP item 1's [benchmark] half deletes it.
 func (sc *ShardedCompiled) SetShardArtifact(i int, c *Compiled) {
 	sh := *sc.shards[i]
 	sh.comp = c
 	sc.shards[i] = &sh
-}
-
-// MaxDeltaDepth reports the longest overlay chain of any live shard's
-// symbol tables (see Compiled.DeltaDepth), at most MaxOverlayLinks.
-func (sc *ShardedCompiled) MaxDeltaDepth() int {
-	depth := 0
-	for _, i := range sc.LiveSlots() {
-		if d := sc.shards[i].comp.DeltaDepth(); d > depth {
-			depth = d
-		}
-	}
-	return depth
-}
-
-// ResidentBytes estimates the storage the sharded artifact keeps
-// reachable: every live shard's compiled estimate and the router
-// tables.
-func (sc *ShardedCompiled) ResidentBytes() int64 {
-	var b int64
-	for _, i := range sc.LiveSlots() {
-		b += sc.shards[i].comp.ResidentBytes()
-	}
-	b += sc.routeL.residentBytes() + sc.routeR.residentBytes()
-	b += int64(len(sc.redirect)) * 4
-	return b
-}
-
-// ShardInfo is one live shard's summary, for stats surfaces.
-type ShardInfo struct {
-	Slot          int   `json:"slot"`
-	Facts         int   `json:"facts"`
-	LNodes        int   `json:"l_nodes"`
-	RNodes        int   `json:"r_nodes"`
-	DeltaDepth    int   `json:"delta_depth"`
-	ResidentBytes int64 `json:"resident_bytes"`
-}
-
-// ShardInfos summarizes the live shards in slot order.
-func (sc *ShardedCompiled) ShardInfos() []ShardInfo {
-	var out []ShardInfo
-	for _, i := range sc.LiveSlots() {
-		sh := sc.shards[i]
-		l, e, r := sh.comp.Arcs()
-		out = append(out, ShardInfo{
-			Slot:          i,
-			Facts:         l + e + r,
-			LNodes:        sh.comp.NumL(),
-			RNodes:        sh.comp.NumR(),
-			DeltaDepth:    sh.comp.DeltaDepth(),
-			ResidentBytes: sh.comp.ResidentBytes(),
-		})
-	}
-	return out
 }
 
 // Extend returns a new sharded artifact covering the parent's facts
@@ -430,7 +346,9 @@ func (sc *ShardedCompiled) ShardInfos() []ShardInfo {
 // Generation follows the Compiled convention: copied from the parent,
 // restamped by the caller.
 //
-// Deprecated: the fourth parameter is ignored.
+// Deprecated: kept only for the end-to-end benchmark's shadow tracer;
+// ROADMAP item 1's [benchmark] half deletes it. The fourth parameter
+// is ignored.
 func (sc *ShardedCompiled) Extend(dL, dE, dR []Pair, _ float64) (*ShardedCompiled, ShardExtendStats) {
 	child := &ShardedCompiled{
 		Generation: sc.Generation,
@@ -572,7 +490,7 @@ func (sc *ShardedCompiled) Extend(dL, dE, dR []Pair, _ float64) (*ShardedCompile
 		case len(live) == 0:
 			// An entirely fresh region: join the lightest live shard.
 			target = -1
-			for _, i := range child.LiveSlots() {
+			for _, i := range child.liveSlots() {
 				if target < 0 || load(i) < load(target) {
 					target = i
 				}

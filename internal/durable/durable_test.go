@@ -253,7 +253,8 @@ func TestSnapshotRoundtripAndGC(t *testing.T) {
 	if !info.SnapshotLoaded || info.Generation != 2 || info.ReplayedRecords != 0 {
 		t.Fatalf("snapshot-only recovery: %+v", info)
 	}
-	if art, err := info.Artifact(); err != nil || art == nil || art.Generation != 2 {
+	art, err := info.Artifact()
+	if err != nil || art == nil || art.Generation != 2 {
 		t.Fatalf("snapshot artifact lost or stale: %v", err)
 	}
 	// The snapshot stores its artifact alone; its rows are the facts
@@ -261,8 +262,8 @@ func TestSnapshotRoundtripAndGC(t *testing.T) {
 	if len(info.L)+len(info.E)+len(info.R) != 0 {
 		t.Fatalf("a snapshot with an artifact stored %d/%d/%d fact pairs too", len(info.L), len(info.E), len(info.R))
 	}
-	if sl, se, sr, err := info.SnapshotFacts(); err != nil || core.Compile(sl, se, sr).StructuralEqual(core.Compile(l, e, r)) != nil {
-		t.Fatalf("snapshot facts %d/%d/%d (%v) are not the %d/%d/%d acknowledged", len(sl), len(se), len(sr), err, len(l), len(e), len(r))
+	if sl, se, sr := art.Facts(); core.Compile(sl, se, sr).StructuralEqual(core.Compile(l, e, r)) != nil {
+		t.Fatalf("snapshot artifact rows %d/%d/%d are not the %d/%d/%d acknowledged", len(sl), len(se), len(sr), len(l), len(e), len(r))
 	}
 	if len(info.TailL)+len(info.TailE)+len(info.TailR) != 0 {
 		t.Fatalf("snapshot-only recovery reports a tail: %+v", info)
@@ -283,7 +284,7 @@ func TestSnapshotRoundtripAndGC(t *testing.T) {
 	if !reflect.DeepEqual(info2.TailL, tail.L) || !reflect.DeepEqual(info2.TailE, tail.E) || !reflect.DeepEqual(info2.TailR, tail.R) {
 		t.Fatalf("tail %v/%v/%v, want the replayed record %+v", info2.TailL, info2.TailE, info2.TailR, tail)
 	}
-	art, err := info2.Artifact()
+	art, err = info2.Artifact()
 	if err != nil || art == nil || art.Generation != 2 {
 		t.Fatalf("snapshot artifact behind a tail lost or stale: %v", err)
 	}

@@ -24,17 +24,19 @@ type Snapshot struct {
 	// L, E, R are the facts. WriteSnapshot ignores them when Compiled
 	// is set, which must compile exactly them; a loaded snapshot holds
 	// them only when its file stored them (format version 1, or no
-	// artifact).
+	// artifact), and recovery still reads such files.
+	//
+	// Deprecated: the server writes its artifact alone. Writing pairs
+	// stays for the end-to-end benchmark's shadow tracer until ROADMAP
+	// item 1's [benchmark] half.
 	L, E, R []core.Pair
 	// Compiled is the artifact for generation Gen; nil is valid (the
 	// facts are then written as pairs and recovery compiles them).
 	Compiled *core.Compiled
 	// compiledRaw holds the still-encoded artifact of a decoded
-	// snapshot. Materializing it costs real work that a caller
-	// compiling the recovered facts its own way (several shards, from a
-	// snapshot that stores its pairs) never needs, so the payload
+	// snapshot. Materializing it costs real work, so the payload
 	// decoder defers it to RecoveryInfo.Artifact, which calls
-	// decodeArtifact on first use.
+	// decodeArtifact on first use, under the caller's own span.
 	compiledRaw []byte
 }
 

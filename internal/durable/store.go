@@ -14,8 +14,9 @@ import (
 )
 
 // RecoveryInfo reports what Open reconstructed. The recovered database
-// is the snapshot's facts (see SnapshotFacts) followed by the replayed
-// WAL tail, and the two parts are kept apart: replay never copies the
+// is the snapshot's facts — its artifact's rows (see Artifact), or L, E
+// and R for a snapshot that stores pairs — followed by the replayed WAL
+// tail, and the two parts are kept apart: replay never copies the
 // snapshot's facts.
 type RecoveryInfo struct {
 	// Generation is the recovered database generation: the snapshot's,
@@ -51,11 +52,10 @@ type RecoveryInfo struct {
 
 // Artifact returns the loaded snapshot's compiled artifact, for
 // generation SnapshotGeneration — nil when no snapshot was loaded or it
-// carries none. The artifact is decoded here, on first use, so a caller
-// that compiles the recovered facts its own way (several shards) never
-// pays for it. The bytes sit behind the snapshot frame's CRC, so a
-// decode failure is an encoding incompatibility, reported as ErrCorrupt.
-// Not safe for concurrent use.
+// carries none. The artifact is decoded here, on first use, so the
+// caller times the decode under its own span. The bytes sit behind the
+// snapshot frame's CRC, so a decode failure is an encoding
+// incompatibility, reported as ErrCorrupt. Not safe for concurrent use.
 func (ri *RecoveryInfo) Artifact() (*core.Compiled, error) {
 	if ri.snap == nil {
 		return nil, nil
@@ -64,22 +64,6 @@ func (ri *RecoveryInfo) Artifact() (*core.Compiled, error) {
 		return nil, err
 	}
 	return ri.snap.Compiled, nil
-}
-
-// SnapshotFacts returns the loaded snapshot's facts: L, E and R when
-// the snapshot stores them as pairs, else the rows of its artifact,
-// decoded by Artifact and read back as fresh slices. All three are
-// empty when no snapshot was loaded. Not safe for concurrent use.
-func (ri *RecoveryInfo) SnapshotFacts() (l, e, r []core.Pair, err error) {
-	if len(ri.L)+len(ri.E)+len(ri.R) > 0 {
-		return ri.L, ri.E, ri.R, nil
-	}
-	c, err := ri.Artifact()
-	if err != nil || c == nil {
-		return nil, nil, nil, err
-	}
-	l, e, r = c.Facts()
-	return l, e, r, nil
 }
 
 // Store is an open durable directory: the active WAL for appends plus

@@ -1,13 +1,13 @@
 package graph
 
-// This file adds the weak-connectivity layer behind region sharding:
-// a query from source a can only ever touch the weakly connected
-// region of the symbol graph containing a (Fact 2's walks follow arcs
-// of L, E, and R, all of which stay inside one weak component), so
-// partitioning a database along weak components is answer-preserving
-// by construction. Core finds the components with a UnionFind over
-// the interned symbol ids, joining each fact's endpoints; no Digraph
-// of the symbol graph is ever built.
+// This file adds the weak-connectivity layer: a query from source a
+// can only ever touch the weakly connected region of the symbol graph
+// containing a (Fact 2's walks follow arcs of L, E, and R, all of
+// which stay inside one weak component). Core's deprecated sharding
+// layer partitions a database along those components, and core's
+// confinement test checks the property against them; both find the
+// components with a UnionFind over the symbol ids, joining each
+// fact's endpoints, and no Digraph of the symbol graph is ever built.
 
 // UnionFind is a disjoint-set forest over elements 0..n-1 with union
 // by size and path halving, the classic near-constant-amortized

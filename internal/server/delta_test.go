@@ -54,21 +54,23 @@ func TestDeltaCompileOnAppend(t *testing.T) {
 		t.Fatalf("last-append span missing its delta-compile child: %+v", st.DeltaCompile.LastAppend)
 	}
 	art := svc.current()
-	if err := art.ShardArtifact(0).StructuralEqual(core.Compile(art.Facts())); err != nil {
+	if err := art.StructuralEqual(core.Compile(art.Facts())); err != nil {
 		t.Fatalf("rolled artifact diverges from cold compile: %v", err)
 	}
 }
 
 // TestBulkAppendExtends: however large a share of the database an
 // append adds — all of it, onto an empty service, or well over a
-// quarter of it — the append rolls the shard it lands in with a delta
-// Extend, never a cold build, and the result is the cold compile of
-// the acknowledged facts, answering as the oracle does.
+// quarter of it — the append rolls the artifact with a delta Extend,
+// never a cold build, and the result is the cold compile of the
+// acknowledged facts, answering as the oracle does.
 func TestBulkAppendExtends(t *testing.T) {
 	var more FactsRequest // 15 links onto the 10-link chain: 45 facts onto 30
 	for i := 10; i < 25; i++ {
 		more = mergeFacts(more, chainFacts("bulk", i))
 	}
+	// Config.Shards is deprecated and ignored: every value rolls the
+	// one artifact.
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			svc := New(Config{Workers: 2, Shards: shards})
@@ -84,8 +86,7 @@ func TestBulkAppendExtends(t *testing.T) {
 				if last := st.DeltaCompile.LastAppend; last.Find("delta-compile") == nil || last.Find("compile") != nil {
 					t.Fatalf("bulk append %d: span %+v; want a delta-compile child and no compile", i, last)
 				}
-				art := svc.current()
-				if err := art.ShardArtifact(art.ShardOf("bulk_n0")).StructuralEqual(core.Compile(m.l, m.e, m.r)); err != nil {
+				if err := svc.current().StructuralEqual(core.Compile(m.l, m.e, m.r)); err != nil {
 					t.Fatalf("bulk append %d: artifact diverges from a cold compile of the acknowledged facts: %v", i, err)
 				}
 				exact := oracle.Solver(arcs(m.l), arcs(m.e), arcs(m.r))
@@ -177,7 +178,7 @@ func TestConcurrentAppendExtendQueryCheckpoint(t *testing.T) {
 		t.Fatalf("published artifact generation %d != %d", art.Generation, want)
 	}
 	cold := core.Compile(art.Facts())
-	if err := art.ShardArtifact(0).StructuralEqual(cold); err != nil {
+	if err := art.StructuralEqual(cold); err != nil {
 		t.Fatalf("final artifact diverges from cold compile: %v", err)
 	}
 	want, err := cold.Solve("a0_n0", core.Multiple, core.Integrated, core.Options{})

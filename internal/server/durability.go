@@ -40,18 +40,18 @@ func (s *Service) Open(dir string) (*durable.RecoveryInfo, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The snapshot's artifact is one Compiled over the snapshot's facts —
-	// the one-shard form. Adopted, it makes recovery skip the compile:
-	// the WAL tail is applied to it with one Extend, as the appends that
-	// wrote the tail were, whatever its size. Otherwise
-	// — several shards, or no artifact — the artifact is compiled here,
-	// once, from the snapshot's facts (read back from its artifact when
-	// that is all it stores) and the tail. An empty directory recovers
-	// nothing, and New's empty artifact stands.
+	// The snapshot's artifact is the database at the snapshot's
+	// generation. Adopted, it makes recovery skip the compile: the WAL
+	// tail is applied to it with one Extend, as the appends that wrote
+	// the tail were, whatever its size. Without one — no snapshot, or a
+	// snapshot that stores its facts as pairs (format version 1, or one
+	// written by a sharded server) — the artifact is compiled here, once,
+	// from the snapshot's pairs and the tail. An empty directory
+	// recovers nothing, and New's empty artifact stands.
 	art := s.current()
 	if info.Generation > 0 {
 		var snapArt *core.Compiled
-		if s.cfg.Shards <= 1 && info.SnapshotLoaded {
+		if info.SnapshotLoaded {
 			da := tr.Start("decode-artifact", 0)
 			snapArt, err = info.Artifact()
 			tr.End(da, 0)
@@ -64,14 +64,9 @@ func (s *Service) Open(dir string) (*durable.RecoveryInfo, error) {
 			art = s.adoptSnapshot(snapArt, info, tr)
 		} else {
 			cs := tr.Start("compile", 0)
-			l, e, r, err := info.SnapshotFacts()
-			if err != nil {
-				st.Close()
-				return nil, err
-			}
+			l, e, r := info.L, info.E, info.R
 			l, e, r = append(l[:len(l):len(l)], info.TailL...), append(e[:len(e):len(e)], info.TailE...), append(r[:len(r):len(r)], info.TailR...)
-			art = core.CompileSharded(l, e, r, core.ShardOpts{Shards: s.cfg.Shards})
-			cs.Set("shards", int64(art.NumShards()))
+			art = core.Compile(l, e, r)
 			tr.End(cs, 0)
 			s.compiles.Add(1)
 			s.fullCompiles.Add(1)
@@ -89,11 +84,11 @@ func (s *Service) Open(dir string) (*durable.RecoveryInfo, error) {
 
 // adoptSnapshot extends the snapshot's artifact by the replayed WAL
 // tail under a "delta-compile" span, accounted like an append's roll
-// (one delta compile), and wraps it as the one-shard artifact.
-func (s *Service) adoptSnapshot(snapArt *core.Compiled, info *durable.RecoveryInfo, tr *obs.Trace) *core.ShardedCompiled {
+// (one delta compile).
+func (s *Service) adoptSnapshot(snapArt *core.Compiled, info *durable.RecoveryInfo, tr *obs.Trace) *core.Compiled {
 	tl, te, trr := info.TailL, info.TailE, info.TailR
 	if len(tl)+len(te)+len(trr) == 0 {
-		return core.SingleShard(snapArt)
+		return snapArt
 	}
 	sp := tr.Start("delta-compile", 0)
 	snapArt = snapArt.Extend(tl, te, trr)
@@ -101,7 +96,7 @@ func (s *Service) adoptSnapshot(snapArt *core.Compiled, info *durable.RecoveryIn
 	tr.End(sp, 0)
 	s.compiles.Add(1)
 	s.deltaCompiles.Add(1)
-	return core.SingleShard(snapArt)
+	return snapArt
 }
 
 // RecoverySpan returns the finished "recover" span tree from Open
@@ -135,20 +130,11 @@ func (s *Service) Checkpoint() error {
 	if err != nil {
 		return err
 	}
+	// The artifact is snapshotted alone, its rows being the facts, so
+	// recovery starts warm.
 	art := s.current()
-	// The snapshot format carries one Compiled over the whole database:
-	// a one-shard artifact is exactly that and is snapshotted alone, its
-	// rows being the facts, so recovery starts warm; several shards
-	// snapshot their facts, read back from their rows, and recompile
-	// them at recovery.
-	snap := durable.Snapshot{Gen: art.Generation}
-	if art.NumShards() == 1 {
-		snap.Compiled = art.ShardArtifact(0)
-	} else {
-		snap.L, snap.E, snap.R = art.Facts()
-	}
 	start := time.Now()
-	err = s.dur.WriteSnapshot(snap, floor)
+	err = s.dur.WriteSnapshot(durable.Snapshot{Gen: art.Generation, Compiled: art}, floor)
 	s.snapHist.observe(time.Since(start).Seconds())
 	if err != nil {
 		return fmt.Errorf("server: snapshot: %w", err)

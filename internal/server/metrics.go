@@ -222,12 +222,6 @@ func (s *Service) WriteMetrics(w io.Writer) error {
 		{"mc_compiled_bytes", "ResidentBytes estimate of the live compiled artifact.", st.Memory.CompiledBytes},
 		{"mc_heap_inuse_bytes", "Runtime heap in use (spans holding live objects).", st.Memory.HeapInuseBytes},
 	}
-	if st.Shards != nil {
-		counters = append(counters,
-			metric{"mc_shards", "Live region shards in the compiled artifact (configured slots minus merges).", st.Shards.Live},
-			metric{"mc_shard_merges_total", "Region shards absorbed into a neighbor by bridging appends.", st.Shards.Merges},
-		)
-	}
 	for _, c := range counters {
 		kind := "gauge"
 		if strings.HasSuffix(c.name, "_total") {
@@ -256,20 +250,6 @@ func (s *Service) WriteMetrics(w io.Writer) error {
 	for _, key := range s.byRegime.order {
 		if _, err := fmt.Fprintf(w, "mc_queries_by_regime_total{regime=%q} %d\n", key, s.byRegime.get(key)); err != nil {
 			return err
-		}
-	}
-
-	// Per-shard query family: the slot space is closed at
-	// construction, so every slot is emitted (zeros included) and a
-	// merged-away slot's series simply stops growing.
-	if s.byShard != nil {
-		if _, err := fmt.Fprintf(w, "# HELP mc_shard_queries_total Solver runs routed to each region shard slot (cache hits route nowhere).\n# TYPE mc_shard_queries_total counter\n"); err != nil {
-			return err
-		}
-		for _, key := range s.byShard.order {
-			if _, err := fmt.Fprintf(w, "mc_shard_queries_total{shard=%q} %d\n", key, s.byShard.get(key)); err != nil {
-				return err
-			}
 		}
 	}
 

@@ -56,13 +56,12 @@ func arcs(ps []core.Pair) []oracle.Arc {
 }
 
 // TestServiceModel drives one seeded stream of appends, re-POSTs,
-// checkpoints and restarts through a durable service at every shard
-// count and, after each step, asks the same singleton, auto and batch
-// queries. Every answer must equal the Fact-2 oracle's and every
-// (answers, core.Stats, method) triple a direct core.Compile(...).Solve
-// over the model's facts — so the transcripts are identical across
-// shard counts, whatever mix of delta extends, scoped rebuilds, merges,
-// adopted snapshots and replayed tails produced the artifact.
+// checkpoints and restarts through a durable service and, after each
+// step, asks the same singleton, auto and batch queries. Every answer
+// must equal the Fact-2 oracle's and every (answers, core.Stats,
+// method) triple a direct core.Compile(...).Solve over the model's
+// facts, whatever mix of delta extends, bridging appends, adopted
+// snapshots and replayed tails produced the artifact.
 func TestServiceModel(t *testing.T) {
 	var regions []FactsRequest
 	var sources []string
@@ -86,8 +85,7 @@ func TestServiceModel(t *testing.T) {
 		{"bulk-load", "append", load},
 		{"small-append", "append", FactsRequest{L: []core.Pair{core.P(sources[0], "s0")}, E: []core.Pair{core.P("s0", "s0")}}},
 		{"repost", "repost", mergeFacts(regions[1], regions[3])},
-		// One link onto region 3, which at four shards sits alone on the
-		// lightest one, plus a fresh region that therefore joins it.
+		// One link onto region 3 and a fresh region, in one append.
 		{"extend-and-fresh", "append", FactsRequest{L: []core.Pair{core.P(sources[3], "w0"), core.P("w1", "w2")}}},
 		{"bulk-into-region", "append", bulk},
 		{"fresh-region", "append", regions[5]},
@@ -101,6 +99,8 @@ func TestServiceModel(t *testing.T) {
 		{"append-adopted", "append", chainFacts("tail", 2)},
 	}
 
+	// Config.Shards is deprecated and ignored: every value must serve
+	// the one artifact and answer with the same transcript.
 	var transcripts [][]string
 	for _, shards := range []int{0, 1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -147,65 +147,46 @@ func TestServiceModel(t *testing.T) {
 					if svc, info = open(); info.ReplayedRecords == 0 {
 						t.Fatalf("%s: no records replayed", st.name)
 					}
-					// One shard adopts the snapshot's artifact and extends it by
-					// the tail: one delta compile, no cold one, and the result
-					// compiles exactly the facts acknowledged before the crash.
-					if shards <= 1 {
-						s := svc.Stats()
-						if s.Compiles != 1 || s.DeltaCompile.DeltaCompiles != 1 || svc.RecoverySpan().Find("delta-compile") == nil || svc.RecoverySpan().Find("compile") != nil {
-							t.Fatalf("%s: recovery did not extend the snapshot artifact by the tail: %d compiles, %+v", st.name, s.Compiles, s.DeltaCompile)
-						}
-						if err := svc.current().ShardArtifact(0).StructuralEqual(core.Compile(m.l, m.e, m.r)); err != nil {
-							t.Fatalf("%s: recovered artifact: %v", st.name, err)
-						}
+					// Recovery adopts the snapshot's artifact and extends it by the
+					// tail: one delta compile, no cold one, and the result compiles
+					// exactly the facts acknowledged before the crash.
+					s := svc.Stats()
+					if s.Compiles != 1 || s.DeltaCompile.DeltaCompiles != 1 || svc.RecoverySpan().Find("delta-compile") == nil || svc.RecoverySpan().Find("compile") != nil {
+						t.Fatalf("%s: recovery did not extend the snapshot artifact by the tail: %d compiles, %+v", st.name, s.Compiles, s.DeltaCompile)
 					}
-				case "restart": // Close snapshots; one shard adopts that artifact uncompiled
+					if err := svc.current().StructuralEqual(core.Compile(m.l, m.e, m.r)); err != nil {
+						t.Fatalf("%s: recovered artifact: %v", st.name, err)
+					}
+				case "restart": // Close snapshots; Open adopts that artifact uncompiled
 					if err := svc.Close(context.Background()); err != nil {
 						t.Fatalf("%s: Close: %v", st.name, err)
 					}
 					var info *durable.RecoveryInfo
 					svc, info = open()
-					wantCompiles := int64(0)
-					if shards > 1 {
-						wantCompiles = 1
-					}
-					if got := svc.Stats().Compiles; info.ReplayedRecords != 0 || got != wantCompiles {
-						t.Fatalf("%s: %d records replayed, %d compiles at Open (want 0, %d)", st.name, info.ReplayedRecords, got, wantCompiles)
+					if got := svc.Stats().Compiles; info.ReplayedRecords != 0 || got != 0 {
+						t.Fatalf("%s: %d records replayed, %d compiles at Open (want 0, 0)", st.name, info.ReplayedRecords, got)
 					}
 				}
 				transcript = append(transcript, checkAgainstModel(t, st.name, svc, &m, sources)...)
 
 				s := svc.Stats()
 				switch st.name {
-				case "small-append":
+				case "small-append", "extend-and-fresh", "bridge":
 					if s.DeltaCompile.DeltaCompiles != before.DeltaCompiles+1 || s.DeltaCompile.LastAppend.Find("delta-compile") == nil {
-						t.Fatalf("small append was not delta-compiled: %+v", s.DeltaCompile)
+						t.Fatalf("%s: the append was not one delta compile: before %+v, after %+v", st.name, before, s.DeltaCompile)
 					}
 				case "repost":
 					if resp, err := svc.Query(context.Background(), QueryRequest{Source: sources[0]}); err != nil || !resp.Cached {
 						t.Fatalf("re-POST purged the cache: cached=%v err=%v", resp != nil && resp.Cached, err)
-					}
-				case "extend-and-fresh":
-					art := svc.current()
-					if art.ShardOf("w1") != art.ShardOf(sources[3]) {
-						t.Fatalf("the fresh region joined shard %d, region 3 is on %d: one slot taking both is not exercised", art.ShardOf("w1"), art.ShardOf(sources[3]))
-					}
-					depth := art.ShardArtifact(art.ShardOf("w1")).DeltaDepth()
-					if s.DeltaCompile.DeltaCompiles != before.DeltaCompiles+1 || (shards > 1 && depth != 1) {
-						t.Fatalf("an append extending a shard and placing a fresh region on it rolled it more than once: %+v, depth %d", s.DeltaCompile, depth)
 					}
 				case "bulk-into-region":
 					last := s.DeltaCompile.LastAppend
 					if s.DeltaCompile.DeltaCompiles != before.DeltaCompiles+1 || s.DeltaCompile.FullCompiles != 0 || last.Find("delta-compile") == nil || last.Find("compile") != nil {
 						t.Fatalf("bulk append was not one delta compile: before %+v, after %+v", before, s.DeltaCompile)
 					}
-				case "bridge":
-					if shards > 1 && (s.Shards.Merges != 1 || s.Shards.Live != shards-1) {
-						t.Fatalf("bridging append: %d merges, %d live shards", s.Shards.Merges, s.Shards.Live)
-					}
 				}
-				if (s.Shards != nil) != (shards > 1) {
-					t.Fatalf("%s: shards block present=%v at Shards=%d", st.name, s.Shards != nil, shards)
+				if s.Shards != nil {
+					t.Fatalf("%s: stats carry a shards block", st.name)
 				}
 				if s.Generation != m.gen || s.FactsL != len(m.l) || s.FactsE != len(m.e) || s.FactsR != len(m.r) {
 					t.Fatalf("%s: service at gen %d with %d/%d/%d facts, model at %d with %d/%d/%d",
@@ -226,8 +207,9 @@ func TestServiceModel(t *testing.T) {
 	}
 }
 
-// checkAgainstModel asks the fixed query set and returns what was
-// answered, one line per query.
+// checkAgainstModel asks the fixed query set, checks every answer
+// against the oracle and a direct solve over the model's facts, and
+// returns what was answered, one line per query.
 func checkAgainstModel(t *testing.T, step string, svc *Service, m *model, sources []string) []string {
 	t.Helper()
 	cold := core.Compile(m.l, m.e, m.r)

@@ -389,3 +389,30 @@ func TestCloseWaitsForInFlight(t *testing.T) {
 		t.Fatal("Close never returned after the slot was released")
 	}
 }
+
+// TestShardedMetricsExposition: one artifact serves every query, so
+// /metrics exposes no region-shard series, whatever the deprecated
+// Config.Shards asks for.
+func TestShardedMetricsExposition(t *testing.T) {
+	for _, shards := range []int{0, 2} {
+		svc := New(Config{Workers: 2, Shards: shards})
+		for _, prefix := range []string{"g0", "g1"} { // two regions
+			for i := 0; i < 3; i++ {
+				mustAppend(t, svc, chainFacts(prefix, i))
+			}
+		}
+		if _, err := svc.Query(context.Background(), QueryRequest{Source: "g0_n0"}); err != nil {
+			t.Fatalf("Shards=%d: query: %v", shards, err)
+		}
+		var buf strings.Builder
+		if err := svc.WriteMetrics(&buf); err != nil {
+			t.Fatalf("Shards=%d: WriteMetrics: %v", shards, err)
+		}
+		svc.Close(context.Background())
+		for _, retired := range []string{"mc_shard", "collapse"} {
+			if strings.Contains(buf.String(), retired) {
+				t.Fatalf("Shards=%d: /metrics exposes the retired %s series:\n%s", shards, retired, buf.String())
+			}
+		}
+	}
+}

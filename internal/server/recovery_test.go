@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"magiccounting/internal/core"
+	"magiccounting/internal/durable"
 	"magiccounting/internal/oracle"
 	"magiccounting/internal/workload"
 )
@@ -349,13 +350,13 @@ func TestRecoveryInfoShape(t *testing.T) {
 	}
 	// The snapshot stores its artifact alone: no fact pairs beside it.
 	if n := len(info.L) + len(info.E) + len(info.R); n != 0 {
-		t.Fatalf("the one-shard snapshot stored %d fact pairs beside its artifact", n)
+		t.Fatalf("the snapshot stored %d fact pairs beside its artifact", n)
 	}
 	var al, ae, ar []core.Pair // acknowledged before the crash
 	for _, b := range batches {
 		al, ae, ar = append(al, b.L...), append(ae, b.E...), append(ar, b.R...)
 	}
-	if err := rec.current().ShardArtifact(0).StructuralEqual(core.Compile(al, ae, ar)); err != nil {
+	if err := rec.current().StructuralEqual(core.Compile(al, ae, ar)); err != nil {
 		t.Fatalf("recovered artifact diverges from a cold compile of the acknowledged facts: %v", err)
 	}
 	exact := oracle.Solver(arcs(al), arcs(ae), arcs(ar))
@@ -430,8 +431,88 @@ func TestRecoveryInfoShape(t *testing.T) {
 		t.Fatalf("large tail: %d replayed, %+v, span %+v; want one decode and one delta compile", linfo.ReplayedRecords, st.DeltaCompile, span)
 	}
 	al, ae, ar = append(al, big.L...), append(ae, big.E...), append(ar, big.R...)
-	if err := large.current().ShardArtifact(0).StructuralEqual(core.Compile(al, ae, ar)); err != nil {
+	if err := large.current().StructuralEqual(core.Compile(al, ae, ar)); err != nil {
 		t.Fatalf("large tail: %v", err)
+	}
+
+	// A data dir as a sharded server left it: a snapshot that stores its
+	// facts as pairs (format version 2, no artifact) behind a WAL tail.
+	// It opens with one cold compile of the pairs and the tail, the next
+	// checkpoint writes the artifact alone, and the restart after it
+	// adopts that artifact.
+	old := t.TempDir()
+	st, _, err := durable.Open(old, durable.Options{}, nil)
+	if err != nil {
+		t.Fatalf("durable.Open: %v", err)
+	}
+	var sl, se, sr []core.Pair // the snapshot's pairs
+	for i, b := range batches[:snap] {
+		if err := st.Append(durable.Record{Gen: uint64(i + 1), L: b.L, E: b.E, R: b.R}); err != nil {
+			t.Fatalf("WAL append: %v", err)
+		}
+		sl, se, sr = append(sl, b.L...), append(se, b.E...), append(sr, b.R...)
+	}
+	floor, err := st.Rotate()
+	if err != nil {
+		t.Fatalf("Rotate: %v", err)
+	}
+	if err := st.WriteSnapshot(durable.Snapshot{Gen: uint64(snap), L: sl, E: se, R: sr}, floor); err != nil {
+		t.Fatalf("WriteSnapshot: %v", err)
+	}
+	for i, b := range batches[snap:] {
+		if err := st.Append(durable.Record{Gen: uint64(snap + i + 1), L: b.L, E: b.E, R: b.R}); err != nil {
+			t.Fatalf("WAL append: %v", err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatalf("store Close: %v", err)
+	}
+	upg := New(Config{Workers: 2})
+	uinfo, err := upg.Open(old)
+	if err != nil {
+		t.Fatalf("Open a pairs snapshot: %v", err)
+	}
+	al, ae, ar = nil, nil, nil
+	for _, b := range batches {
+		al, ae, ar = append(al, b.L...), append(ae, b.E...), append(ar, b.R...)
+	}
+	span = upg.RecoverySpan()
+	if ust := upg.Stats(); !uinfo.SnapshotLoaded || uinfo.ReplayedRecords != len(batches)-snap || ust.Generation != uint64(len(batches)) ||
+		ust.DeltaCompile.FullCompiles != 1 || ust.Compiles != 1 || span.Find("compile") == nil {
+		t.Fatalf("pairs snapshot: loaded=%v, %d replayed, gen %d, %+v, span %+v; want gen %d from one cold compile",
+			uinfo.SnapshotLoaded, uinfo.ReplayedRecords, ust.Generation, ust.DeltaCompile, span, len(batches))
+	}
+	if err := upg.current().StructuralEqual(core.Compile(al, ae, ar)); err != nil {
+		t.Fatalf("pairs snapshot: %v", err)
+	}
+	exact = oracle.Solver(arcs(al), arcs(ae), arcs(ar))
+	for _, src := range querySources(q) {
+		got, err := upg.Query(context.Background(), QueryRequest{Source: src})
+		if err != nil || !reflect.DeepEqual(got.Answers, nonNilAnswers(exact(src))) {
+			t.Fatalf("pairs snapshot: query %q: %+v (%v), oracle %v", src, got, err, exact(src))
+		}
+	}
+	if err := upg.Checkpoint(); err != nil {
+		t.Fatalf("Checkpoint after the upgrade: %v", err)
+	}
+	last := chainFacts("upgraded", 0)
+	mustAppend(t, upg, last) // then abandoned: the tail is in the WAL only
+	al, ae, ar = append(al, last.L...), append(ae, last.E...), append(ar, last.R...)
+	adopt := New(Config{Workers: 2})
+	ainfo, err := adopt.Open(old)
+	if err != nil {
+		t.Fatalf("Open after the upgrade: %v", err)
+	}
+	defer adopt.Close(context.Background())
+	span = adopt.RecoverySpan()
+	if n := len(ainfo.L) + len(ainfo.E) + len(ainfo.R); n != 0 || ainfo.SnapshotGeneration != uint64(len(batches)) {
+		t.Fatalf("the upgraded checkpoint at gen %d stored %d fact pairs; want the artifact alone at gen %d", ainfo.SnapshotGeneration, n, len(batches))
+	}
+	if span.Find("decode-artifact") == nil || span.Find("delta-compile") == nil || span.Find("compile") != nil {
+		t.Fatalf("restart after the upgrade did not adopt the artifact: %+v", span)
+	}
+	if err := adopt.current().StructuralEqual(core.Compile(al, ae, ar)); err != nil {
+		t.Fatalf("restart after the upgrade: %v", err)
 	}
 }
 

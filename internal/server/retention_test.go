@@ -51,9 +51,9 @@ const chainSeed = 20
 // each, when non-nil, sees svc's stats after the k-th one-link append
 // (k from 1). Every append, the first included, must be one delta
 // compile: nothing outside Extend bounds the chain.
-func growChain(t *testing.T, shards, n int, each func(k int, st Stats)) (svc *Service, ref *core.Compiled) {
+func growChain(t *testing.T, n int, each func(k int, st Stats)) (svc *Service, ref *core.Compiled) {
 	t.Helper()
-	svc = New(Config{Workers: 2, Shards: shards})
+	svc = New(Config{Workers: 2})
 	t.Cleanup(func() { svc.Close(context.Background()) })
 	mustAppend(t, svc, bulkChain("g", chainSeed))
 	for k := 1; k <= n; k++ {
@@ -88,7 +88,7 @@ func boundedDepth(t *testing.T) func(int, Stats) {
 // reference.
 func TestChainCollapseResetsDepth(t *testing.T) {
 	const appends = 3*core.MaxOverlayLinks + 4
-	svc, ref := growChain(t, 1, appends, func(k int, st Stats) {
+	svc, ref := growChain(t, appends, func(k int, st Stats) {
 		if d, want := st.DeltaCompile.ChainDepth, (k-1)%core.MaxOverlayLinks+1; d != want {
 			t.Fatalf("append %d: chain depth %d, want %d", k, d, want)
 		}
@@ -107,7 +107,7 @@ func TestChainCollapseResetsDepth(t *testing.T) {
 // facts on both sides of that mark answer like the reference.
 func TestDeltaResumesPastChainCap(t *testing.T) {
 	const appends = 300
-	svc, ref := growChain(t, 1, appends, boundedDepth(t))
+	svc, ref := growChain(t, appends, boundedDepth(t))
 	sources := []string{"g_n0", fmt.Sprintf("g_n%d", chainSeed+254), fmt.Sprintf("g_n%d", chainSeed+appends), "absent"}
 	compareAnswers(t, "past the old cap", svc, ref, sources)
 }
@@ -118,7 +118,7 @@ func TestDeltaResumesPastChainCap(t *testing.T) {
 // facts, with no byte cap configured and nothing collapsed.
 func TestCollapseOnBytes(t *testing.T) {
 	const appends = 300
-	svc, ref := growChain(t, 1, appends, boundedDepth(t))
+	svc, ref := growChain(t, appends, boundedDepth(t))
 	compareAnswers(t, "byte-bounded chain", svc, ref, []string{"g_n0"})
 	got, want := svc.Stats().Memory, ref.ResidentBytes()
 	if got.MaxCompiledBytes != 0 || got.ChainCollapses != 0 {

@@ -1,9 +1,9 @@
 // Package server is the serving layer over the core magic counting
 // solvers: a long-lived Service owning one always-current compiled
-// artifact (core.ShardedCompiled, one shard by default) that is the
-// database — it holds the relations L, E, and R, answers every query
-// of its generation read-only, tells an append which of its facts are
-// new, and is rolled forward by every append — plus a bounded worker
+// artifact (core.Compiled) that is the database — it holds the
+// relations L, E, and R, answers every query of its generation
+// read-only, tells an append which of its facts are new, and is
+// rolled forward by every append — plus a bounded worker
 // pool and a per-(source, strategy, mode) result cache with
 // generation-based invalidation and CLOCK (second-chance) eviction,
 // so repeated bound queries against a slowly-changing database
@@ -20,7 +20,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -59,10 +58,11 @@ type Config struct {
 	// facts have been appended since the last snapshot. Zero disables
 	// automatic snapshots (Close still writes a final one).
 	SnapshotEvery int
-	// Shards is the number of region shards the compiled artifact is
-	// partitioned into (core.CompileSharded): queries route to exactly
-	// one shard, and appends roll only the shards they touch. Values
-	// <= 1 select one shard holding the whole database.
+	// Shards is ignored: the service holds one artifact, which confines
+	// each miss to what its source reaches (Fact 2) without a router.
+	//
+	// Deprecated: kept because the end-to-end benchmark's shadow tracer
+	// sets it; ROADMAP item 1's [benchmark] half deletes it.
 	Shards int
 }
 
@@ -129,7 +129,7 @@ type Service struct {
 	// the facts themselves, so appends ask it what is new, checkpoints
 	// and stats read the relations from it, and only AppendFacts (under
 	// appendMu) and Open ever replace it.
-	art   *core.ShardedCompiled
+	art   *core.Compiled
 	cache map[cacheKey]*cacheEntry
 	// clock and hand are the CLOCK eviction state: the ring of resident
 	// cache keys and the sweep position. Both are guarded by mu.
@@ -177,11 +177,6 @@ type Service struct {
 	fullCompiles   atomic.Int64
 	deltaHist      *histogram
 	lastAppendSpan atomic.Pointer[obs.Span]
-	// shardMerges counts shards absorbed by bridging appends (a merge
-	// of n shards counts n-1); byShard counts successful solves per
-	// shard slot, nil with a single shard.
-	shardMerges atomic.Int64
-	byShard     *labeledCounters
 
 	queries     atomic.Int64
 	batches     atomic.Int64
@@ -207,22 +202,10 @@ type Service struct {
 // New creates a Service with an empty database.
 func New(cfg Config) *Service {
 	cfg = cfg.withDefaults()
-	var byShard *labeledCounters
-	if cfg.Shards > 1 {
-		// The shard slot space is closed at construction (slots never
-		// exceed the configured count, merges only vacate them), so the
-		// per-shard counters are a fixed labeled family like byMethod.
-		keys := make([]string, cfg.Shards)
-		for i := range keys {
-			keys[i] = strconv.Itoa(i)
-		}
-		byShard = newLabeledCounters(keys...)
-	}
 	return &Service{
-		byShard:   byShard,
 		cfg:       cfg,
 		sem:       make(chan struct{}, cfg.Workers),
-		art:       core.CompileSharded(nil, nil, nil, core.ShardOpts{Shards: cfg.Shards}),
+		art:       core.Compile(nil, nil, nil),
 		cache:     make(map[cacheKey]*cacheEntry),
 		start:     time.Now(),
 		latHist:   newHistogram(latencyBuckets...),
@@ -374,7 +357,6 @@ const (
 type outcome struct {
 	kind  outcomeKind
 	entry *cacheEntry // outHit, outMiss
-	shard int         // outMiss on a sharded service: the slot that solved it
 	err   error       // outFailed, outRejected, outBad
 }
 
@@ -420,9 +402,6 @@ func (s *Service) account(o outcome) {
 		} else {
 			s.cacheMisses.Add(1)
 			s.retrievals.Add(o.newRetrievals())
-			if s.byShard != nil {
-				s.byShard.inc(strconv.Itoa(o.shard))
-			}
 		}
 		s.retHist.observe(float64(o.newRetrievals()))
 		s.byMethod.inc(methodKey(o.entry.strategy.String(), o.entry.mode.String()))
@@ -468,7 +447,7 @@ func (s *Service) withTimeout(ctx context.Context, timeoutMS int64) (context.Con
 // counts against the request's own deadline, keeping the pool bounded
 // under overload), selects the method when key asks for that, and
 // solves. It closes every span it opens and touches no counter.
-func (s *Service) execute(ctx context.Context, art *core.ShardedCompiled, key cacheKey, tr *obs.Trace) outcome {
+func (s *Service) execute(ctx context.Context, art *core.Compiled, key cacheKey, tr *obs.Trace) outcome {
 	as := tr.Start("acquire", 0)
 	select {
 	case s.sem <- struct{}{}:
@@ -498,12 +477,7 @@ func (s *Service) execute(ctx context.Context, art *core.ShardedCompiled, key ca
 		entry.regime, entry.reason = sel.Regime.String(), sel.Reason
 		opts.SCCStep1 = sel.Options.SCCStep1
 	}
-	out := outcome{kind: outMiss, entry: entry}
 	ss := tr.Start("solve", 0)
-	if s.byShard != nil {
-		out.shard = art.ShardOf(key.source)
-		ss.Set("shard", int64(out.shard))
-	}
 	res, err := art.Solve(key.source, entry.strategy, entry.mode, opts)
 	if err != nil {
 		tr.End(ss, 0)
@@ -511,7 +485,7 @@ func (s *Service) execute(ctx context.Context, art *core.ShardedCompiled, key ca
 	}
 	tr.End(ss, res.Stats.Retrievals)
 	entry.result = res
-	return out
+	return outcome{kind: outMiss, entry: entry}
 }
 
 // store caches the entries outs solved fresh (outs[i] answers
@@ -636,8 +610,7 @@ type BatchResponse struct {
 // QueryBatch answers every source of req against one snapshot of the
 // database: one read-lock pass snapshots the artifact and answers the
 // cached sources, and the misses run on at most Workers goroutines,
-// each item routing to its source's shard and acquiring a slot like a
-// singleton query would. Per-item failures are reported in the item.
+// each item acquiring a slot like a singleton query would. Per-item failures are reported in the item.
 func (s *Service) QueryBatch(ctx context.Context, req BatchRequest) (*BatchResponse, error) {
 	started := time.Now()
 	s.batches.Add(1)
@@ -737,7 +710,7 @@ func (s *Service) QueryBatch(ctx context.Context, req BatchRequest) (*BatchRespo
 }
 
 // current snapshots the published artifact.
-func (s *Service) current() *core.ShardedCompiled {
+func (s *Service) current() *core.Compiled {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.art
@@ -920,31 +893,25 @@ func (s *Service) invalidateGenerationLocked(gen uint64) {
 }
 
 // roll produces the artifact to publish for the generation this commit
-// creates, by extending only the shards the delta touches: each touched
-// shard's artifact rolls forward with core.Extend, whatever share of it
-// the delta is, and a bridging delta merges just the shards it
-// connects. Extend bounds its own symbol-table chains, so the result is
-// published as it is. The caller holds appendMu — and only appendMu —
-// so none of this blocks a query, and art cannot go stale before the
-// publish.
-//
-// Accounting: each extended shard is one delta compile, and each
-// absorbed shard one merge.
-func (s *Service) roll(art *core.ShardedCompiled, added int, addL, addE, addR []core.Pair) *core.ShardedCompiled {
+// creates: the current one rolled forward by the delta with
+// core.Extend, at a cost of O(delta) plus the pages the delta touches,
+// whatever share of the database the delta is. Extend bounds its own
+// symbol-table chains, so the result is published as it is. The caller
+// holds appendMu — and only appendMu — so none of this blocks a query,
+// and art cannot go stale before the publish. Each roll is one delta
+// compile.
+func (s *Service) roll(art *core.Compiled, added int, addL, addE, addR []core.Pair) *core.Compiled {
 	tr := obs.New("append", 0)
 	sp := tr.Start("delta-compile", 0)
 	started := time.Now()
-	next, st := art.Extend(addL, addE, addR, 0)
+	next := art.Extend(addL, addE, addR)
 	next.Generation = art.Generation + 1
 	s.deltaHist.observe(time.Since(started).Seconds())
 	sp.Set("added", int64(added))
-	sp.Set("shards_touched", int64(len(st.Touched)))
-	sp.Set("merges", int64(st.Merges))
-	sp.Set("depth", int64(next.MaxDeltaDepth()))
+	sp.Set("depth", int64(next.DeltaDepth()))
 	tr.End(sp, 0)
-	s.compiles.Add(int64(st.DeltaExtended))
-	s.deltaCompiles.Add(int64(st.DeltaExtended))
-	s.shardMerges.Add(int64(st.Merges))
+	s.compiles.Add(1)
+	s.deltaCompiles.Add(1)
 	s.lastAppendSpan.Store(tr.Finish(0))
 	return next
 }
@@ -991,25 +958,17 @@ type Stats struct {
 	// Memory reports the artifact's resident-bytes estimate and the
 	// process heap watermark.
 	Memory MemoryStats `json:"memory"`
-	// Shards reports the per-shard artifact state; nil with a single
-	// shard (Config.Shards <= 1).
+	// Deprecated: Shards is always nil. The end-to-end benchmark reads
+	// it; ROADMAP item 1's [benchmark] half deletes it.
 	Shards *ShardsStats `json:"shards,omitempty"`
 }
 
-// ShardsStats is the region-sharding block of Stats.
+// ShardsStats is what is left of the region-sharding block of Stats.
+//
+// Deprecated: Stats.Shards is always nil. The end-to-end benchmark
+// reads Merges; ROADMAP item 1's [benchmark] half deletes the type.
 type ShardsStats struct {
-	// Configured echoes Config.Shards; Live counts the slots still
-	// holding a region after bridging appends merged some away.
-	Configured int `json:"configured"`
-	Live       int `json:"live"`
-	// Merges counts shards absorbed into a neighbor by bridging
-	// appends since startup.
 	Merges int64 `json:"merges"`
-	// MaxDeltaDepth is the longest overlay chain of any live shard's
-	// symbol tables (DeltaCompile.ChainDepth).
-	MaxDeltaDepth int `json:"max_delta_depth"`
-	// Shards lists the live slots of the current artifact.
-	Shards []core.ShardInfo `json:"shards"`
 }
 
 // DeltaCompileStats is the delta-compilation block of Stats.
@@ -1022,7 +981,7 @@ type DeltaCompileStats struct {
 	// Deprecated: MaxFraction is always 1: an append extends whatever
 	// share of the database it adds.
 	MaxFraction float64 `json:"max_fraction"`
-	// ChainDepth is the longest overlay chain of any shard's symbol
+	// ChainDepth is the longer overlay chain of the artifact's symbol
 	// tables: at most core.MaxOverlayLinks, since Extend folds them
 	// itself (0 when cold-compiled or decoded).
 	ChainDepth int `json:"chain_depth"`
@@ -1101,20 +1060,9 @@ func (s *Service) Stats() Stats {
 	art := s.art
 	entries := len(s.cache)
 	s.mu.RUnlock()
-	// Everything below walks the artifact, so it runs on the snapshot
+	// Everything below reads the artifact, so it runs on the snapshot
 	// outside the lock; the artifact is immutable once published.
-	fl, fe, fr := art.FactCounts()
-	depth := art.MaxDeltaDepth()
-	var shards *ShardsStats
-	if s.cfg.Shards > 1 {
-		shards = &ShardsStats{
-			Configured:    s.cfg.Shards,
-			Live:          len(art.LiveSlots()),
-			Merges:        s.shardMerges.Load(),
-			MaxDeltaDepth: depth,
-			Shards:        art.ShardInfos(),
-		}
-	}
+	fl, fe, fr := art.Arcs()
 	return Stats{
 		UptimeSeconds:   time.Since(s.start).Seconds(),
 		Generation:      art.Generation,
@@ -1152,7 +1100,7 @@ func (s *Service) Stats() Stats {
 			DeltaCompiles: s.deltaCompiles.Load(),
 			FullCompiles:  s.fullCompiles.Load(),
 			MaxFraction:   1,
-			ChainDepth:    depth,
+			ChainDepth:    art.DeltaDepth(),
 			LastAppend:    s.lastAppendSpan.Load(),
 		},
 
@@ -1161,7 +1109,5 @@ func (s *Service) Stats() Stats {
 			HeapInuseBytes:      heapInuseBytes(),
 			MaxResidentCompiled: core.MaxOverlayLinks,
 		},
-
-		Shards: shards,
 	}
 }

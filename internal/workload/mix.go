@@ -103,8 +103,9 @@ type MixConfig struct {
 	// SourceSkew > 1 draws query sources from a Zipf distribution with
 	// that exponent instead of uniformly: low-ranked nodes dominate
 	// the stream, concentrating traffic on few graph regions — the
-	// shape that makes region-sharded serving (and result caching)
-	// pay. Values <= 1 keep the uniform draw.
+	// shape that makes result caching pay, and that Fact 2 confines
+	// to those regions of the one artifact. Values <= 1 keep the
+	// uniform draw.
 	SourceSkew float64
 
 	// BatchMax bounds batch size (min 2). Zero selects 16.
