@@ -328,16 +328,20 @@ func BenchmarkExtend(b *testing.B) {
 }
 
 // BenchmarkServerQuery measures the query service end to end: the
-// cache-hit fast path and the full solve path (rotating sources defeat
-// the cache).
+// cache-hit fast path, and the full solve path on a one-entry cache,
+// where rotating sources make every query a miss.
 func BenchmarkServerQuery(b *testing.B) {
 	q := workload.Tree(2, 10)
-	svc := server.New(server.Config{})
-	if _, err := svc.AppendFacts(server.FactsRequest{L: q.L, E: q.E, R: q.R}); err != nil {
-		b.Fatal(err)
+	load := func(b *testing.B, cfg server.Config) *server.Service {
+		svc := server.New(cfg)
+		if _, err := svc.AppendFacts(server.FactsRequest{L: q.L, E: q.E, R: q.R}); err != nil {
+			b.Fatal(err)
+		}
+		return svc
 	}
 	ctx := context.Background()
 	b.Run("hit", func(b *testing.B) {
+		svc := load(b, server.Config{})
 		req := server.QueryRequest{Source: "t0", Strategy: "recurring", Mode: "integrated"}
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -348,6 +352,7 @@ func BenchmarkServerQuery(b *testing.B) {
 		}
 	})
 	b.Run("miss", func(b *testing.B) {
+		svc := load(b, server.Config{CacheCap: 1})
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -355,6 +360,10 @@ func BenchmarkServerQuery(b *testing.B) {
 			if _, err := svc.Query(ctx, req); err != nil {
 				b.Fatal(err)
 			}
+		}
+		b.StopTimer()
+		if hits := svc.Stats().CacheHits; hits != 0 {
+			b.Fatalf("%d of %d queries hit the cache", hits, b.N)
 		}
 	})
 }

@@ -9,11 +9,20 @@
 //	mcbench -sizes 32,64,128      # a custom sweep
 //	mcbench -o results.txt        # write to a file
 //	mcbench -json                 # also write BENCH_<timestamp>.json
-//	mcbench -json -micro          # include ns/op + allocs/op micro benchmarks
-//	mcbench -compare BENCH_x.json # regression-check against a baseline
 //	mcbench -traceguard           # tracing-overhead guard: disabled vs unsampled
 //	mcbench -recovery             # crash-recovery probe: cold replay vs snapshot+tail
 //	mcbench -appendmix            # append-heavy probe: full recompile vs delta compile
+//
+// The deterministic cost gates are tests beside the code they pin:
+// TestExperimentsGolden (internal/harness) compares every cell these
+// tables render with testdata/experiments.golden.json, and
+// TestCostBudgets (internal/server) compares each serving path's
+// allocs/op, bytes/op and retrievals/op with testdata/costs.golden.
+// After an intended change,
+//
+//	go test ./internal/harness/ ./internal/server/ -run 'TestExperimentsGolden|TestCostBudgets' -update
+//
+// rewrites both files, and their diff states the change.
 package main
 
 import (
@@ -44,10 +53,7 @@ func run(args []string, stdout io.Writer) error {
 	outPath := fs.String("o", "", "write results to this file instead of stdout")
 	format := fs.String("format", "text", "output format: text or json")
 	jsonOut := fs.Bool("json", false, "also write BENCH_<timestamp>.json with per-experiment wall times")
-	micro := fs.Bool("micro", false, "measure the micro benchmarks (ns/op, allocs/op) into the -json record")
-	comparePath := fs.String("compare", "", "baseline BENCH_*.json: fail on retrieval-count drift or micro ns/op regressions beyond -tolerance")
-	tolerance := fs.Float64("tolerance", 0.15, "allowed fractional micro ns/op regression for -compare")
-	benchRounds := fs.Int("benchrounds", 3, "micro benchmark repetitions; the fastest round is recorded")
+	benchRounds := fs.Int("benchrounds", 3, "timing repetitions of the -traceguard, -recovery and -appendmix probes; the fastest round is recorded")
 	traceGuard := fs.Bool("traceguard", false, "compare tracing-disabled vs enabled-but-unsampled hot paths; fail on slowdown beyond -trace-tolerance or any retrieval-count drift")
 	traceTolerance := fs.Float64("trace-tolerance", 0.02, "allowed fractional slowdown of the unsampled path for -traceguard")
 	recovery := fs.Bool("recovery", false, "probe crash recovery: cold WAL replay vs snapshot+tail over the same history; fail below -recovery-min-speedup")
@@ -60,83 +66,7 @@ func run(args []string, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *traceGuard {
-		out := stdout
-		if *outPath != "" {
-			f, err := os.Create(*outPath)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			out = f
-		}
-		return runTraceGuard(*benchRounds, *traceTolerance, out)
-	}
-	if *recovery {
-		out := stdout
-		if *outPath != "" {
-			f, err := os.Create(*outPath)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			out = f
-		}
-		res, err := runRecoveryProbe(*recoveryRecords, *benchRounds, out)
-		if err != nil {
-			return err
-		}
-		if *jsonOut {
-			path, err := writeRecoveryJSON(".", res)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(out, "wrote %s\n", path)
-		}
-		if *recoveryMinSpeedup > 0 && res.Speedup < *recoveryMinSpeedup {
-			return fmt.Errorf("recovery speedup %.2fx below the required %.2fx", res.Speedup, *recoveryMinSpeedup)
-		}
-		return nil
-	}
-	if *appendmix {
-		out := stdout
-		if *outPath != "" {
-			f, err := os.Create(*outPath)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			out = f
-		}
-		res, err := runAppendmixProbe(*appendmixBase, *appendmixAppends, *benchRounds, out)
-		if err != nil {
-			return err
-		}
-		if *jsonOut {
-			path, err := writeAppendmixJSON(".", res)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(out, "wrote %s\n", path)
-		}
-		if *appendmixMinSpeedup > 0 && res.Speedup < *appendmixMinSpeedup {
-			return fmt.Errorf("appendmix speedup %.2fx below the required %.2fx", res.Speedup, *appendmixMinSpeedup)
-		}
-		return nil
-	}
-	var baseline *benchFile
-	if *comparePath != "" {
-		bf, err := readBenchJSON(*comparePath)
-		if err != nil {
-			return err
-		}
-		baseline = bf
-	}
 	sizes := harness.DefaultSizes
-	if baseline != nil {
-		// Compare like with like: reproduce the baseline's sweep.
-		sizes = baseline.Sizes
-	}
 	if *sizesFlag != "" {
 		sizes = nil
 		for _, s := range strings.Split(*sizesFlag, ",") {
@@ -156,40 +86,74 @@ func run(args []string, stdout io.Writer) error {
 		defer f.Close()
 		out = f
 	}
-	if *experiment == "fig3-dot" {
+	// record writes bf as a BENCH record when -json asks for one.
+	record := func(bf benchFile) error {
+		if !*jsonOut {
+			return nil
+		}
+		path, err := writeBenchJSON(".", bf)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(out, "wrote %s\n", path)
+		return nil
+	}
+
+	switch {
+	case *traceGuard:
+		return runTraceGuard(*benchRounds, *traceTolerance, out)
+	case *recovery:
+		res, err := runRecoveryProbe(*recoveryRecords, *benchRounds, out)
+		if err != nil {
+			return err
+		}
+		if err := record(benchFile{Recovery: res}); err != nil {
+			return err
+		}
+		if *recoveryMinSpeedup > 0 && res.Speedup < *recoveryMinSpeedup {
+			return fmt.Errorf("recovery speedup %.2fx below the required %.2fx", res.Speedup, *recoveryMinSpeedup)
+		}
+		return nil
+	case *appendmix:
+		res, err := runAppendmixProbe(*appendmixBase, *appendmixAppends, *benchRounds, out)
+		if err != nil {
+			return err
+		}
+		if err := record(benchFile{Appendmix: res}); err != nil {
+			return err
+		}
+		if *appendmixMinSpeedup > 0 && res.Speedup < *appendmixMinSpeedup {
+			return fmt.Errorf("appendmix speedup %.2fx below the required %.2fx", res.Speedup, *appendmixMinSpeedup)
+		}
+		return nil
+	case *experiment == "fig3-dot":
 		return harness.WriteHierarchyDOT(out)
 	}
+
 	ids := []string{*experiment}
 	if *experiment == "all" {
 		ids = []string{"tab1", "tab2", "tab3", "tab4", "tab5", "fig1", "fig2", "fig3"}
 	}
 	var tables []*harness.Table
-	var wall []time.Duration
+	bf := benchFile{Sizes: sizes}
 	for _, id := range ids {
 		start := time.Now()
 		t, err := harness.ByID(id, sizes)
 		if err != nil {
 			return err
 		}
-		wall = append(wall, time.Since(start))
+		bf.Experiments = append(bf.Experiments, benchExperiment{
+			ID:     t.ID,
+			Title:  t.Title,
+			WallMS: float64(time.Since(start).Microseconds()) / 1000,
+			Header: t.Header,
+			Rows:   t.Rows,
+			Notes:  t.Notes,
+		})
 		tables = append(tables, t)
 	}
-	var micros []bench.Micro
-	if *micro || (baseline != nil && len(baseline.Micro) > 0) {
-		micros = bench.Run(*benchRounds)
-	}
-	if *jsonOut {
-		path, err := writeBenchJSON(".", sizes, tables, wall, micros)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "wrote %s\n", path)
-	}
-	if baseline != nil {
-		if err := compareBaseline(baseline, tables, micros, *tolerance, out); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "compare: OK against %s\n", *comparePath)
+	if err := record(bf); err != nil {
+		return err
 	}
 	switch *format {
 	case "text":
@@ -250,21 +214,21 @@ type benchExperiment struct {
 }
 
 // benchFile is the BENCH_<timestamp>.json schema, the unit of the
-// repo's machine-readable perf trajectory.
+// repo's machine-readable perf trajectory: an experiment sweep, or one
+// probe's record.
 type benchFile struct {
 	Timestamp   string            `json:"timestamp"`
 	Sizes       []int             `json:"sizes"`
 	Experiments []benchExperiment `json:"experiments"`
-	Micro       []bench.Micro     `json:"micro,omitempty"`
 	Recovery    *recoveryResult   `json:"recovery,omitempty"`
 	Appendmix   *appendmixResult  `json:"appendmix,omitempty"`
 }
 
-// writeAppendmixJSON writes a BENCH record holding only the appendmix
-// probe (the -appendmix mode runs no experiment sweep).
-func writeAppendmixJSON(dir string, res *appendmixResult) (string, error) {
+// writeBenchJSON stamps bf with the current time, writes it into dir
+// as BENCH_<timestamp>.json and returns the file's path.
+func writeBenchJSON(dir string, bf benchFile) (string, error) {
 	now := time.Now()
-	bf := benchFile{Timestamp: now.Format(time.RFC3339), Appendmix: res}
+	bf.Timestamp = now.Format(time.RFC3339)
 	path := fmt.Sprintf("%s/BENCH_%s.json", dir, now.Format("20060102T150405"))
 	f, err := os.Create(path)
 	if err != nil {
@@ -277,126 +241,4 @@ func writeAppendmixJSON(dir string, res *appendmixResult) (string, error) {
 		return "", err
 	}
 	return path, f.Close()
-}
-
-// writeRecoveryJSON writes a BENCH record holding only the recovery
-// probe (the -recovery mode runs no experiment sweep).
-func writeRecoveryJSON(dir string, res *recoveryResult) (string, error) {
-	now := time.Now()
-	bf := benchFile{Timestamp: now.Format(time.RFC3339), Recovery: res}
-	path := fmt.Sprintf("%s/BENCH_%s.json", dir, now.Format("20060102T150405"))
-	f, err := os.Create(path)
-	if err != nil {
-		return "", err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(bf); err != nil {
-		f.Close()
-		return "", err
-	}
-	return path, f.Close()
-}
-
-// writeBenchJSON writes the benchmark record into dir and returns the
-// file's path.
-func writeBenchJSON(dir string, sizes []int, tables []*harness.Table, wall []time.Duration, micros []bench.Micro) (string, error) {
-	now := time.Now()
-	bf := benchFile{Timestamp: now.Format(time.RFC3339), Sizes: sizes, Micro: micros}
-	for i, t := range tables {
-		bf.Experiments = append(bf.Experiments, benchExperiment{
-			ID:     t.ID,
-			Title:  t.Title,
-			WallMS: float64(wall[i].Microseconds()) / 1000,
-			Header: t.Header,
-			Rows:   t.Rows,
-			Notes:  t.Notes,
-		})
-	}
-	path := fmt.Sprintf("%s/BENCH_%s.json", dir, now.Format("20060102T150405"))
-	f, err := os.Create(path)
-	if err != nil {
-		return "", err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(bf); err != nil {
-		f.Close()
-		return "", err
-	}
-	return path, f.Close()
-}
-
-// readBenchJSON loads a BENCH_*.json baseline.
-func readBenchJSON(path string) (*benchFile, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var bf benchFile
-	if err := json.Unmarshal(data, &bf); err != nil {
-		return nil, fmt.Errorf("parse %s: %w", path, err)
-	}
-	return &bf, nil
-}
-
-// compareBaseline checks the current run against a baseline record.
-// Retrieval-count cells are deterministic, so any drift in an
-// experiment shared with the baseline is an error. Micro ns/op and
-// allocs/op are timing-dependent: they may regress by at most the
-// given fractional tolerance. All violations are reported, not just
-// the first.
-func compareBaseline(baseline *benchFile, tables []*harness.Table, micros []bench.Micro, tolerance float64, out io.Writer) error {
-	current := make(map[string]*harness.Table, len(tables))
-	for _, t := range tables {
-		current[t.ID] = t
-	}
-	var violations []string
-	for _, be := range baseline.Experiments {
-		t, ok := current[be.ID]
-		if !ok {
-			continue // baseline has experiments this invocation did not run
-		}
-		if len(be.Rows) != len(t.Rows) {
-			violations = append(violations, fmt.Sprintf("%s: %d rows, baseline has %d", be.ID, len(t.Rows), len(be.Rows)))
-			continue
-		}
-		for i := range be.Rows {
-			for j := range be.Rows[i] {
-				if j < len(t.Rows[i]) && be.Rows[i][j] != t.Rows[i][j] {
-					violations = append(violations,
-						fmt.Sprintf("%s row %d col %d: %q, baseline %q (retrieval counts are deterministic — this is a behavior change)",
-							be.ID, i, j, t.Rows[i][j], be.Rows[i][j]))
-				}
-			}
-		}
-	}
-	cur := make(map[string]bench.Micro, len(micros))
-	for _, m := range micros {
-		cur[m.Name] = m
-	}
-	for _, base := range baseline.Micro {
-		m, ok := cur[base.Name]
-		if !ok {
-			violations = append(violations, fmt.Sprintf("micro %s: present in baseline, not measured", base.Name))
-			continue
-		}
-		if base.NsPerOp > 0 && m.NsPerOp > base.NsPerOp*(1+tolerance) {
-			violations = append(violations, fmt.Sprintf("micro %s: %.1f ns/op, baseline %.1f (>%.0f%% regression)",
-				base.Name, m.NsPerOp, base.NsPerOp, tolerance*100))
-		} else {
-			fmt.Fprintf(out, "compare: %s %.1f ns/op vs baseline %.1f\n", base.Name, m.NsPerOp, base.NsPerOp)
-		}
-		if float64(m.AllocsPerOp) > float64(base.AllocsPerOp)*(1+tolerance)+0.5 {
-			violations = append(violations, fmt.Sprintf("micro %s: %d allocs/op, baseline %d",
-				base.Name, m.AllocsPerOp, base.AllocsPerOp))
-		}
-	}
-	if len(violations) > 0 {
-		for _, v := range violations {
-			fmt.Fprintln(out, "REGRESSION:", v)
-		}
-		return fmt.Errorf("%d regression(s) against baseline", len(violations))
-	}
-	return nil
 }

@@ -93,63 +93,6 @@ func TestBenchJSONFile(t *testing.T) {
 	}
 }
 
-func TestCompareBaseline(t *testing.T) {
-	dir := t.TempDir()
-	wd, err := os.Getwd()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Chdir(dir); err != nil {
-		t.Fatal(err)
-	}
-	defer os.Chdir(wd)
-	var buf bytes.Buffer
-	if err := run([]string{"-experiment", "tab2", "-sizes", "8", "-json"}, &buf); err != nil {
-		t.Fatal(err)
-	}
-	matches, _ := filepath.Glob(filepath.Join(dir, "BENCH_*.json"))
-	if len(matches) != 1 {
-		t.Fatalf("BENCH files: %v", matches)
-	}
-	baseline := matches[0]
-
-	// Identical rerun: retrieval counts are deterministic, so compare
-	// must pass.
-	buf.Reset()
-	if err := run([]string{"-experiment", "tab2", "-compare", baseline}, &buf); err != nil {
-		t.Fatalf("compare against own baseline failed: %v\n%s", err, buf.String())
-	}
-	if !strings.Contains(buf.String(), "compare: OK") {
-		t.Fatalf("missing OK line:\n%s", buf.String())
-	}
-
-	// A tampered retrieval cell must be flagged.
-	data, err := os.ReadFile(baseline)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var bf benchFile
-	if err := json.Unmarshal(data, &bf); err != nil {
-		t.Fatal(err)
-	}
-	bf.Experiments[0].Rows[0][1] = "999999"
-	tampered, err := json.Marshal(bf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad := filepath.Join(dir, "tampered.json")
-	if err := os.WriteFile(bad, tampered, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	buf.Reset()
-	if err := run([]string{"-experiment", "tab2", "-compare", bad}, &buf); err == nil {
-		t.Fatalf("tampered baseline should fail compare:\n%s", buf.String())
-	}
-	if !strings.Contains(buf.String(), "REGRESSION:") {
-		t.Fatalf("missing REGRESSION line:\n%s", buf.String())
-	}
-}
-
 func TestFig3DOT(t *testing.T) {
 	var buf bytes.Buffer
 	if err := run([]string{"-experiment", "fig3-dot"}, &buf); err != nil {

@@ -1,3 +1,7 @@
+// Package bench holds the tracing-overhead guard behind mcbench
+// -traceguard: every instrumented solver path run with tracing
+// disabled and with an enabled-but-unsampled trace, which must charge
+// identical tuple retrievals and cost about the same time.
 package bench
 
 import (
@@ -75,7 +79,8 @@ func traceProbes() []traceProbe {
 // Retrieval counts always come from one run of each configuration.
 // With rounds >= 1, each configuration is also timed that many times
 // through the testing benchmark driver, interleaved so machine drift
-// hits both sides alike, keeping the fastest round (as in Run); with
+// hits both sides alike, keeping the fastest round (the minimum is
+// the best estimate of the code's cost on a shared machine); with
 // rounds < 1 the timing is skipped and the ns fields stay zero —
 // the cheap drift-only mode the unit tests use.
 func RunTraceGuard(rounds int) ([]TraceGuard, error) {
