@@ -146,63 +146,78 @@ func main() {
 	}
 }
 
+// options is mcserved's command line.
+type options struct {
+	addr, debugAddr, dataDir, fsync  string
+	workers, cacheCap, snapshotEvery int
+	timeout, fsyncInterval           time.Duration
+	quiet                            bool
+}
+
+// newFlagSet declares mcserved's flags, parsed into o. README's flag
+// table documents exactly these (TestReadmeFlagTable).
+func newFlagSet(o *options) *flag.FlagSet {
+	fs := flag.NewFlagSet("mcserved", flag.ContinueOnError)
+	fs.StringVar(&o.addr, "addr", ":8377", "listen address")
+	fs.IntVar(&o.workers, "workers", 0, "solver worker-pool size (0 = GOMAXPROCS)")
+	fs.DurationVar(&o.timeout, "timeout", 30*time.Second, "default per-query timeout")
+	fs.IntVar(&o.cacheCap, "cache", 1024, "result-cache capacity (entries)")
+	fs.StringVar(&o.debugAddr, "debug-addr", "", "serve net/http/pprof on this address (disabled when empty; keep it off public interfaces)")
+	fs.BoolVar(&o.quiet, "quiet", false, "suppress per-request log lines")
+	fs.StringVar(&o.dataDir, "data-dir", "", "durable state directory (empty = memory-only, state lost on exit)")
+	fs.StringVar(&o.fsync, "fsync", "always", "WAL fsync policy with -data-dir: always, interval, or never")
+	fs.DurationVar(&o.fsyncInterval, "fsync-interval", 100*time.Millisecond, "background sync period under -fsync interval")
+	fs.IntVar(&o.snapshotEvery, "snapshot-every", 50_000, "snapshot once this many facts have been appended since the last one (0 = only on shutdown)")
+	// Deprecated: -shards is accepted so existing launch lines keep
+	// working, and ignored; ROADMAP item 1's [benchmark] half removes it.
+	fs.Int("shards", 1, "deprecated and ignored: the server holds one compiled artifact")
+	return fs
+}
+
 // run starts the server and blocks until a signal arrives on stop,
 // then shuts down. ready, when non-nil, is sent the bound address once
 // the listener is up. main passes the process's SIGINT/SIGTERM channel;
 // in-process tests pass channels of their own, so a signal meant for
 // one server never reaches another.
 func run(args []string, stdout io.Writer, ready chan<- net.Addr, stop <-chan os.Signal) error {
-	fs := flag.NewFlagSet("mcserved", flag.ContinueOnError)
-	addr := fs.String("addr", ":8377", "listen address")
-	workers := fs.Int("workers", 0, "solver worker-pool size (0 = GOMAXPROCS)")
-	timeout := fs.Duration("timeout", 30*time.Second, "default per-query timeout")
-	cacheCap := fs.Int("cache", 1024, "result-cache capacity (entries)")
-	debugAddr := fs.String("debug-addr", "", "serve net/http/pprof on this address (disabled when empty; keep it off public interfaces)")
-	quiet := fs.Bool("quiet", false, "suppress per-request log lines")
-	dataDir := fs.String("data-dir", "", "durable state directory (empty = memory-only, state lost on exit)")
-	fsyncMode := fs.String("fsync", "always", "WAL fsync policy with -data-dir: always, interval, or never")
-	fsyncInterval := fs.Duration("fsync-interval", 100*time.Millisecond, "background sync period under -fsync interval")
-	snapshotEvery := fs.Int("snapshot-every", 50_000, "snapshot once this many facts have been appended since the last one (0 = only on shutdown)")
-	// Deprecated: -shards is accepted so existing launch lines keep
-	// working, and ignored; ROADMAP item 1's [benchmark] half removes it.
-	fs.Int("shards", 1, "deprecated and ignored: the server holds one compiled artifact")
-	if err := fs.Parse(args); err != nil {
+	var o options
+	if err := newFlagSet(&o).Parse(args); err != nil {
 		return err
 	}
-	fsync, err := durable.ParseFsyncPolicy(*fsyncMode)
+	fsync, err := durable.ParseFsyncPolicy(o.fsync)
 	if err != nil {
 		return err
 	}
 	out := &syncWriter{w: stdout}
 	svc := server.New(server.Config{
-		Workers:        *workers,
-		DefaultTimeout: *timeout,
-		CacheCap:       *cacheCap,
+		Workers:        o.workers,
+		DefaultTimeout: o.timeout,
+		CacheCap:       o.cacheCap,
 		Fsync:          fsync,
-		FsyncInterval:  *fsyncInterval,
-		SnapshotEvery:  *snapshotEvery,
+		FsyncInterval:  o.fsyncInterval,
+		SnapshotEvery:  o.snapshotEvery,
 	})
-	if *dataDir != "" {
+	if o.dataDir != "" {
 		// Recover before listening: a port that answers implies a
 		// database that is fully restored.
-		info, err := svc.Open(*dataDir)
+		info, err := svc.Open(o.dataDir)
 		if err != nil {
-			return fmt.Errorf("open data dir %s: %w", *dataDir, err)
+			return fmt.Errorf("open data dir %s: %w", o.dataDir, err)
 		}
 		st := svc.Stats()
 		fmt.Fprintf(out, "mcserved: recovered %s: generation %d, %d facts (snapshot gen %d, %d wal records replayed, %d bytes truncated)\n",
-			*dataDir, info.Generation, st.FactsL+st.FactsE+st.FactsR,
+			o.dataDir, info.Generation, st.FactsL+st.FactsE+st.FactsR,
 			info.SnapshotGeneration, info.ReplayedRecords, info.TruncatedBytes)
 		for _, skipped := range info.SkippedSnapshots {
 			fmt.Fprintf(out, "mcserved: skipped corrupt snapshot %s\n", skipped)
 		}
 	}
-	ln, err := net.Listen("tcp", *addr)
+	ln, err := net.Listen("tcp", o.addr)
 	if err != nil {
 		return err
 	}
 	handler := http.Handler(server.NewHandler(svc))
-	if !*quiet {
+	if !o.quiet {
 		handler = requestLog(handler, slog.New(slog.NewTextHandler(out, nil)))
 	}
 	srv := &http.Server{
@@ -210,7 +225,7 @@ func run(args []string, stdout io.Writer, ready chan<- net.Addr, stop <-chan os.
 		ReadHeaderTimeout: 5 * time.Second,
 	}
 	var debugSrv *http.Server
-	if *debugAddr != "" {
+	if o.debugAddr != "" {
 		// A dedicated mux so the profiling endpoints never leak onto
 		// the service listener (and vice versa).
 		mux := http.NewServeMux()
@@ -219,7 +234,7 @@ func run(args []string, stdout io.Writer, ready chan<- net.Addr, stop <-chan os.
 		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		dln, err := net.Listen("tcp", *debugAddr)
+		dln, err := net.Listen("tcp", o.debugAddr)
 		if err != nil {
 			return fmt.Errorf("debug listener: %w", err)
 		}

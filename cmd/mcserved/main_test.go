@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"net"
 	"net/http"
@@ -231,4 +232,64 @@ func TestShardsFlagIgnored(t *testing.T) {
 	if _, ok := stats["shards"]; ok || stats["generation"] != float64(3) {
 		t.Fatalf("-shards 4 stats: %v; want generation 3 and no shards block", stats)
 	}
+}
+
+// TestReadmeFlagTable holds README's mcserved flag table to the flag
+// set run parses, both ways: every flag has a row with its default,
+// and every row names a flag. A default of "—" documents an empty one.
+func TestReadmeFlagTable(t *testing.T) {
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := readmeFlagRows(t, string(readme))
+	fs := newFlagSet(&options{})
+	fs.VisitAll(func(f *flag.Flag) {
+		def, ok := rows["-"+f.Name]
+		switch {
+		case !ok:
+			t.Errorf("flag -%s has no row in README's mcserved flag table", f.Name)
+		case def != f.DefValue:
+			t.Errorf("README documents -%s's default as %q, the flag's is %q", f.Name, def, f.DefValue)
+		}
+	})
+	for name := range rows {
+		if fs.Lookup(strings.TrimPrefix(name, "-")) == nil {
+			t.Errorf("README's mcserved flag table documents %s, which mcserved does not define", name)
+		}
+	}
+}
+
+// readmeFlagRows returns the first flag table of README's "Query
+// service" section as flag name → default.
+func readmeFlagRows(t *testing.T, readme string) map[string]string {
+	t.Helper()
+	_, section, ok := strings.Cut(readme, "\n## Query service")
+	if !ok {
+		t.Fatal(`README has no "## Query service" section`)
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	_, table, ok := strings.Cut(section, "\n| flag | default | what it does |\n|---|---|---|\n")
+	if !ok {
+		t.Fatal("README's Query service section has no flag table")
+	}
+	rows := map[string]string{}
+	for _, line := range strings.Split(table, "\n") {
+		if !strings.HasPrefix(line, "|") {
+			break
+		}
+		cells := strings.Split(line, "|")
+		if len(cells) < 4 {
+			t.Fatalf("malformed flag row %q", line)
+		}
+		name, def := strings.Trim(strings.TrimSpace(cells[1]), "`"), strings.Trim(strings.TrimSpace(cells[2]), "`")
+		if def == "—" {
+			def = ""
+		}
+		if _, dup := rows[name]; dup {
+			t.Errorf("README documents %s twice", name)
+		}
+		rows[name] = def
+	}
+	return rows
 }

@@ -471,6 +471,57 @@ func TestRotateCrashKeepsSealedSegments(t *testing.T) {
 	if got := len(info2.L) + len(info2.E) + len(info2.R); got != len(l)+len(e)+len(r) {
 		t.Fatalf("post-checkpoint facts: %d, want %d", got, len(l)+len(e)+len(r))
 	}
+
+	// Segment GC reads no segment file, so the store must know each
+	// segment's last generation: from Open's scan for segments already
+	// on disk, and from Append across size-triggered rotations. Two
+	// records fill a segment.
+	frame := int64(recordHeaderLen + len(encodeRecordPayload(mkRecord(5, 1))))
+	opts := Options{Fsync: FsyncAlways, SegmentBytes: headerLen + 2*frame}
+	st3, _ := mustOpen(t, dir, opts)
+	appendAll(t, st3, mkRecord(5, 1), mkRecord(6, 1), mkRecord(7, 1))
+	if err := st3.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st4, _ := mustOpen(t, dir, opts) // learns {5,6} and {7} from the scan
+	appendAll(t, st4, mkRecord(8, 1), mkRecord(9, 1))
+	_, sealed, _ := listSegments(dir) // {5,6} {7,8} {9}
+	if len(sealed) != 3 {
+		t.Fatalf("%d segments before the checkpoints, want 3", len(sealed))
+	}
+	checkpoint := func(gen uint64) {
+		t.Helper()
+		floor, err := st4.Rotate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st4.WriteSnapshot(Snapshot{Gen: gen, L: mkRecord(gen, 1).L}, floor); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The fallback snapshot (gen 4) covers none of them: all stay.
+	checkpoint(9)
+	if _, seqs, _ := listSegments(dir); len(seqs) != 4 || seqs[0] != sealed[0] {
+		t.Fatalf("segments %v after a checkpoint whose fallback covers nothing, want %v and the active one", seqs, sealed)
+	}
+	appendAll(t, st4, mkRecord(10, 1))
+	// The fallback is now gen 9: the three segments it covers go, and
+	// gen 10's segment, its tail, stays.
+	checkpoint(10)
+	_, seqs, _ = listSegments(dir)
+	if len(seqs) != 2 || seqs[0] != sealed[2]+1 {
+		t.Fatalf("segments %v after the second checkpoint, want gen 10's (%d) and the active one", seqs, sealed[2]+1)
+	}
+	if err := st4.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(filepath.Join(dir, snapshotName(10))); err != nil {
+		t.Fatal(err)
+	}
+	_, info3 := mustOpen(t, dir, Options{})
+	if info3.SnapshotGeneration != 9 || info3.Generation != 10 || info3.ReplayedRecords != 1 {
+		t.Fatalf("fallback recovery: snapshot gen %d, gen %d, %d records; want 9, 10, 1", info3.SnapshotGeneration, info3.Generation, info3.ReplayedRecords)
+	}
 }
 
 // TestSnapshotFallback: a corrupt newest snapshot falls back to the

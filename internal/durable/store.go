@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 
@@ -75,6 +76,11 @@ type Store struct {
 	mu          sync.Mutex
 	lastSnapGen uint64
 	hasSnap     bool
+	// segGen maps each segment holding records to its last record's
+	// generation, learnt from Open's scan and from every Append, so
+	// WriteSnapshot's garbage collection reads no segment file. A
+	// segment without an entry holds no record.
+	segGen map[uint64]uint64
 }
 
 // scannedRec is one valid record plus its start offset, so replay can
@@ -161,6 +167,7 @@ func Open(dir string, opts Options, tr *obs.Trace) (*Store, *RecoveryInfo, error
 		return nil, nil, err
 	}
 	activeSeq, activeSize := uint64(0), int64(0)
+	segGen := make(map[uint64]uint64)
 	for i, path := range paths {
 		recs, goodLen, total, err := scanSegment(path)
 		if err != nil {
@@ -168,14 +175,22 @@ func Open(dir string, opts Options, tr *obs.Trace) (*Store, *RecoveryInfo, error
 		}
 		cut := goodLen
 		stop := goodLen < total // invalid suffix present
+		// Grow the tail once per segment, not once per record.
+		var nl, ne, nr int
 		for _, sr := range recs {
+			if sr.rec.Gen > info.Generation {
+				nl, ne, nr = nl+len(sr.rec.L), ne+len(sr.rec.E), nr+len(sr.rec.R)
+			}
+		}
+		info.TailL, info.TailE, info.TailR = slices.Grow(info.TailL, nl), slices.Grow(info.TailE, ne), slices.Grow(info.TailR, nr)
+		for j, sr := range recs {
 			if sr.rec.Gen <= info.Generation {
 				continue // already covered by the snapshot
 			}
 			if sr.rec.Gen != info.Generation+1 {
 				// A generation gap means the log lost a committed
 				// prefix record: nothing after this point is trustworthy.
-				cut, stop = sr.start, true
+				cut, stop, recs = sr.start, true, recs[:j]
 				break
 			}
 			info.TailL = append(info.TailL, sr.rec.L...)
@@ -183,6 +198,9 @@ func Open(dir string, opts Options, tr *obs.Trace) (*Store, *RecoveryInfo, error
 			info.TailR = append(info.TailR, sr.rec.R...)
 			info.Generation = sr.rec.Gen
 			info.ReplayedRecords++
+		}
+		if len(recs) > 0 { // what the segment keeps
+			segGen[seqs[i]] = recs[len(recs)-1].rec.Gen
 		}
 		info.ReplayedSegments++
 		activeSeq, activeSize = seqs[i], cut
@@ -214,7 +232,7 @@ func Open(dir string, opts Options, tr *obs.Trace) (*Store, *RecoveryInfo, error
 	if err != nil {
 		return nil, nil, err
 	}
-	st := &Store{dir: dir, w: w}
+	st := &Store{dir: dir, w: w, segGen: segGen}
 	if info.SnapshotLoaded {
 		st.hasSnap, st.lastSnapGen = true, info.SnapshotGeneration
 	}
@@ -225,7 +243,18 @@ func Open(dir string, opts Options, tr *obs.Trace) (*Store, *RecoveryInfo, error
 // only after the record is on stable storage — the write-ahead half
 // of the serving layer's commit.
 func (st *Store) Append(rec Record) error {
-	return st.w.append(encodeRecordPayload(rec))
+	payload := encodeRecordPayload(rec)
+	// mu is held across the write so a Rotate that follows it finds the
+	// record's segment generation recorded.
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	seq, err := st.w.append(payload)
+	if seq != 0 {
+		// Written, if perhaps not synced: its segment must outlive
+		// every snapshot that does not cover it.
+		st.segGen[seq] = rec.Gen
+	}
+	return err
 }
 
 // Sync forces the WAL to stable storage regardless of policy.
@@ -233,8 +262,13 @@ func (st *Store) Sync() error { return st.w.sync() }
 
 // Rotate seals the active segment and returns the new segment's
 // sequence number — the floor below which a subsequent WriteSnapshot
-// may garbage-collect (every record already appended lives below it).
-func (st *Store) Rotate() (uint64, error) { return st.w.rotate() }
+// may garbage-collect (every record already appended lives below it,
+// with its segment's generation recorded).
+func (st *Store) Rotate() (uint64, error) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.w.rotate()
+}
 
 // WriteSnapshot persists snap atomically, then garbage-collects. The
 // two newest snapshots are retained (the previous one survives as a
@@ -278,19 +312,16 @@ func (st *Store) WriteSnapshot(snap Snapshot, floorSeq uint64) error {
 	if err != nil {
 		return err
 	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
 	for i, seq := range seqs {
-		if seq >= floorSeq {
+		if seq >= floorSeq || st.segGen[seq] > coveredGen {
 			continue
 		}
-		recs, _, _, serr := scanSegment(paths[i])
-		if serr != nil {
-			continue // leave anything odd for recovery to judge
+		if err := os.Remove(paths[i]); err != nil {
+			return err
 		}
-		if len(recs) == 0 || recs[len(recs)-1].rec.Gen <= coveredGen {
-			if err := os.Remove(paths[i]); err != nil {
-				return err
-			}
-		}
+		delete(st.segGen, seq)
 	}
 	syncDir(st.dir)
 	return nil

@@ -166,25 +166,26 @@ func (w *wal) createSegmentLocked(seq uint64) error {
 }
 
 // append frames and writes one record payload, rotating first when
-// the segment is full, then syncs per policy. On a write failure the
+// the segment is full, then syncs per policy, and returns the sequence
+// number of the segment the record went to. On a write failure the
 // partial frame is truncated away so the log never accumulates a torn
 // record mid-file; if even the truncate fails, or the fsync does, the
 // wal latches broken and every later append fails.
-func (w *wal) append(payload []byte) error {
+func (w *wal) append(payload []byte) (uint64, error) {
 	if len(payload) > maxRecordBytes {
-		return fmt.Errorf("durable: record of %d bytes exceeds the %d-byte limit", len(payload), maxRecordBytes)
+		return 0, fmt.Errorf("durable: record of %d bytes exceeds the %d-byte limit", len(payload), maxRecordBytes)
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
-		return ErrClosed
+		return 0, ErrClosed
 	}
 	if err := w.failedLocked(); err != nil {
-		return err
+		return 0, err
 	}
 	if w.size > headerLen && w.size+recordHeaderLen+int64(len(payload)) > w.opts.SegmentBytes {
 		if err := w.createSegmentLocked(w.seq + 1); err != nil {
-			return err
+			return 0, err
 		}
 	}
 	frame := make([]byte, recordHeaderLen+len(payload))
@@ -198,14 +199,14 @@ func (w *wal) append(payload []byte) error {
 		} else {
 			w.f.Seek(start, 0)
 		}
-		return fmt.Errorf("durable: wal append: %w", err)
+		return 0, fmt.Errorf("durable: wal append: %w", err)
 	}
 	w.size = start + int64(len(frame))
 	w.dirty = true
 	if w.opts.Fsync == FsyncAlways {
-		return w.syncLocked()
+		return w.seq, w.syncLocked()
 	}
-	return nil
+	return w.seq, nil
 }
 
 // failedLocked reports the latched failure, if any. Caller holds mu.

@@ -14,43 +14,6 @@ import (
 	"magiccounting/internal/core"
 )
 
-// TestClockEvictionKeepsHotKey is the second-chance guarantee: a key
-// that is re-hit between insertions must survive any amount of
-// one-shot churn at full capacity, where the old random eviction would
-// eventually have picked it.
-func TestClockEvictionKeepsHotKey(t *testing.T) {
-	s := New(Config{Workers: 2, CacheCap: 2})
-	genealogyFacts(t, s, 6, 8)
-
-	hot := QueryRequest{Source: "p0_0"}
-	if resp, err := s.Query(context.Background(), hot); err != nil || resp.Cached {
-		t.Fatalf("first hot query: err=%v cached=%v", err, resp.Cached)
-	}
-	if resp, err := s.Query(context.Background(), hot); err != nil || !resp.Cached {
-		t.Fatalf("second hot query: err=%v cached=%v, want hit", err, resp.Cached)
-	}
-	// Churn: every cold query is a fresh key forcing an eviction once
-	// the cache is full. The hot key's reference bit, set by the hit
-	// between insertions, must always divert the clock hand onto the
-	// one-shot entries.
-	for i := 0; i < 20; i++ {
-		cold := QueryRequest{Source: fmt.Sprintf("p1_%d", i%8), Strategy: []string{"basic", "multiple"}[i/8%2], Mode: []string{"independent", "integrated"}[i%2]}
-		if _, err := s.Query(context.Background(), cold); err != nil {
-			t.Fatalf("cold query %d: %v", i, err)
-		}
-		resp, err := s.Query(context.Background(), hot)
-		if err != nil {
-			t.Fatalf("hot query after churn %d: %v", i, err)
-		}
-		if !resp.Cached {
-			t.Fatalf("hot key evicted after %d churn rounds", i+1)
-		}
-	}
-	if st := s.Stats(); st.CacheEntries > 2 {
-		t.Errorf("cache entries = %d, want <= 2 (CacheCap)", st.CacheEntries)
-	}
-}
-
 // TestQueryBatch covers the batch endpoint at the Service layer:
 // answers match singleton queries, one compile serves the whole batch,
 // duplicates fold onto their first occurrence, per-item errors leave
@@ -191,7 +154,7 @@ func TestQueryBatchHTTP(t *testing.T) {
 // successful items must agree with the generation it reports (the same
 // len(Answers) == Generation invariant the singleton test pins), and
 // the race detector checks the compiled-artifact publication and the
-// CLOCK bookkeeping underneath.
+// cache bookkeeping underneath.
 func TestConcurrentBatchesAndAppends(t *testing.T) {
 	s := New(Config{Workers: 8})
 	const appends = 40

@@ -32,7 +32,6 @@ func (s *Service) Open(dir string) (*durable.RecoveryInfo, error) {
 	opts := durable.Options{
 		Fsync:         s.cfg.Fsync,
 		FsyncInterval: s.cfg.FsyncInterval,
-		SegmentBytes:  s.cfg.WALSegmentBytes,
 		OnFsync:       func(d time.Duration) { s.fsyncHist.observe(d.Seconds()) },
 	}
 	tr := obs.New("recover", 0)

@@ -129,79 +129,6 @@ func TestCollapseOnBytes(t *testing.T) {
 	}
 }
 
-// TestClockHandClampAfterPurge is the CLOCK-hand regression: a
-// generation purge rebuilds the ring over the survivors, so a hand
-// parked near the end of the old ring can exceed the new ring's
-// length. The clamp must bring it back in range and the next eviction
-// must still terminate and evict a real entry.
-func TestClockHandClampAfterPurge(t *testing.T) {
-	svc := New(Config{Workers: 1, CacheCap: 8})
-	defer svc.Close(context.Background())
-
-	appendChainN(t, svc, "seed", 8)
-	// Fill the cache with entries at the current generation.
-	for i := 0; i < 8; i++ {
-		if _, err := svc.Query(context.Background(), QueryRequest{Source: fmt.Sprintf("seed_n%d", i)}); err != nil {
-			t.Fatalf("warm query %d: %v", i, err)
-		}
-	}
-	svc.mu.Lock()
-	if len(svc.clock) != 8 {
-		svc.mu.Unlock()
-		t.Fatalf("ring size = %d, want 8", len(svc.clock))
-	}
-	// Park the hand near the end of the ring, then purge against a
-	// generation nothing matches: the rebuilt ring is empty, and the
-	// old hand position is far out of range.
-	svc.hand = 7
-	svc.invalidateGenerationLocked(svc.art.Generation + 1)
-	if len(svc.clock) != 0 || len(svc.cache) != 0 {
-		svc.mu.Unlock()
-		t.Fatalf("purge left %d ring slots, %d entries", len(svc.clock), len(svc.cache))
-	}
-	if svc.hand != 0 {
-		svc.mu.Unlock()
-		t.Fatalf("hand = %d after purge to empty ring, want 0", svc.hand)
-	}
-	svc.mu.Unlock()
-
-	// Partial survival: re-fill, mark a few entries stale by hand, and
-	// purge with the hand past the survivor count.
-	for i := 0; i < 8; i++ {
-		if _, err := svc.Query(context.Background(), QueryRequest{Source: fmt.Sprintf("seed_n%d", i)}); err != nil {
-			t.Fatalf("refill query %d: %v", i, err)
-		}
-	}
-	svc.mu.Lock()
-	gen := svc.art.Generation
-	stale := 0
-	for _, e := range svc.cache {
-		if stale == 6 {
-			break
-		}
-		e.generation = gen + 1 // not current: the purge must drop it
-		stale++
-	}
-	svc.hand = 7
-	svc.invalidateGenerationLocked(gen)
-	if len(svc.clock) != 2 {
-		svc.mu.Unlock()
-		t.Fatalf("ring size = %d after purge, want 2 survivors", len(svc.clock))
-	}
-	if svc.hand >= len(svc.clock) {
-		svc.mu.Unlock()
-		t.Fatalf("hand = %d out of range for ring of %d", svc.hand, len(svc.clock))
-	}
-	// The next eviction sweep must terminate and take a real entry.
-	before := len(svc.cache)
-	svc.evictOneLocked()
-	if len(svc.cache) != before-1 {
-		svc.mu.Unlock()
-		t.Fatalf("evict after purge removed %d entries, want 1", before-len(svc.cache))
-	}
-	svc.mu.Unlock()
-}
-
 // TestMemoryMetricsExposition checks the memory series reach /metrics
 // with the right names and kinds, and the retired retention series do
 // not.

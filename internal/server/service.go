@@ -3,14 +3,13 @@
 // artifact (core.Compiled) that is the database — it holds the
 // relations L, E, and R, answers every query of its generation
 // read-only, tells an append which of its facts are new, and is
-// rolled forward by every append — plus a bounded worker
-// pool and a per-(source, strategy, mode) result cache with
-// generation-based invalidation and CLOCK (second-chance) eviction,
-// so repeated bound queries against a slowly-changing database
-// amortize interning, Step 1, and Step 2 instead of recomputing
-// them — the workload the paper (and the magic-sets literature after
-// it) is about. QueryBatch answers many bound constants against one
-// snapshot of the artifact.
+// rolled forward by every append — plus a bounded worker pool and a
+// per-(source, strategy, mode) result cache, purged by every append
+// and bounded by evicting an arbitrary entry, so repeated bound
+// queries against a slowly-changing database amortize interning,
+// Step 1, and Step 2 instead of recomputing them — the workload the
+// paper (and the magic-sets literature after it) is about. QueryBatch
+// answers many bound constants against one snapshot of the artifact.
 //
 // cmd/mcserved wraps the Service in a JSON HTTP API.
 package server
@@ -48,12 +47,11 @@ type Config struct {
 	DefaultTimeout time.Duration
 	// CacheCap bounds the number of cached results. Zero selects 1024.
 	CacheCap int
-	// Fsync, FsyncInterval, and WALSegmentBytes tune the durable store
-	// opened by Open (see durable.Options); they have no effect on a
-	// memory-only service. The zero Fsync is durable.FsyncAlways.
-	Fsync           durable.FsyncPolicy
-	FsyncInterval   time.Duration
-	WALSegmentBytes int64
+	// Fsync and FsyncInterval tune the durable store opened by Open
+	// (see durable.Options); they have no effect on a memory-only
+	// service. The zero Fsync is durable.FsyncAlways.
+	Fsync         durable.FsyncPolicy
+	FsyncInterval time.Duration
 	// SnapshotEvery triggers a background Checkpoint once that many
 	// facts have been appended since the last snapshot. Zero disables
 	// automatic snapshots (Close still writes a final one).
@@ -103,11 +101,6 @@ type cacheEntry struct {
 	mode       core.Mode
 	regime     string
 	reason     string
-	// ref is the CLOCK reference bit: readers set it on every hit
-	// (under the read lock, hence atomic), and the eviction sweep
-	// clears it once before a victim is taken — a second chance that
-	// keeps repeatedly-hit entries resident through cache churn.
-	ref atomic.Bool
 }
 
 // Service owns a database of L/E/R facts and answers magic counting
@@ -131,10 +124,6 @@ type Service struct {
 	// appendMu) and Open ever replace it.
 	art   *core.Compiled
 	cache map[cacheKey]*cacheEntry
-	// clock and hand are the CLOCK eviction state: the ring of resident
-	// cache keys and the sweep position. Both are guarded by mu.
-	clock []cacheKey
-	hand  int
 
 	// dur is the durable store behind Open; nil on a memory-only
 	// service. Immutable once set (Open runs before serving), so the
@@ -421,14 +410,12 @@ func (s *Service) account(o outcome) {
 }
 
 // probeLocked returns key's cache entry if it is live for the published
-// artifact, marking it referenced for the CLOCK sweep. Caller holds mu,
-// read or write.
+// artifact. Caller holds mu, read or write.
 func (s *Service) probeLocked(key cacheKey) *cacheEntry {
 	entry := s.cache[key]
 	if entry == nil || entry.generation != s.art.Generation {
 		return nil
 	}
-	entry.ref.Store(true)
 	return entry
 }
 
@@ -719,51 +706,22 @@ func (s *Service) current() *core.Compiled {
 // storeResultLocked caches entry under key if the generation it was
 // solved on is still current: if AppendFacts bumped the generation
 // mid-solve, the result reflects the old snapshot and must not serve
-// future queries. First-time keys join the CLOCK ring, evicting a victim
-// when the cache is at capacity.
+// future queries. A first-time key in a full cache evicts one
+// arbitrary entry, the first of a map range, whose start Go
+// randomises: every append purges the cache, so a policy that ranks
+// entries by use has nothing to rank on the traffic that fills it
+// (DESIGN.md, "Caching").
 func (s *Service) storeResultLocked(key cacheKey, entry *cacheEntry) {
 	if s.art.Generation != entry.generation {
 		return
 	}
-	if _, exists := s.cache[key]; !exists {
-		if len(s.cache) >= s.cfg.CacheCap {
-			s.evictOneLocked()
+	if _, exists := s.cache[key]; !exists && len(s.cache) >= s.cfg.CacheCap {
+		for victim := range s.cache {
+			delete(s.cache, victim)
+			break
 		}
-		s.clock = append(s.clock, key)
 	}
 	s.cache[key] = entry
-}
-
-// evictOneLocked drops one cache entry by the CLOCK (second-chance)
-// policy: the hand sweeps the ring of resident keys, clearing each
-// set reference bit it passes and evicting the first entry found with
-// its bit already clear. Entries hit since the last sweep survive one
-// extra revolution, so a repeatedly-hit key outlives any amount of
-// one-shot churn at full capacity — the approximation of LRU that
-// needs no per-hit write lock. Terminates within two revolutions: the
-// first pass clears every bit it sees.
-func (s *Service) evictOneLocked() {
-	for len(s.clock) > 0 {
-		if s.hand >= len(s.clock) {
-			s.hand = 0
-		}
-		k := s.clock[s.hand]
-		entry := s.cache[k]
-		if entry != nil && entry.ref.CompareAndSwap(true, false) {
-			s.hand++ // second chance
-			continue
-		}
-		// The victim, or a dead slot (entry purged behind the ring):
-		// compact by swapping the last slot in; after a dead slot the
-		// sweep resumes at the same position.
-		last := len(s.clock) - 1
-		s.clock[s.hand] = s.clock[last]
-		s.clock = s.clock[:last]
-		if entry != nil {
-			delete(s.cache, k)
-			return
-		}
-	}
 }
 
 // FactsRequest appends facts to the database relations. Parent is the
@@ -850,9 +808,12 @@ func (s *Service) AppendFacts(req FactsRequest) (*FactsResponse, error) {
 
 	next := s.roll(art, added, addL, addE, addR)
 
+	// Every cached entry was solved on an older generation, so the
+	// publish purges them all rather than leave dead entries holding
+	// cache slots.
 	s.mu.Lock()
 	s.art = next
-	s.invalidateGenerationLocked(next.Generation)
+	clear(s.cache)
 	s.mu.Unlock()
 
 	s.maybeSnapshot(added)
@@ -862,34 +823,6 @@ func (s *Service) AppendFacts(req FactsRequest) (*FactsResponse, error) {
 		AddedE:     len(addE),
 		AddedR:     len(addR),
 	}, nil
-}
-
-// invalidateGenerationLocked purges every cache entry not at gen and
-// rebuilds the CLOCK ring over the survivors. Purging immediately
-// (rather than waiting for eviction to stumble on them) keeps the
-// invariant that every cached entry is live: stale entries are
-// unreachable (generation mismatch) and would otherwise sit in cache
-// slots indefinitely, inflating mc_cache_entries and crowding out
-// live results. The hand keeps its sweep position so surviving
-// entries don't get a free extra revolution — but the rebuilt ring is
-// usually shorter than the old one, so the position is clamped into
-// range; an out-of-range hand would make the next evictOneLocked
-// sweep start mid-wrap and, worse, index past the ring if any caller
-// ever read s.clock[s.hand] before the sweep's own wrap check.
-// Caller holds mu.
-func (s *Service) invalidateGenerationLocked(gen uint64) {
-	for k, e := range s.cache {
-		if e.generation != gen {
-			delete(s.cache, k)
-		}
-	}
-	s.clock = s.clock[:0]
-	for k := range s.cache {
-		s.clock = append(s.clock, k)
-	}
-	if s.hand >= len(s.clock) {
-		s.hand = 0
-	}
 }
 
 // roll produces the artifact to publish for the generation this commit
